@@ -15,10 +15,14 @@ bench:
 # Quick bench run (scale divisor 16) followed by a structural check of
 # the results file: fails if BENCH_results.json is malformed or the
 # fast-path invariants (no walk on TLB hit, one frame lookup per word
-# access) do not hold.
+# access) do not hold.  Then every simulated figure must match the
+# golden exactly (see bench/golden/README.md to regenerate it).
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
 	dune exec bench/validate_results.exe -- BENCH_results.json
+	dune exec bench/strip_results.exe -- BENCH_results.json \
+	  > /tmp/bench.smoke.stripped.json
+	diff -u bench/golden/smoke.json /tmp/bench.smoke.stripped.json
 
 # Quick fault-injection campaign: exits nonzero if any workload crashes
 # undiagnosed or any detection miss cannot be attributed to a recorded

@@ -24,16 +24,13 @@ let measure ?connections (server : Workload.Spec.server) =
     let scheme = Experiment.make_scheme Experiment.ours () in
     server.Workload.Spec.handler i scheme;
     (match Runtime.Schemes.introspect scheme with
-     | Runtime.Schemes.Shadow_pool { global; recycler }
-     | Runtime.Schemes.Shadow_pool_static { global; recycler; _ }
-     | Runtime.Schemes.Shadow_pool_epoch { global; recycler; _ } ->
+     | Runtime.Schemes.Shadow_pool { global; recycler } ->
        wasted := !wasted + Shadow.Shadow_pool.shadow_pages_live global;
        recycled := !recycled + Apa.Page_recycler.total_recycled_pages recycler
-     | Runtime.Schemes.Shadow_pool_inferred { global; _ } ->
-       wasted := !wasted + Shadow.Shadow_pool.shadow_pages_live global
-     | Runtime.Schemes.Tagged { recycler; _ } ->
-       recycled := !recycled + Apa.Page_recycler.total_recycled_pages recycler
-     | Runtime.Schemes.Opaque | Runtime.Schemes.Recoverable _ -> ());
+     | _ ->
+       invalid_arg
+         "Addr_space.measure: invariant broken: Experiment.ours must build \
+          a shadow pool (the study reads its global pool and recycler)");
     let va = Vmm.Machine.va_bytes_used scheme.Runtime.Scheme.machine in
     if va > !max_va then max_va := va
   done;

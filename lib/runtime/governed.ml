@@ -19,7 +19,6 @@ type t = {
 
 let scheme t = t.scheme
 let governor t = t.governor
-let registry t = t.registry
 let tag_table t = t.table
 let unprotected_allocs t = !(t.unprotected_allocs)
 let unprotected_frees t = Governor.unprotected_free_count t.governor
@@ -32,90 +31,81 @@ let was_unprotected t addr =
     Hashtbl.mem t.ever_unprotected obj.Shadow.Object_registry.user_addr
   | None -> false
 
-let trace_malloc machine site size addr =
-  if Telemetry.Sink.enabled machine.Machine.trace then
-    Telemetry.Sink.emit machine.Machine.trace (fun () ->
-        Telemetry.Event.Malloc { site; size; addr })
-
-let trace_free machine site addr =
-  if Telemetry.Sink.enabled machine.Machine.trace then
-    Telemetry.Sink.emit machine.Machine.trace (fun () ->
-        Telemetry.Event.Free { site; addr })
-
-let trace_violation machine (r : Shadow.Report.t) =
-  Telemetry.Sink.emit_always machine.Machine.trace (fun () ->
-      Shadow.Report.to_event r)
-
-let guarded_load machine registry addr ~width =
-  try
-    Shadow.Detector.guard registry ~in_free:false (fun () ->
-        Mmu.load machine addr ~width)
-  with Shadow.Report.Violation r as exn ->
-    trace_violation machine r;
-    raise exn
-
-let guarded_store machine registry addr ~width v =
-  try
-    Shadow.Detector.guard registry ~in_free:false (fun () ->
-        Mmu.store machine addr ~width v)
-  with Shadow.Report.Violation r as exn ->
-    trace_violation machine r;
-    raise exn
-
-(* Shared alloc/free decision logic, parameterised over one backing
-   pool/heap's four primitive operations.  [raw_live] tracks the blocks
-   this particular backing currently holds without a registry record, so
-   their frees can be routed back to the raw deallocator. *)
-let governed_ops ~machine ~retry ~governor ~ever_unprotected
-    ~unprotected_allocs ~try_alloc ~try_free_protected ~free_unprotected
-    ~alloc_raw ~dealloc_raw =
+(* The governed handle over one backing pool/heap, parameterised over
+   its primitive operations.  [raw_live] tracks the blocks this
+   particular backing currently holds without a registry record, so
+   their frees can be routed back to the raw deallocator.  A shadow
+   allocation whose syscalls fail after retries falls back to [tagged]
+   when there is one (the object stays guarded, by the backend that
+   needs no syscalls) and to a raw block otherwise; the [Tagged] rung
+   allocates there too.  Frees route by ownership: the tag table knows
+   its chunks, raw blocks are tracked here, everything else is a shadow
+   free. *)
+let governed_ops ~machine ~governor ~ever_unprotected ~unprotected_allocs
+    ~try_alloc ~try_free_protected ~free_unprotected ~alloc_raw ~dealloc_raw
+    ~tagged ~destroy =
   let raw_live : (Addr.t, unit) Hashtbl.t = Hashtbl.create 64 in
   let take_raw site size =
     let a = alloc_raw size in
     Hashtbl.replace raw_live a ();
     Hashtbl.replace ever_unprotected a ();
     incr unprotected_allocs;
-    trace_malloc machine site size a;
+    Pool_scheme.trace_malloc machine site size a;
     a
+  in
+  let fallback site size =
+    match tagged with
+    | Some (tp, _) -> tp.Scheme.pool_alloc ~site size
+    | None -> take_raw site size
   in
   let alloc ?(site = "<unknown>") size =
     Governor.on_alloc governor;
-    if Governor.should_protect governor then
-      match
-        Retry.attempt ?policy:retry machine (fun () -> try_alloc ~site size)
-      with
+    match Governor.backend governor with
+    | `Shadow when Governor.should_protect governor -> (
+      match Retry.attempt machine (fun () -> try_alloc ~site size) with
       | Ok a ->
         Governor.record_success governor;
         a
       | Error e ->
         Governor.record_failure governor
           ~reason:("malloc:" ^ Fault_plan.error_label e);
-        take_raw site size
-    else take_raw site size
+        fallback site size)
+    | `Tagged -> fallback site size
+    | `Shadow (* sampled out *) | `Raw -> take_raw site size
   in
   let free ?(site = "<unknown>") a =
-    if Hashtbl.mem raw_live a then begin
-      Hashtbl.remove raw_live a;
-      dealloc_raw a;
-      trace_free machine site a
-    end
-    else
-      match
-        Retry.attempt ?policy:retry machine (fun () ->
-            try_free_protected ~site a)
-      with
-      | Ok () -> Governor.record_success governor
-      | Error e ->
-        Governor.record_failure governor
-          ~reason:("free:" ^ Fault_plan.error_label e);
-        let obj = free_unprotected ~site a in
-        Governor.record_unprotected_free governor;
-        Hashtbl.replace ever_unprotected obj.Shadow.Object_registry.user_addr
-          ()
+    match tagged with
+    | Some (tp, holds) when holds a -> tp.Scheme.pool_free ~site a
+    | Some _ | None ->
+      if Hashtbl.mem raw_live a then begin
+        Hashtbl.remove raw_live a;
+        dealloc_raw a;
+        Pool_scheme.trace_free machine site a
+      end
+      else begin
+        match
+          Retry.attempt machine (fun () -> try_free_protected ~site a)
+        with
+        | Ok () -> Governor.record_success governor
+        | Error e ->
+          Governor.record_failure governor
+            ~reason:("free:" ^ Fault_plan.error_label e);
+          let obj = free_unprotected ~site a in
+          Governor.record_unprotected_free governor;
+          Hashtbl.replace ever_unprotected
+            obj.Shadow.Object_registry.user_addr ()
+      end
   in
-  (alloc, free)
+  {
+    Scheme.pool_alloc = alloc;
+    pool_free = free;
+    pool_destroy =
+      (fun () ->
+        Option.iter (fun (tp, _) -> tp.Scheme.pool_destroy ()) tagged;
+        destroy ());
+  }
 
-let shadow_basic ?retry ?config machine =
+let shadow_basic ?config machine =
   let registry = Shadow.Object_registry.create () in
   let governor = Governor.create ?config machine in
   let ever_unprotected = Hashtbl.create 64 in
@@ -126,246 +116,105 @@ let shadow_basic ?retry ?config machine =
       ~allocator:(Heap.Freelist_malloc.as_allocator malloc_heap)
       machine
   in
-  let alloc, free =
-    governed_ops ~machine ~retry ~governor ~ever_unprotected
-      ~unprotected_allocs
+  let handle =
+    governed_ops ~machine ~governor ~ever_unprotected ~unprotected_allocs
       ~try_alloc:(fun ~site size -> Shadow.Shadow_heap.try_malloc heap ~site size)
       ~try_free_protected:(fun ~site a -> Shadow.Shadow_heap.try_free heap ~site a)
       ~free_unprotected:(fun ~site a ->
         Shadow.Shadow_heap.free_unprotected heap ~site a)
       ~alloc_raw:(fun size -> Heap.Freelist_malloc.alloc malloc_heap size)
       ~dealloc_raw:(fun a -> Heap.Freelist_malloc.dealloc malloc_heap a)
+      ~tagged:None ~destroy:ignore
   in
-  let rec scheme =
-    lazy
-      {
-        Scheme.name = "governed-shadow-basic";
-        machine;
-        malloc = (fun ?site size -> alloc ?site size);
-        free = (fun ?site a -> free ?site a);
-        load = guarded_load machine registry;
-        store = guarded_store machine registry;
-        pool_create =
-          (fun ?elem_size:_ () -> Scheme.direct_pool (Lazy.force scheme));
-        compute = (fun n -> Stats.count_instructions machine.Machine.stats n);
-        extra_memory_bytes = (fun () -> 0);
-        guarantees_detection = true;
-        introspection = Scheme.No_introspection;
-      }
+  let scheme =
+    Pool_scheme.build ~name:"governed-shadow-basic" machine ~pool:ignore
+      ~wrap:(fun () -> handle)
+      ~load:(Pool_scheme.guarded_load machine registry)
+      ~store:(Pool_scheme.guarded_store machine registry)
+      ~extra_memory_bytes:(fun () -> 0)
+      ~guarantees_detection:true
+      ~introspection:(fun () -> Scheme.No_introspection)
   in
-  {
-    scheme = Lazy.force scheme;
-    governor;
-    registry;
-    unprotected_allocs;
-    ever_unprotected;
-    table = None;
-  }
+  { scheme; governor; registry; unprotected_allocs; ever_unprotected;
+    table = None }
 
-let shadow_pool ?retry ?config ?(pool = Schemes.default_pool_config) machine =
-  let { Schemes.reuse_shadow_va } = pool in
+(* The governed shadow pool, with the tag table as a second backend when
+   [table] is given (the backend ladder).  Sub-pools share one governor,
+   registry and recycler. *)
+let governed_pool ~name ~config ~table machine =
   let registry = Shadow.Object_registry.create () in
   let recycler = Apa.Page_recycler.create () in
   let governor = Governor.create ?config machine in
   let ever_unprotected = Hashtbl.create 64 in
   let unprotected_allocs = ref 0 in
-  let make_pool ?elem_size () =
-    Shadow.Shadow_pool.create ?elem_size ~reuse_shadow_va ~recycler ~registry
-      machine
-  in
-  let wrap_pool pool =
-    let alloc, free =
-      governed_ops ~machine ~retry ~governor ~ever_unprotected
-        ~unprotected_allocs
-        ~try_alloc:(fun ~site size ->
-          Shadow.Shadow_pool.try_alloc pool ~site size)
-        ~try_free_protected:(fun ~site a ->
-          Shadow.Shadow_pool.try_free pool ~site a)
-        ~free_unprotected:(fun ~site a ->
-          Shadow.Shadow_pool.free_unprotected pool ~site a)
-        ~alloc_raw:(fun size -> Shadow.Shadow_pool.alloc_raw pool size)
-        ~dealloc_raw:(fun a -> Shadow.Shadow_pool.dealloc_raw pool a)
-    in
-    {
-      Scheme.pool_alloc = alloc;
-      pool_free = free;
-      pool_destroy = (fun () -> Shadow.Shadow_pool.destroy pool);
-    }
-  in
-  let global_handle = wrap_pool (make_pool ()) in
-  let scheme =
-    {
-      Scheme.name = "governed-shadow-pool";
-      machine;
-      malloc = (fun ?site size -> global_handle.Scheme.pool_alloc ?site size);
-      free = (fun ?site a -> global_handle.Scheme.pool_free ?site a);
-      load = guarded_load machine registry;
-      store = guarded_store machine registry;
-      pool_create = (fun ?elem_size () -> wrap_pool (make_pool ?elem_size ()));
-      compute = (fun n -> Stats.count_instructions machine.Machine.stats n);
-      extra_memory_bytes = (fun () -> 0);
-      guarantees_detection = false;
-      introspection = Scheme.No_introspection;
-    }
-  in
-  { scheme; governor; registry; unprotected_allocs; ever_unprotected;
-    table = None }
-
-(* The backend ladder: one machine, three detection backends, the
-   governor choosing per-allocation which one guards the object.
-   Shadow paging while the protection syscalls are healthy; the tag
-   table — still a detecting backend, but one that needs no syscalls
-   and no fresh VA — when they are not (including as the fallback for a
-   shadow allocation whose syscalls failed after retries, which the
-   classic ladder could only leave raw); raw passthrough as the last
-   resort.  Frees route by ownership: the tag table knows its chunks,
-   raw blocks are tracked per pool, everything else is a shadow free. *)
-let backend_ladder ?retry ?config ?tagged:(tcfg = Schemes.default_tagged_config)
-    machine =
-  let config =
-    match config with
-    | Some c -> c
-    | None -> { Governor.default_config with ladder = Governor.backend_ladder }
-  in
-  let registry = Shadow.Object_registry.create () in
-  let recycler = Apa.Page_recycler.create () in
-  let governor = Governor.create ~config machine in
-  let table =
-    Tagging.Tag_table.create ~tag_bits:tcfg.Schemes.tag_bits
-      ~check_cost:tcfg.Schemes.tag_check_cost machine
-  in
-  let ever_unprotected = Hashtbl.create 64 in
-  let unprotected_allocs = ref 0 in
-  let make_pool ?elem_size () =
-    Shadow.Shadow_pool.create ?elem_size ~recycler ~registry machine
-  in
-  let wrap_pool pool =
-    let raw_live : (Addr.t, unit) Hashtbl.t = Hashtbl.create 64 in
-    (* untagged base -> tagged pointer, for free routing and destroy *)
-    let tagged_live : (Addr.t, Addr.t) Hashtbl.t = Hashtbl.create 64 in
-    let take_raw site size =
+  let wrap pool =
+    let alloc_raw size =
       let a = Shadow.Shadow_pool.alloc_raw pool size in
       (* The block may reuse granules of retired tagged chunks; drop
          their table entries so a legitimate raw access can never trip
          a stale tag.  Dangling tagged pointers into the range stop
          faulting — exactly the attributed coverage loss raw mode is. *)
-      Tagging.Tag_table.release table ~base:a ~size;
-      Hashtbl.replace raw_live a ();
-      Hashtbl.replace ever_unprotected a ();
-      incr unprotected_allocs;
-      trace_malloc machine site size a;
+      Option.iter (fun t -> Tagging.Tag_table.release t ~base:a ~size) table;
       a
     in
-    let take_tagged site size =
-      let base = Shadow.Shadow_pool.alloc_raw pool size in
-      let tp = Tagging.Tag_table.register table ~base ~size ~site in
-      Hashtbl.replace tagged_live base tp;
-      trace_malloc machine site size tp;
-      tp
-    in
-    let alloc ?(site = "<unknown>") size =
-      Governor.on_alloc governor;
-      match Governor.backend governor with
-      | `Shadow when Governor.should_protect governor -> (
-        match
-          Retry.attempt ?policy:retry machine (fun () ->
-              Shadow.Shadow_pool.try_alloc pool ~site size)
-        with
-        | Ok a ->
-          Governor.record_success governor;
-          a
-        | Error e ->
-          Governor.record_failure governor
-            ~reason:("malloc:" ^ Fault_plan.error_label e);
-          (* Unlike the classic ladder's raw fallback, the object stays
-             guarded — by the backend that needs no syscalls. *)
-          take_tagged site size)
-      | `Shadow -> take_raw site size (* sampled out *)
-      | `Tagged -> take_tagged site size
-      | `Raw -> take_raw site size
-    in
-    let free ?(site = "<unknown>") a =
-      let base = Tagging.Tag_table.untag a in
-      if Hashtbl.mem tagged_live base && Tagging.Tag_table.owns table base
-      then begin
-        match Tagging.Tag_table.free table a ~site with
-        | b ->
-          Hashtbl.remove tagged_live b;
-          Shadow.Shadow_pool.dealloc_raw pool b;
-          trace_free machine site b
-        | exception (Shadow.Report.Violation r as exn) ->
-          trace_violation machine r;
-          raise exn
-      end
-      else if Hashtbl.mem raw_live a then begin
-        Hashtbl.remove raw_live a;
-        Shadow.Shadow_pool.dealloc_raw pool a;
-        trace_free machine site a
-      end
-      else
-        match
-          Retry.attempt ?policy:retry machine (fun () ->
-              Shadow.Shadow_pool.try_free pool ~site a)
-        with
-        | Ok () -> Governor.record_success governor
-        | Error e ->
-          Governor.record_failure governor
-            ~reason:("free:" ^ Fault_plan.error_label e);
-          let obj = Shadow.Shadow_pool.free_unprotected pool ~site a in
-          Governor.record_unprotected_free governor;
-          Hashtbl.replace ever_unprotected
-            obj.Shadow.Object_registry.user_addr ()
-    in
-    {
-      Scheme.pool_alloc = alloc;
-      pool_free = free;
-      pool_destroy =
-        (fun () ->
-          Hashtbl.iter
-            (fun _ tp ->
-              ignore (Tagging.Tag_table.free table tp ~site:"<pool-destroy>"))
-            tagged_live;
-          Hashtbl.reset tagged_live;
-          Shadow.Shadow_pool.destroy pool);
-    }
+    governed_ops ~machine ~governor ~ever_unprotected ~unprotected_allocs
+      ~try_alloc:(fun ~site size ->
+        Shadow.Shadow_pool.try_alloc pool ~site size)
+      ~try_free_protected:(fun ~site a ->
+        Shadow.Shadow_pool.try_free pool ~site a)
+      ~free_unprotected:(fun ~site a ->
+        Shadow.Shadow_pool.free_unprotected pool ~site a)
+      ~alloc_raw
+      ~dealloc_raw:(Shadow.Shadow_pool.dealloc_raw pool)
+      ~tagged:
+        (Option.map
+           (fun table ->
+             Pool_scheme.tagged_pool machine table
+               ~alloc_raw:(Shadow.Shadow_pool.alloc_raw pool)
+               ~dealloc_raw:(Shadow.Shadow_pool.dealloc_raw pool)
+               ~destroy:ignore)
+           table)
+      ~destroy:(fun () -> Shadow.Shadow_pool.destroy pool)
   in
-  let global_handle = wrap_pool (make_pool ()) in
-  (* Tag check first (it owns the granule or it doesn't), then the
-     guarded MMU path for shadow and raw addresses. *)
-  let load addr ~width =
-    match Tagging.Tag_table.check_access table addr ~access:Perm.Read with
-    | Some raw -> guarded_load machine registry raw ~width
+  let load, store =
+    match table with
+    | Some table -> Pool_scheme.tag_checked machine table registry
     | None ->
-      guarded_load machine registry (Tagging.Tag_table.untag addr) ~width
-    | exception (Shadow.Report.Violation r as exn) ->
-      trace_violation machine r;
-      raise exn
-  in
-  let store addr ~width v =
-    match Tagging.Tag_table.check_access table addr ~access:Perm.Write with
-    | Some raw -> guarded_store machine registry raw ~width v
-    | None ->
-      guarded_store machine registry (Tagging.Tag_table.untag addr) ~width v
-    | exception (Shadow.Report.Violation r as exn) ->
-      trace_violation machine r;
-      raise exn
+      ( Pool_scheme.guarded_load machine registry,
+        Pool_scheme.guarded_store machine registry )
   in
   let scheme =
-    {
-      Scheme.name = "governed-backend-ladder";
-      machine;
-      malloc = (fun ?site size -> global_handle.Scheme.pool_alloc ?site size);
-      free = (fun ?site a -> global_handle.Scheme.pool_free ?site a);
-      load;
-      store;
-      pool_create = (fun ?elem_size () -> wrap_pool (make_pool ?elem_size ()));
-      compute = (fun n -> Stats.count_instructions machine.Machine.stats n);
-      extra_memory_bytes =
-        (fun () ->
-          (Tagging.Tag_table.stats table).Tagging.Tag_table.table_bytes);
-      guarantees_detection = false;
-      introspection = Scheme.No_introspection;
-    }
+    Pool_scheme.build ~name machine
+      ~pool:(fun elem_size ->
+        Shadow.Shadow_pool.create ?elem_size ~recycler ~registry machine)
+      ~wrap ~load ~store
+      ~extra_memory_bytes:(fun () ->
+        match table with
+        | Some table ->
+          (Tagging.Tag_table.stats table).Tagging.Tag_table.table_bytes
+        | None -> 0)
+      ~guarantees_detection:false
+      ~introspection:(fun _ -> Scheme.No_introspection)
   in
-  { scheme; governor; registry; unprotected_allocs; ever_unprotected;
-    table = Some table }
+  { scheme; governor; registry; unprotected_allocs; ever_unprotected; table }
+
+let shadow_pool ?config machine =
+  governed_pool ~name:"governed-shadow-pool" ~config ~table:None machine
+
+(* The backend ladder: one machine, three detection backends, the
+   governor choosing per-allocation which one guards the object.
+   Shadow paging while the protection syscalls are healthy; the tag
+   table — still a detecting backend, but one that needs no syscalls
+   and no fresh VA — when they are not; raw passthrough as the last
+   resort. *)
+let backend_ladder ?config machine =
+  let config =
+    Option.value config
+      ~default:{ Governor.default_config with ladder = Governor.backend_ladder }
+  in
+  let { Schemes.tag_bits; tag_check_cost } = Schemes.default_tagged_config in
+  let table =
+    Tagging.Tag_table.create ~tag_bits ~check_cost:tag_check_cost machine
+  in
+  governed_pool ~name:"governed-backend-ladder" ~config:(Some config)
+    ~table:(Some table) machine

@@ -5,7 +5,6 @@ type t =
   | Shadow_basic
   | Shadow_pool of Schemes.pool_config
   | Shadow_pool_spatial of Schemes.spatial_config
-  | Shadow_pool_static
   | Shadow_pool_inferred
   | Shadow_pool_epoch of Schemes.epoch_config
   | Tagged of Schemes.tagged_config
@@ -23,7 +22,6 @@ let pa_dummy = Pa { Schemes.dummy_syscalls = true }
 let ours_basic = Shadow_basic
 let ours = Shadow_pool Schemes.default_pool_config
 let ours_bounds = Shadow_pool_spatial Schemes.default_spatial_config
-let ours_static = Shadow_pool_static
 let ours_inferred = Shadow_pool_inferred
 let ours_epoch = Shadow_pool_epoch Schemes.default_epoch_config
 let tagged = Tagged Schemes.default_tagged_config
@@ -33,24 +31,9 @@ let valgrind = Valgrind
 let capability = Capability
 
 let all =
-  [
-    Native;
-    Llvm_base;
-    Pa Schemes.default_pa_config;
-    Pa { dummy_syscalls = true };
-    Shadow_basic;
-    Shadow_pool Schemes.default_pool_config;
-    Shadow_pool_spatial Schemes.default_spatial_config;
-    Shadow_pool_static;
-    Shadow_pool_inferred;
-    Shadow_pool_epoch Schemes.default_epoch_config;
-    Tagged Schemes.default_tagged_config;
-    Backend_ladder;
-    Efence;
-    Valgrind;
-    Capability;
-    Recover (Shadow_pool Schemes.default_pool_config);
-  ]
+  [ native; llvm_base; pa; pa_dummy; ours_basic; ours; ours_bounds;
+    ours_inferred; ours_epoch; tagged; ladder; efence; valgrind; capability;
+    Recover ours ]
 
 let rec to_string = function
   | Native -> "native"
@@ -60,7 +43,6 @@ let rec to_string = function
   | Shadow_basic -> "ours-basic"
   | Shadow_pool _ -> "ours"
   | Shadow_pool_spatial _ -> "ours-bounds"
-  | Shadow_pool_static -> "ours-static"
   | Shadow_pool_inferred -> "ours-inferred"
   | Shadow_pool_epoch _ -> "ours-epoch"
   | Tagged _ -> "tagged"
@@ -70,36 +52,16 @@ let rec to_string = function
   | Capability -> "capability"
   | Recover base -> to_string base ^ "+recover"
 
-let recover_suffix = "+recover"
-
+(* The inverse of [to_string], read off [all] rather than kept as a
+   second table of names; any spec takes the recover suffix. *)
 let rec of_string name =
-  match
-    if String.length name > String.length recover_suffix then
-      let cut = String.length name - String.length recover_suffix in
-      if String.sub name cut (String.length recover_suffix) = recover_suffix
-      then Some (String.sub name 0 cut)
-      else None
-    else None
-  with
-  | Some base -> Option.map (fun b -> Recover b) (of_string base)
-  | None -> (
-    match name with
-    | "native" -> Some Native
-    | "llvm" -> Some Llvm_base
-    | "pa" -> Some (Pa Schemes.default_pa_config)
-    | "pa-dummy" -> Some (Pa { dummy_syscalls = true })
-    | "ours-basic" -> Some Shadow_basic
-    | "ours" -> Some (Shadow_pool Schemes.default_pool_config)
-    | "ours-bounds" -> Some (Shadow_pool_spatial Schemes.default_spatial_config)
-    | "ours-static" -> Some Shadow_pool_static
-    | "ours-inferred" -> Some Shadow_pool_inferred
-    | "ours-epoch" -> Some (Shadow_pool_epoch Schemes.default_epoch_config)
-    | "tagged" -> Some (Tagged Schemes.default_tagged_config)
-    | "ladder" -> Some Backend_ladder
-    | "efence" -> Some Efence
-    | "valgrind" -> Some Valgrind
-    | "capability" -> Some Capability
-    | _ -> None)
+  let suffix = "+recover" in
+  match List.find_opt (fun spec -> to_string spec = name) all with
+  | Some _ as spec -> spec
+  | None when String.ends_with ~suffix name ->
+    let base = String.sub name 0 (String.length name - String.length suffix) in
+    Option.map (fun b -> Recover b) (of_string base)
+  | None -> None
 
 let names () = List.map to_string all
 
@@ -111,7 +73,6 @@ let rec label = function
   | Shadow_basic -> "our-approach (no pools)"
   | Shadow_pool _ -> "our-approach"
   | Shadow_pool_spatial _ -> "ours+bounds"
-  | Shadow_pool_static -> "our-approach+static"
   | Shadow_pool_inferred -> "our-approach+inferred"
   | Shadow_pool_epoch _ -> "our-approach+epoch"
   | Tagged _ -> "tagged"
@@ -132,8 +93,6 @@ let rec description = function
   | Shadow_pool _ -> "the paper's full scheme: shadow pages + pool allocation"
   | Shadow_pool_spatial _ ->
     "shadow pages plus per-access software bounds checks"
-  | Shadow_pool_static ->
-    "shadow pool with static protection elision (empty policy here)"
   | Shadow_pool_inferred ->
     "one shadow pool per statically inferred pool scope; destroy unmaps"
   | Shadow_pool_epoch _ ->
@@ -149,16 +108,16 @@ let rec description = function
 
 let rec detects = function
   | Native | Llvm_base | Pa _ -> false
-  | Shadow_basic | Shadow_pool _ | Shadow_pool_spatial _ | Shadow_pool_static
-  | Shadow_pool_inferred | Shadow_pool_epoch _ | Tagged _ ->
+  | Shadow_basic | Shadow_pool _ | Shadow_pool_spatial _ | Shadow_pool_inferred
+  | Shadow_pool_epoch _ | Tagged _ ->
     true
   | Backend_ladder -> false (* conditional on the ladder staying in Full *)
   | Efence | Valgrind | Capability -> true
   | Recover base -> detects base
 
 let rec uses_pa_profile = function
-  | Pa _ | Shadow_pool _ | Shadow_pool_static | Shadow_pool_inferred
-  | Shadow_pool_epoch _ | Tagged _ | Backend_ladder ->
+  | Pa _ | Shadow_pool _ | Shadow_pool_inferred | Shadow_pool_epoch _ | Tagged _
+  | Backend_ladder ->
     true
   | Native | Llvm_base | Shadow_basic | Shadow_pool_spatial _ | Efence
   | Valgrind | Capability ->
@@ -209,9 +168,6 @@ let rec build spec machine =
   | Shadow_basic -> Schemes.shadow_basic machine
   | Shadow_pool config -> Schemes.shadow_pool ~config machine
   | Shadow_pool_spatial config -> Schemes.shadow_pool_spatial ~config machine
-  | Shadow_pool_static ->
-    Schemes.shadow_pool_static ~config:{ Schemes.elide = (fun _ -> false) }
-      machine
   | Shadow_pool_inferred -> Schemes.shadow_pool_inferred machine
   | Shadow_pool_epoch config -> Schemes.shadow_pool_epoch ~config machine
   | Tagged config -> Schemes.tagged ~config machine

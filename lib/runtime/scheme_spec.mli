@@ -9,6 +9,9 @@
     listing ([danguard help]), the README table and the round-trip tests
     all enumerate the same {!all}.
 
+    It stays a closed variant on purpose: a record of independent axes
+    would make dozens of combinations settable that no caller uses.
+
     Baselines live in the [baseline] library, which depends on this one;
     their builders are injected via {!set_baseline_builders}
     ([Baseline.Register.install ()]) before {!build} can construct
@@ -22,11 +25,6 @@ type t =
   | Shadow_pool of Schemes.pool_config  (** the paper's full scheme (§3.3) *)
   | Shadow_pool_spatial of Schemes.spatial_config
       (** shadow pages + software bounds checks *)
-  | Shadow_pool_static
-      (** the static-elision scheme with the empty policy (elide
-          nothing) — behaviourally {!Shadow_pool} plus elision counters.
-          Real analysis-driven policies carry a function and are built
-          directly via {!Schemes.shadow_pool_static}. *)
   | Shadow_pool_inferred  (** one shadow pool per inferred pool scope *)
   | Shadow_pool_epoch of Schemes.epoch_config
       (** epoch-batched deferred protection *)
@@ -55,7 +53,6 @@ val pa_dummy : t
 val ours_basic : t
 val ours : t
 val ours_bounds : t
-val ours_static : t
 val ours_inferred : t
 val ours_epoch : t
 val tagged : t

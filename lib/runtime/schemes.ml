@@ -1,21 +1,5 @@
 open Vmm
 
-let raw_load machine addr ~width = Mmu.load machine addr ~width
-let raw_store machine addr ~width v = Mmu.store machine addr ~width v
-let compute_direct machine n = Stats.count_instructions machine.Machine.stats n
-
-(* The enabled check lives at the call site so the disabled path never
-   allocates the event thunk (closures capture site/size/addr). *)
-let trace_malloc machine site size addr =
-  if Telemetry.Sink.enabled machine.Machine.trace then
-    Telemetry.Sink.emit machine.Machine.trace (fun () ->
-        Telemetry.Event.Malloc { site; size; addr })
-
-let trace_free machine site addr =
-  if Telemetry.Sink.enabled machine.Machine.trace then
-    Telemetry.Sink.emit machine.Machine.trace (fun () ->
-        Telemetry.Event.Free { site; addr })
-
 type pa_config = { dummy_syscalls : bool }
 
 let default_pa_config = { dummy_syscalls = false }
@@ -118,106 +102,64 @@ let introspect (scheme : Scheme.t) =
   | Info i -> i
   | _ -> Opaque
 
-let native machine =
-  let malloc_heap = Heap.Freelist_malloc.create machine in
-  let rec scheme =
-    lazy
-      {
-        Scheme.name = "native";
-        machine;
-        malloc =
-          (fun ?(site = "<unknown>") size ->
-            let a = Heap.Freelist_malloc.alloc malloc_heap size in
-            Stats.count_alloc_op machine.Machine.stats;
-            trace_malloc machine site size a;
-            a);
-        free =
-          (fun ?(site = "<unknown>") a ->
-            Heap.Freelist_malloc.dealloc malloc_heap a;
-            Stats.count_free_op machine.Machine.stats;
-            trace_free machine site a);
-        load = raw_load machine;
-        store = raw_store machine;
-        pool_create =
-          (fun ?elem_size:_ () -> Scheme.direct_pool (Lazy.force scheme));
-        compute = compute_direct machine;
-        extra_memory_bytes = (fun () -> 0);
-        guarantees_detection = false;
-        introspection = Scheme.No_introspection;
-      }
-  in
-  Lazy.force scheme
+(* The handle over a plain block allocator: each op counted and traced,
+   nothing protected — what native and pa mount. *)
+let plain machine ~alloc ~dealloc ~destroy =
+  {
+    Scheme.pool_alloc =
+      (fun ?(site = "<unknown>") size ->
+        let a = alloc size in
+        Stats.count_alloc_op machine.Machine.stats;
+        Pool_scheme.trace_malloc machine site size a;
+        a);
+    pool_free =
+      (fun ?(site = "<unknown>") a ->
+        dealloc a;
+        Stats.count_free_op machine.Machine.stats;
+        Pool_scheme.trace_free machine site a);
+    pool_destroy = destroy;
+  }
 
-let pool_syscall_pair machine dummy =
-  if dummy then begin
-    Kernel.dummy_syscall machine
-  end
+let native machine =
+  let heap = Heap.Freelist_malloc.create machine in
+  Pool_scheme.build ~name:"native" machine ~pool:ignore
+    ~wrap:(fun () ->
+      plain machine
+        ~alloc:(Heap.Freelist_malloc.alloc heap)
+        ~dealloc:(Heap.Freelist_malloc.dealloc heap)
+        ~destroy:ignore)
+    ~load:(Mmu.load machine) ~store:(Mmu.store machine)
+    ~extra_memory_bytes:(fun () -> 0)
+    ~guarantees_detection:false
+    ~introspection:(fun () -> Scheme.No_introspection)
 
 let pa ?(config = default_pa_config) machine =
   let { dummy_syscalls } = config in
   let recycler = Apa.Page_recycler.create () in
-  let make_pool ?elem_size () =
-    Apa.Pool.create ?elem_size ~reclaim:(Apa.Pool.Recycle recycler) machine
-  in
-  let global = make_pool () in
-  let wrap_pool pool =
-    {
-      Scheme.pool_alloc =
-        (fun ?(site = "<unknown>") size ->
-          pool_syscall_pair machine dummy_syscalls;
-          let a = Apa.Pool.alloc pool size in
-          Stats.count_alloc_op machine.Machine.stats;
-          trace_malloc machine site size a;
-          a);
-      pool_free =
-        (fun ?(site = "<unknown>") a ->
-          pool_syscall_pair machine dummy_syscalls;
-          Apa.Pool.dealloc pool a;
-          Stats.count_free_op machine.Machine.stats;
-          trace_free machine site a);
-      pool_destroy = (fun () -> Apa.Pool.destroy pool);
-    }
-  in
-  let global_handle = wrap_pool global in
-  {
-    Scheme.name = (if dummy_syscalls then "pa+dummy-syscalls" else "pa");
-    machine;
-    malloc = (fun ?site size -> global_handle.Scheme.pool_alloc ?site size);
-    free = (fun ?site a -> global_handle.Scheme.pool_free ?site a);
-    load = raw_load machine;
-    store = raw_store machine;
-    pool_create = (fun ?elem_size () -> wrap_pool (make_pool ?elem_size ()));
-    compute = compute_direct machine;
-    extra_memory_bytes = (fun () -> 0);
-    guarantees_detection = false;
-    introspection = Scheme.No_introspection;
-  }
+  let dummy () = if dummy_syscalls then Kernel.dummy_syscall machine in
+  Pool_scheme.build machine
+    ~name:(if dummy_syscalls then "pa+dummy-syscalls" else "pa")
+    ~pool:(fun elem_size ->
+      Apa.Pool.create ?elem_size ~reclaim:(Apa.Pool.Recycle recycler) machine)
+    ~wrap:(fun pool ->
+      plain machine
+        ~alloc:(fun size ->
+          dummy ();
+          Apa.Pool.alloc pool size)
+        ~dealloc:(fun a ->
+          dummy ();
+          Apa.Pool.dealloc pool a)
+        ~destroy:(fun () -> Apa.Pool.destroy pool))
+    ~load:(Mmu.load machine) ~store:(Mmu.store machine)
+    ~extra_memory_bytes:(fun () -> 0)
+    ~guarantees_detection:false
+    ~introspection:(fun _ -> Scheme.No_introspection)
 
 (* The batched reclaim-path unmap every shadow pool gets: coalesced by
    [Shadow_pool.reclaim_ranges], retried here — the same injection shape
    as the epoch's [protect]. *)
 let retrying_unmap machine ~addr ~pages =
   Retry.attempt machine (fun () -> Syscalls.munmap machine ~addr ~pages)
-
-let trace_violation machine (r : Shadow.Report.t) =
-  Telemetry.Sink.emit_always machine.Machine.trace (fun () ->
-      Shadow.Report.to_event r)
-
-let guarded_load machine registry addr ~width =
-  try
-    Shadow.Detector.guard registry ~in_free:false (fun () ->
-        Mmu.load machine addr ~width)
-  with Shadow.Report.Violation r as exn ->
-    trace_violation machine r;
-    raise exn
-
-let guarded_store machine registry addr ~width v =
-  try
-    Shadow.Detector.guard registry ~in_free:false (fun () ->
-        Mmu.store machine addr ~width v)
-  with Shadow.Report.Violation r as exn ->
-    trace_violation machine r;
-    raise exn
 
 let shadow_basic machine =
   let registry = Shadow.Object_registry.create () in
@@ -227,59 +169,81 @@ let shadow_basic machine =
       ~allocator:(Heap.Freelist_malloc.as_allocator malloc_heap)
       machine
   in
-  let rec scheme =
-    lazy
+  Pool_scheme.build ~name:"shadow-basic" machine ~pool:ignore
+    ~wrap:(fun () ->
       {
-        Scheme.name = "shadow-basic";
-        machine;
-        malloc = (fun ?site size -> Shadow.Shadow_heap.malloc heap ?site size);
-        free = (fun ?site a -> Shadow.Shadow_heap.free heap ?site a);
-        load = guarded_load machine registry;
-        store = guarded_store machine registry;
-        pool_create =
-          (fun ?elem_size:_ () -> Scheme.direct_pool (Lazy.force scheme));
-        compute = compute_direct machine;
-        extra_memory_bytes = (fun () -> 0);
-        guarantees_detection = true;
-        introspection = Scheme.No_introspection;
-      }
-  in
-  Lazy.force scheme
+        Scheme.pool_alloc =
+          (fun ?site size -> Shadow.Shadow_heap.malloc heap ?site size);
+        pool_free = (fun ?site a -> Shadow.Shadow_heap.free heap ?site a);
+        pool_destroy = ignore;
+      })
+    ~load:(Pool_scheme.guarded_load machine registry)
+    ~store:(Pool_scheme.guarded_store machine registry)
+    ~extra_memory_bytes:(fun () -> 0)
+    ~guarantees_detection:true
+    ~introspection:(fun () -> Scheme.No_introspection)
 
-let shadow_pool_with_registry ?(config = default_pool_config) machine =
-  let { reuse_shadow_va } = config in
+(* Every shadow-pool scheme, built from its three varying inputs:
+   - [wrap], the wrapper around one pool's alloc/free/destroy (eager,
+     site-elided or epoch-quarantined).  It makes the pool through the
+     [create] it is given, passing the pool's private slab if it uses
+     one, and returns the pool with its handle;
+   - [recycler], the page free list shared by the scheme's pools, with
+     the pool config saying whether new shadow ranges reuse its VA; or
+     none, so destroy returns a pool's VA to the OS;
+   - [check], at most one software check before each load and store
+     (the spatial bounds check or the epoch backstop).
+   Detection is the registry's: one per scheme, shared by its pools.
+   [info] is what {!introspect} reports, given the global pool. *)
+let shadow ~name ~wrap ~recycler ~check ~info machine =
   let registry = Shadow.Object_registry.create () in
-  let recycler = Apa.Page_recycler.create () in
-  let make_pool ?elem_size () =
-    Shadow.Shadow_pool.create ?elem_size ~reuse_shadow_va ~recycler
+  let { reuse_shadow_va } =
+    Option.fold recycler ~none:default_pool_config ~some:snd
+  in
+  let create elem_size slab =
+    Shadow.Shadow_pool.create ?elem_size ~reuse_shadow_va
+      ?recycler:(Option.map fst recycler) ?slab
       ~unmap:(retrying_unmap machine) ~registry machine
   in
-  let global = make_pool () in
-  let wrap_pool pool =
+  let load, store =
+    match check with
+    | None ->
+      ( Pool_scheme.guarded_load machine registry,
+        Pool_scheme.guarded_store machine registry )
+    | Some check ->
+      ( (fun addr ~width ->
+          check registry Perm.Read addr width;
+          Pool_scheme.guarded_load machine registry addr ~width),
+        fun addr ~width v ->
+          check registry Perm.Write addr width;
+          Pool_scheme.guarded_store machine registry addr ~width v )
+  in
+  Pool_scheme.build ~name machine
+    ~pool:(fun elem_size -> wrap (create elem_size))
+    ~wrap:snd ~load ~store
+    ~extra_memory_bytes:(fun () -> 0)
+    ~guarantees_detection:true
+    ~introspection:(fun (global, _) -> Info (info global))
+
+(* The eager wrapper: alloc aliases, free protects, destroy recycles —
+   the paper's scheme as it stands. *)
+let eager create =
+  let pool = create None in
+  ( pool,
     {
       Scheme.pool_alloc =
         (fun ?site size -> Shadow.Shadow_pool.alloc pool ?site size);
       pool_free = (fun ?site a -> Shadow.Shadow_pool.free pool ?site a);
       pool_destroy = (fun () -> Shadow.Shadow_pool.destroy pool);
-    }
-  in
-  let global_handle = wrap_pool global in
-  ( {
-      Scheme.name = "shadow-pool";
-      machine;
-      malloc = (fun ?site size -> global_handle.Scheme.pool_alloc ?site size);
-      free = (fun ?site a -> global_handle.Scheme.pool_free ?site a);
-      load = guarded_load machine registry;
-      store = guarded_store machine registry;
-      pool_create = (fun ?elem_size () -> wrap_pool (make_pool ?elem_size ()));
-      compute = compute_direct machine;
-      extra_memory_bytes = (fun () -> 0);
-      guarantees_detection = true;
-      introspection = Info (Shadow_pool { global; recycler });
-    },
-    registry )
+    } )
 
-let shadow_pool ?config machine = fst (shadow_pool_with_registry ?config machine)
+let shadow_pool ?(config = default_pool_config) machine =
+  let recycler = Apa.Page_recycler.create () in
+  shadow ~name:"shadow-pool" ~wrap:eager
+    ~recycler:(Some (recycler, config))
+    ~check:None
+    ~info:(fun global -> Shadow_pool { global; recycler })
+    machine
 
 (* Shadow-pool plus per-access software bounds checks: a spatial error
    that stays within the object's shadow page is invisible to the MMU
@@ -289,43 +253,25 @@ let shadow_pool ?config machine = fst (shadow_pool_with_registry ?config machine
    checking tool" built from its two complementary halves. *)
 let shadow_pool_spatial ?(config = default_spatial_config) machine =
   let { bounds_check_cost } = config in
-  let base, registry = shadow_pool_with_registry machine in
-  let bounds_violation access addr obj =
-    let info =
-      {
-        (Shadow.Detector.object_info obj) with
-        Shadow.Report.offset = addr - obj.Shadow.Object_registry.user_addr;
-      }
-    in
-    raise
-      (Shadow.Report.Violation
-         {
-           Shadow.Report.kind = Shadow.Report.Out_of_bounds access;
-           fault_addr = addr;
-           object_info = Some info;
-         })
-  in
-  let check access addr width =
+  let recycler = Apa.Page_recycler.create () in
+  let check registry access addr width =
     Stats.count_instructions machine.Machine.stats bounds_check_cost;
     match Shadow.Object_registry.find_by_addr registry addr with
     | Some obj ->
       let start = obj.Shadow.Object_registry.user_addr in
       if addr < start || addr + width > start + obj.Shadow.Object_registry.size
-      then bounds_violation access addr obj
+      then
+        raise
+          (Shadow.Report.Violation
+             (Shadow.Detector.report (Shadow.Report.Out_of_bounds access) addr
+                obj))
     | None -> ()
   in
-  {
-    base with
-    Scheme.name = "shadow-pool+bounds";
-    load =
-      (fun addr ~width ->
-        check Perm.Read addr width;
-        base.Scheme.load addr ~width);
-    store =
-      (fun addr ~width v ->
-        check Perm.Write addr width;
-        base.Scheme.store addr ~width v);
-  }
+  shadow ~name:"shadow-pool+bounds" ~wrap:eager
+    ~recycler:(Some (recycler, default_pool_config))
+    ~check:(Some check)
+    ~info:(fun global -> Shadow_pool { global; recycler })
+    machine
 
 (* The paper's "log in production" variant: a violation is reported to
    the caller's sink instead of tearing the worker down.  Recovery
@@ -411,46 +357,42 @@ let recoverable ?(on_report = fun (_ : Shadow.Report.t) -> ())
    keeps the full scheme, so detection at May/Must sites is unchanged. *)
 let shadow_pool_static ~config machine =
   let { elide } = config in
-  let reuse_shadow_va = true in
-  let registry = Shadow.Object_registry.create () in
   let recycler = Apa.Page_recycler.create () in
-  let make_pool ?elem_size () =
-    Shadow.Shadow_pool.create ?elem_size ~reuse_shadow_va ~recycler
-      ~unmap:(retrying_unmap machine) ~registry machine
-  in
   let elided_allocs = ref 0 in
   let elided_frees = ref 0 in
   let protected_allocs = ref 0 in
   let protected_frees = ref 0 in
-  let wrap_pool pool =
-    {
-      Scheme.pool_alloc =
-        (fun ?(site = "<unknown>") size ->
-          if elide site then begin
-            let a = Shadow.Shadow_pool.alloc_elided pool size in
-            incr elided_allocs;
-            trace_malloc machine site size a;
-            a
-          end
-          else begin
-            incr protected_allocs;
-            Shadow.Shadow_pool.alloc pool ~site size
-          end);
-      pool_free =
-        (fun ?site a ->
-          if Shadow.Shadow_pool.free_elided pool a then begin
-            incr elided_frees;
-            trace_free machine (Option.value site ~default:"<unknown>") a
-          end
-          else begin
-            incr protected_frees;
-            Shadow.Shadow_pool.free pool ?site a
-          end);
-      pool_destroy = (fun () -> Shadow.Shadow_pool.destroy pool);
-    }
+  let wrap create =
+    let pool, eager = eager create in
+    ( pool,
+      {
+        eager with
+        Scheme.pool_alloc =
+          (fun ?(site = "<unknown>") size ->
+            if elide site then begin
+              let a = Shadow.Shadow_pool.alloc_elided pool size in
+              incr elided_allocs;
+              Pool_scheme.trace_malloc machine site size a;
+              a
+            end
+            else begin
+              incr protected_allocs;
+              eager.Scheme.pool_alloc ~site size
+            end);
+        pool_free =
+          (fun ?site a ->
+            if Shadow.Shadow_pool.free_elided pool a then begin
+              incr elided_frees;
+              Pool_scheme.trace_free machine
+                (Option.value site ~default:"<unknown>")
+                a
+            end
+            else begin
+              incr protected_frees;
+              eager.Scheme.pool_free ?site a
+            end);
+      } )
   in
-  let global = make_pool () in
-  let global_handle = wrap_pool global in
   let elision () =
     {
       elided_allocs = !elided_allocs;
@@ -459,19 +401,11 @@ let shadow_pool_static ~config machine =
       protected_frees = !protected_frees;
     }
   in
-  {
-    Scheme.name = "shadow-pool+static";
-    machine;
-    malloc = (fun ?site size -> global_handle.Scheme.pool_alloc ?site size);
-    free = (fun ?site a -> global_handle.Scheme.pool_free ?site a);
-    load = guarded_load machine registry;
-    store = guarded_store machine registry;
-    pool_create = (fun ?elem_size () -> wrap_pool (make_pool ?elem_size ()));
-    compute = compute_direct machine;
-    extra_memory_bytes = (fun () -> 0);
-    guarantees_detection = true;
-    introspection = Info (Shadow_pool_static { global; recycler; elision });
-  }
+  shadow ~name:"shadow-pool+static" ~wrap
+    ~recycler:(Some (recycler, default_pool_config))
+    ~check:None
+    ~info:(fun global -> Shadow_pool_static { global; recycler; elision })
+    machine
 
 (* Shadow-pool for statically inferred pool scopes (Minic.Poolify):
    every pool_create is one inferred pool, and its pool_destroy —
@@ -482,75 +416,82 @@ let shadow_pool_static ~config machine =
    scheme exists to show, that inferred scoped pools bound peak shadow
    VA (destroy issues real coalesced munmaps, counted in the stats).
    Detection is byte-for-byte [shadow_pool]'s: same registry, same
-   guarded accesses, same per-object shadow protection. *)
+   guarded accesses, same per-object shadow protection.  A destroyed
+   pool leaves [live], so neither an alloc nor [inferred] walks the
+   pools that no longer hold pages. *)
 let shadow_pool_inferred machine =
-  let registry = Shadow.Object_registry.create () in
-  let make_pool ?elem_size () =
-    Shadow.Shadow_pool.create ?elem_size ~unmap:(retrying_unmap machine)
-      ~registry machine
-  in
-  let pools = ref [] in
-  let created = ref 0 in
+  let live = ref [] in
+  let created = ref (-1) (* the global pool is not an inferred one *) in
   let destroyed = ref 0 in
   let unmapped = ref 0 in
   let peak = ref 0 in
-  let live () =
+  let live_pages () =
     List.fold_left
-      (fun acc p ->
-        if Shadow.Shadow_pool.is_destroyed p then acc
-        else acc + Shadow.Shadow_pool.shadow_pages_live p)
-      0 !pools
+      (fun acc p -> acc + Shadow.Shadow_pool.shadow_pages_live p)
+      0 !live
   in
-  let bump () =
-    let l = live () in
-    if l > !peak then peak := l
+  let wrap create =
+    let pool, eager = eager create in
+    incr created;
+    live := pool :: !live;
+    ( pool,
+      {
+        eager with
+        Scheme.pool_alloc =
+          (fun ?site size ->
+            let a = eager.Scheme.pool_alloc ?site size in
+            peak := max !peak (live_pages ());
+            a);
+        pool_destroy =
+          (fun () ->
+            if not (Shadow.Shadow_pool.is_destroyed pool) then begin
+              unmapped := !unmapped + Shadow.Shadow_pool.shadow_pages_live pool;
+              incr destroyed;
+              live := List.filter (( != ) pool) !live;
+              eager.Scheme.pool_destroy ()
+            end);
+      } )
   in
-  let wrap_pool pool =
-    {
-      Scheme.pool_alloc =
-        (fun ?site size ->
-          let a = Shadow.Shadow_pool.alloc pool ?site size in
-          bump ();
-          a);
-      pool_free = (fun ?site a -> Shadow.Shadow_pool.free pool ?site a);
-      pool_destroy =
-        (fun () ->
-          if not (Shadow.Shadow_pool.is_destroyed pool) then begin
-            unmapped := !unmapped + Shadow.Shadow_pool.shadow_pages_live pool;
-            incr destroyed;
-            Shadow.Shadow_pool.destroy pool
-          end);
-    }
-  in
-  let global = make_pool () in
-  pools := [ global ];
-  let global_handle = wrap_pool global in
   let inferred () =
     {
       inferred_pools_created = !created;
       inferred_pools_destroyed = !destroyed;
-      live_shadow_pages = live ();
+      live_shadow_pages = live_pages ();
       peak_shadow_pages = !peak;
       destroy_unmapped_pages = !unmapped;
     }
   in
+  shadow ~name:"shadow-pool+inferred" ~wrap ~recycler:None ~check:None
+    ~info:(fun global -> Shadow_pool_inferred { global; inferred })
+    machine
+
+let no_epoch_stats =
   {
-    Scheme.name = "shadow-pool+inferred";
-    machine;
-    malloc = (fun ?site size -> global_handle.Scheme.pool_alloc ?site size);
-    free = (fun ?site a -> global_handle.Scheme.pool_free ?site a);
-    load = guarded_load machine registry;
-    store = guarded_store machine registry;
-    pool_create =
-      (fun ?elem_size () ->
-        incr created;
-        let p = make_pool ?elem_size () in
-        pools := p :: !pools;
-        wrap_pool p);
-    compute = compute_direct machine;
-    extra_memory_bytes = (fun () -> 0);
-    guarantees_detection = true;
-    introspection = Info (Shadow_pool_inferred { global; inferred });
+    epochs_retired = 0;
+    epoch_retired_frees = 0;
+    epoch_pending_frees = 0;
+    coalesced_protects = 0;
+    epoch_split_retries = 0;
+    epoch_failed_protects = 0;
+    backstop_hits = 0;
+    slab_calls = 0;
+    slab_hits = 0;
+    slab_misses = 0;
+  }
+
+let add_epoch_stats acc (e, s) =
+  let open Shadow in
+  {
+    acc with
+    epochs_retired = acc.epochs_retired + Epoch.retirements e;
+    epoch_retired_frees = acc.epoch_retired_frees + Epoch.retired_frees e;
+    epoch_pending_frees = acc.epoch_pending_frees + Epoch.pending_frees e;
+    coalesced_protects = acc.coalesced_protects + Epoch.protect_calls e;
+    epoch_split_retries = acc.epoch_split_retries + Epoch.split_retries e;
+    epoch_failed_protects = acc.epoch_failed_protects + Epoch.failed_protects e;
+    slab_calls = acc.slab_calls + Slab.slab_calls s;
+    slab_hits = acc.slab_hits + Slab.hits s;
+    slab_misses = acc.slab_misses + Slab.misses s;
   }
 
 (* Epoch-batched shadow-pool: frees are quarantined per pool and
@@ -560,57 +501,56 @@ let shadow_pool_inferred machine =
    every access); after retirement the MMU path is exactly
    [shadow_pool]'s.  The batched protect goes through [Retry], and a
    run that still fails is split per object by the epoch — protection
-   is never silently dropped. *)
+   is never silently dropped.  A destroyed pool's counters fold into
+   [retired] and its (epoch, slab) leaves [units], so the backstop
+   walks live pools only. *)
 let shadow_pool_epoch ?(config = default_epoch_config) machine =
   let { max_frees; max_pages; slab_copies; backstop_check_cost } = config in
-  let registry = Shadow.Object_registry.create () in
   let recycler = Apa.Page_recycler.create () in
   let backstop_hits = ref 0 in
   let units : (Shadow.Epoch.t * Shadow.Slab.t) list ref = ref [] in
+  let retired = ref no_epoch_stats in
   let protect ~addr ~pages =
     Retry.attempt machine (fun () ->
         Syscalls.mprotect machine ~addr ~pages Perm.No_access)
   in
-  let make_pool ?elem_size () =
+  let wrap create =
     let slab = Shadow.Slab.create ~copies:slab_copies machine in
     let epoch = Shadow.Epoch.create ~max_frees ~max_pages ~protect () in
-    units := (epoch, slab) :: !units;
-    let pool =
-      (* Slab placement supplies the shadow VA, so recycled-VA reuse for
-         shadow ranges is off; canonical pages still recycle normally. *)
-      Shadow.Shadow_pool.create ?elem_size ~reuse_shadow_va:false ~recycler
-        ~slab ~unmap:(retrying_unmap machine) ~registry machine
-    in
-    (pool, epoch)
-  in
-  let wrap_pool (pool, epoch) =
-    {
-      Scheme.pool_alloc =
-        (fun ?site size ->
-          Syscalls.ok_or_raise ~name:"Schemes.shadow_pool_epoch.alloc"
-            (Retry.attempt machine (fun () ->
-                 Shadow.Shadow_pool.try_alloc pool ?site size)));
-      pool_free =
-        (fun ?site a ->
-          let obj = Shadow.Shadow_pool.free_deferred pool ?site a in
-          Shadow.Epoch.enqueue epoch obj ~release:(fun () ->
-              Shadow.Shadow_pool.retire_object pool obj);
-          if Shadow.Epoch.should_retire epoch then Shadow.Epoch.retire epoch);
-      pool_destroy =
-        (fun () ->
-          (* Retire, never abandon: recycling is VA bookkeeping only, so
-             an abandoned quarantine would leave in-window freed pages
-             read-write after the backstop stops watching them — weaker
-             than the eager scheme's post-destroy state. *)
-          Shadow.Epoch.retire epoch;
-          Shadow.Shadow_pool.destroy pool);
-    }
+    let unit = (epoch, slab) in
+    units := unit :: !units;
+    (* The slab supplies the shadow VA; canonical pages still recycle. *)
+    let pool = create (Some slab) in
+    ( pool,
+      {
+        Scheme.pool_alloc =
+          (fun ?site size ->
+            Syscalls.ok_or_raise ~name:"Schemes.shadow_pool_epoch.alloc"
+              (Retry.attempt machine (fun () ->
+                   Shadow.Shadow_pool.try_alloc pool ?site size)));
+        pool_free =
+          (fun ?site a ->
+            let obj = Shadow.Shadow_pool.free_deferred pool ?site a in
+            Shadow.Epoch.enqueue epoch obj ~release:(fun () ->
+                Shadow.Shadow_pool.retire_object pool obj);
+            if Shadow.Epoch.should_retire epoch then Shadow.Epoch.retire epoch);
+        pool_destroy =
+          (fun () ->
+            (* Retire, never abandon: recycling is VA bookkeeping only, so
+               an abandoned quarantine would leave in-window freed pages
+               read-write after the backstop stops watching them — weaker
+               than the eager scheme's post-destroy state. *)
+            Shadow.Epoch.retire epoch;
+            Shadow.Shadow_pool.destroy pool;
+            retired := add_epoch_stats !retired unit;
+            units := List.filter (( != ) unit) !units);
+      } )
   in
   (* The quarantine-window backstop: while any epoch holds pending
      frees, an access to a quarantined page is a use-after-free the MMU
      cannot see (the page is still read-write), so it is raised in
      software with the same diagnostics the trap handler would build. *)
-  let backstop access addr =
+  let backstop _registry access addr _width =
     List.iter
       (fun ((epoch : Shadow.Epoch.t), _) ->
         if Shadow.Epoch.pending_frees epoch > 0 then begin
@@ -618,85 +558,27 @@ let shadow_pool_epoch ?(config = default_epoch_config) machine =
           match Shadow.Epoch.quarantined_obj epoch addr with
           | Some obj ->
             incr backstop_hits;
-            let info =
-              {
-                (Shadow.Detector.object_info obj) with
-                Shadow.Report.offset =
-                  addr - obj.Shadow.Object_registry.user_addr;
-              }
-            in
             let r =
-              {
-                Shadow.Report.kind = Shadow.Report.Use_after_free access;
-                fault_addr = addr;
-                object_info = Some info;
-              }
+              Shadow.Detector.report (Shadow.Report.Use_after_free access)
+                addr obj
             in
-            trace_violation machine r;
+            Pool_scheme.trace_violation machine r;
             raise (Shadow.Report.Violation r)
           | None -> ()
         end)
       !units
   in
-  let epoch_totals () =
-    List.fold_left
-      (fun acc (e, s) ->
-        {
-          epochs_retired = acc.epochs_retired + Shadow.Epoch.retirements e;
-          epoch_retired_frees =
-            acc.epoch_retired_frees + Shadow.Epoch.retired_frees e;
-          epoch_pending_frees =
-            acc.epoch_pending_frees + Shadow.Epoch.pending_frees e;
-          coalesced_protects =
-            acc.coalesced_protects + Shadow.Epoch.protect_calls e;
-          epoch_split_retries =
-            acc.epoch_split_retries + Shadow.Epoch.split_retries e;
-          epoch_failed_protects =
-            acc.epoch_failed_protects + Shadow.Epoch.failed_protects e;
-          backstop_hits = acc.backstop_hits;
-          slab_calls = acc.slab_calls + Shadow.Slab.slab_calls s;
-          slab_hits = acc.slab_hits + Shadow.Slab.hits s;
-          slab_misses = acc.slab_misses + Shadow.Slab.misses s;
-        })
-      {
-        epochs_retired = 0;
-        epoch_retired_frees = 0;
-        epoch_pending_frees = 0;
-        coalesced_protects = 0;
-        epoch_split_retries = 0;
-        epoch_failed_protects = 0;
-        backstop_hits = !backstop_hits;
-        slab_calls = 0;
-        slab_hits = 0;
-        slab_misses = 0;
-      }
+  let epoch () =
+    List.fold_left add_epoch_stats
+      { !retired with backstop_hits = !backstop_hits }
       !units
   in
-  let drain () =
-    List.iter (fun (e, _) -> Shadow.Epoch.retire e) !units
-  in
-  let ((global, _) as global_unit) = make_pool () in
-  let global_handle = wrap_pool global_unit in
-  {
-    Scheme.name = "shadow-pool+epoch";
-    machine;
-    malloc = (fun ?site size -> global_handle.Scheme.pool_alloc ?site size);
-    free = (fun ?site a -> global_handle.Scheme.pool_free ?site a);
-    load =
-      (fun addr ~width ->
-        backstop Perm.Read addr;
-        guarded_load machine registry addr ~width);
-    store =
-      (fun addr ~width v ->
-        backstop Perm.Write addr;
-        guarded_store machine registry addr ~width v);
-    pool_create = (fun ?elem_size () -> wrap_pool (make_pool ?elem_size ()));
-    compute = compute_direct machine;
-    extra_memory_bytes = (fun () -> 0);
-    guarantees_detection = true;
-    introspection =
-      Info (Shadow_pool_epoch { global; recycler; epoch = epoch_totals; drain });
-  }
+  let drain () = List.iter (fun (e, _) -> Shadow.Epoch.retire e) !units in
+  shadow ~name:"shadow-pool+epoch" ~wrap
+    ~recycler:(Some (recycler, default_pool_config))
+    ~check:(Some backstop)
+    ~info:(fun global -> Shadow_pool_epoch { global; recycler; epoch; drain })
+    machine
 
 (* The pointer-tagging backend (xTag/LightDE): a generation tag in the
    pointer's high bits, checked in software against a per-granule
@@ -706,86 +588,35 @@ let shadow_pool_epoch ?(config = default_epoch_config) machine =
    window, every pass through which the table counts for attribution.
    Allocator bookkeeping (headers, free-list links) goes through the
    MMU directly and is never tag-checked, exactly as the shadow schemes
-   exempt it from guarded access. *)
+   exempt it from guarded access.  The registry stays empty: a trap on
+   an address the table never saw is a wild access. *)
 let tagged ?(config = default_tagged_config) machine =
   let { tag_bits; tag_check_cost } = config in
-  let table = Tagging.Tag_table.create ~tag_bits ~check_cost:tag_check_cost machine in
+  let table =
+    Tagging.Tag_table.create ~tag_bits ~check_cost:tag_check_cost machine
+  in
   let recycler = Apa.Page_recycler.create () in
-  let make_pool ?elem_size () =
-    Apa.Pool.create ?elem_size ~reclaim:(Apa.Pool.Recycle recycler) machine
+  let stats = machine.Machine.stats in
+  let wrap pool =
+    fst
+      (Pool_scheme.tagged_pool machine table
+         ~alloc_raw:(fun size ->
+           let a = Apa.Pool.alloc pool size in
+           Stats.count_alloc_op stats;
+           a)
+         ~dealloc_raw:(fun a ->
+           Apa.Pool.dealloc pool a;
+           Stats.count_free_op stats)
+         ~destroy:(fun () -> Apa.Pool.destroy pool))
   in
-  (* An address the table never saw is wild; the raw MMU access decides
-     (and a trap is classified just as [Shadow.Detector] would). *)
-  let wild_wrap thunk =
-    try thunk ()
-    with Fault.Trap fault ->
-      let r =
-        {
-          Shadow.Report.kind = Shadow.Report.Wild_access (Fault.access fault);
-          fault_addr = Fault.addr fault;
-          object_info = None;
-        }
-      in
-      trace_violation machine r;
-      raise (Shadow.Report.Violation r)
+  let load, store =
+    Pool_scheme.tag_checked machine table (Shadow.Object_registry.create ())
   in
-  let checked access addr k =
-    match Tagging.Tag_table.check_access table addr ~access with
-    | Some raw -> wild_wrap (fun () -> k raw)
-    | None -> wild_wrap (fun () -> k (Tagging.Tag_table.untag addr))
-    | exception (Shadow.Report.Violation r as exn) ->
-      trace_violation machine r;
-      raise exn
-  in
-  let wrap_pool pool =
-    (* untagged base -> (tagged pointer, size): the pool's live set, so
-       destroy can retire every chunk the program never freed. *)
-    let live = Hashtbl.create 64 in
-    {
-      Scheme.pool_alloc =
-        (fun ?(site = "<unknown>") size ->
-          let base = Apa.Pool.alloc pool size in
-          let tp = Tagging.Tag_table.register table ~base ~size ~site in
-          Hashtbl.replace live base tp;
-          Stats.count_alloc_op machine.Machine.stats;
-          trace_malloc machine site size tp;
-          tp);
-      pool_free =
-        (fun ?(site = "<unknown>") a ->
-          match Tagging.Tag_table.free table a ~site with
-          | base ->
-            Hashtbl.remove live base;
-            Apa.Pool.dealloc pool base;
-            Stats.count_free_op machine.Machine.stats;
-            trace_free machine site base
-          | exception (Shadow.Report.Violation r as exn) ->
-            trace_violation machine r;
-            raise exn);
-      pool_destroy =
-        (fun () ->
-          Hashtbl.iter
-            (fun _ tp ->
-              ignore
-                (Tagging.Tag_table.free table tp ~site:"<pool-destroy>"))
-            live;
-          Hashtbl.reset live;
-          Apa.Pool.destroy pool);
-    }
-  in
-  let global_handle = wrap_pool (make_pool ()) in
-  {
-    Scheme.name = "tagged";
-    machine;
-    malloc = (fun ?site size -> global_handle.Scheme.pool_alloc ?site size);
-    free = (fun ?site a -> global_handle.Scheme.pool_free ?site a);
-    load = (fun addr ~width -> checked Perm.Read addr (Mmu.load machine ~width));
-    store =
-      (fun addr ~width v ->
-        checked Perm.Write addr (fun raw -> Mmu.store machine raw ~width v));
-    pool_create = (fun ?elem_size () -> wrap_pool (make_pool ?elem_size ()));
-    compute = compute_direct machine;
-    extra_memory_bytes =
-      (fun () -> (Tagging.Tag_table.stats table).Tagging.Tag_table.table_bytes);
-    guarantees_detection = true;
-    introspection = Info (Tagged { table; recycler });
-  }
+  Pool_scheme.build ~name:"tagged" machine
+    ~pool:(fun elem_size ->
+      Apa.Pool.create ?elem_size ~reclaim:(Apa.Pool.Recycle recycler) machine)
+    ~wrap ~load ~store
+    ~extra_memory_bytes:(fun () ->
+      (Tagging.Tag_table.stats table).Tagging.Tag_table.table_bytes)
+    ~guarantees_detection:true
+    ~introspection:(fun _ -> Info (Tagged { table; recycler }))

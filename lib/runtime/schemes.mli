@@ -3,6 +3,9 @@
     Fence, Valgrind-style, capability checking) live in the [baseline]
     library.
 
+    Each scheme record is made by {!Pool_scheme.build} ([recoverable]
+    wraps one); DESIGN.md §6d lists the parts they are built from.
+
     Every tunable lives in a per-backend config record with a documented
     default value, so adding a knob extends one record instead of
     rippling an optional argument through every call site.  The typed

@@ -4,6 +4,10 @@
 val object_info : Object_registry.obj -> Report.object_info
 (** Diagnostic fields for an object (offset left 0). *)
 
+val report : Report.kind -> Vmm.Addr.t -> Object_registry.obj -> Report.t
+(** A violation of [kind] at [addr] inside [obj]: the object's
+    diagnostics with the offset of [addr] in it. *)
+
 val classify :
   Object_registry.t -> in_free:bool -> Vmm.Fault.t -> Report.t
 (** Map a fault to a report.  [in_free] marks faults taken while reading

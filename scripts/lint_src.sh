@@ -36,7 +36,7 @@ done
 # grep-and-pray across the tree.  Catches match arms, String.equal and
 # conditional comparisons against any CLI scheme name; record
 # construction (Scheme.name = "...") is deliberately not flagged.
-names='native|llvm|pa-dummy|ours|ours-basic|ours-bounds|ours-static|ours-inferred|ours-epoch|tagged|ladder|efence|valgrind|capability'
+names='native|llvm|pa-dummy|ours|ours-basic|ours-bounds|ours-inferred|ours-epoch|tagged|ladder|efence|valgrind|capability'
 scheme_match=$( {
   grep -rnE "\| +\"($names)(\+recover)?\"" \
     lib bin bench test examples --include='*.ml' || true

@@ -674,11 +674,28 @@ let oracle_one ~ctx ~expect_elision source bug =
   let r = Minic.Dangling.analyze program in
   let transformed, _ = Minic.Pool_transform.transform program in
   (* full scheme: every violation must be at a flagged use *)
+  let full_machine = Vmm.Machine.create () in
   let _, viol_full =
-    run_with_hook transformed
-      (Runtime.Schemes.shadow_pool (Vmm.Machine.create ()))
+    run_with_hook transformed (Runtime.Schemes.shadow_pool full_machine)
   in
   check_violations_covered ~ctx:(ctx ^ "/full") r viol_full;
+  (* static elision with the empty policy elides nothing, so it is the
+     full scheme plus counters: the same machine counters, cycles and
+     violations, which is why it needs no catalogue entry of its own *)
+  let empty_machine = Vmm.Machine.create () in
+  let _, viol_empty =
+    run_with_hook transformed
+      (Runtime.Schemes.shadow_pool_static
+         ~config:{ Runtime.Schemes.elide = (fun _ -> false) }
+         empty_machine)
+  in
+  check_bool (ctx ^ ": empty-policy static violations = full") true
+    (viol_empty = viol_full);
+  check_bool (ctx ^ ": empty-policy static stats = full") true
+    (Vmm.Stats.snapshot empty_machine.Vmm.Machine.stats
+    = Vmm.Stats.snapshot full_machine.Vmm.Machine.stats);
+  check_bool (ctx ^ ": empty-policy static cycles = full") true
+    (Vmm.Machine.cycles empty_machine = Vmm.Machine.cycles full_machine);
   (* epoch-batched scheme: deferred protection must not change what is
      detected or where — the violation list (site and order) must be
      exactly the eager scheme's, whether the use trapped in the MMU

@@ -82,6 +82,41 @@ let test_compute_accounting () =
   check_int "instructions counted" 123
     (Stats.snapshot m.Machine.stats).Stats.instructions
 
+(* Pools come and go (ftpd's per-command realpath pool): the epoch and
+   inferred schemes drop a destroyed pool from their live lists, and
+   their counters must still report every destroyed pool's work. *)
+let test_destroyed_pools_still_counted () =
+  let cycles = 100 in
+  let churn (s : Runtime.Scheme.t) =
+    for _ = 1 to cycles do
+      let pool = s.pool_create () in
+      pool.pool_free (pool.pool_alloc 32);
+      pool.pool_destroy ()
+    done
+  in
+  let s = Runtime.Schemes.shadow_pool_epoch (Machine.create ()) in
+  churn s;
+  (match Runtime.Schemes.introspect s with
+   | Runtime.Schemes.Shadow_pool_epoch { epoch; _ } ->
+     let e = epoch () in
+     check_int "every destroy retired its epoch" cycles e.epochs_retired;
+     check_int "every quarantined free completed" cycles e.epoch_retired_frees;
+     check_int "one coalesced protect per pool" cycles e.coalesced_protects;
+     check_int "nothing pending" 0 e.epoch_pending_frees;
+     check_int "one slab miss per pool" cycles e.slab_misses
+   | _ -> Alcotest.fail "epoch scheme should expose its counters");
+  let s = Runtime.Schemes.shadow_pool_inferred (Machine.create ()) in
+  churn s;
+  match Runtime.Schemes.introspect s with
+  | Runtime.Schemes.Shadow_pool_inferred { inferred; _ } ->
+    let i = inferred () in
+    check_int "pools created" cycles i.inferred_pools_created;
+    check_int "pools destroyed" cycles i.inferred_pools_destroyed;
+    check_int "one page unmapped per pool" cycles i.destroy_unmapped_pages;
+    check_int "no pages left" 0 i.live_shadow_pages;
+    check_int "peak is one pool's page" 1 i.peak_shadow_pages
+  | _ -> Alcotest.fail "inferred scheme should expose its counters"
+
 (* ---- workload API ---- *)
 
 let test_workload_api_fields () =
@@ -199,6 +234,8 @@ let () =
             test_scheme_introspection;
           Alcotest.test_case "compute accounting" `Quick
             test_compute_accounting;
+          Alcotest.test_case "destroyed pools still counted" `Quick
+            test_destroyed_pools_still_counted;
         ]
         @ [ QCheck_alcotest.to_alcotest prop_scheme_uniformity ] );
       ( "workload-api",
