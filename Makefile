@@ -61,7 +61,10 @@ tag-smoke:
 	dune exec bin/danguard.exe -- farm ghttpd --shards 2 -c 12 --probe-every 4 --scheme tagged
 
 # Static-analysis CLI smoke: exit codes (0 clean/may, 3 must-UAF) and
-# the machine-readable output pinned by the golden files.
+# the machine-readable output pinned by the golden files.  Then the
+# file-reading commands on a directory, and `compile --run` on a program
+# that fails at run time, must each fail with a clean error: a nonzero
+# exit other than 125 and no uncaught exception.
 lint-smoke:
 	dune build bin/danguard.exe
 	dune exec bin/danguard.exe -- lint examples/lint/safe.mc
@@ -75,6 +78,14 @@ lint-smoke:
 	    > /tmp/lint.$$f.json || rc=$$?; \
 	  { [ $$rc -eq 0 ] || [ $$rc -eq 3 ]; } || exit 1; \
 	  diff -u examples/lint/$$f.expected.json /tmp/lint.$$f.json || exit 1; \
+	done
+	@for args in "compile examples" "lint examples" "pools examples" \
+	    "trace examples" "compile --run examples/lint/negative_count.mc"; do \
+	  rc=0; out=$$(dune exec bin/danguard.exe -- $$args 2>&1) || rc=$$?; \
+	  if [ $$rc -eq 0 ] || [ $$rc -eq 125 ] || \
+	     echo "$$out" | grep -q "uncaught exception"; then \
+	    echo "danguard $$args: exit $$rc"; echo "$$out"; exit 1; \
+	  fi; \
 	done
 	@echo "lint-smoke: OK"
 
@@ -96,7 +107,9 @@ pools-smoke:
 	@echo "pools-smoke: OK"
 
 # No new bare failwith / assert false in the core libraries (each must
-# name the invariant it guards; see scripts/lint_src.sh).
+# name the invariant it guards), no scheme-name string matching outside
+# Scheme_spec, and no second points-to engine beside Minic.Dsa; see
+# scripts/lint_src.sh.
 lint-src:
 	sh scripts/lint_src.sh
 

@@ -311,7 +311,7 @@ let list_cmd =
 
 let compile_cmd =
   let file =
-    Arg.(required & pos 0 (some file) None
+    Arg.(required & pos 0 (some non_dir_file) None
          & info [] ~docv:"FILE.mc" ~doc:"MiniC source file.")
   in
   let emit =
@@ -349,19 +349,24 @@ let compile_cmd =
            print_endline "";
            print_endline (Minic.Pretty.program_to_string transformed)
          end;
-         if execute then begin
+         if not execute then `Ok ()
+         else
            let scheme = Harness.Experiment.make_scheme config () in
            match Minic.Interp.run transformed scheme with
            | outcome ->
              List.iter (Printf.printf "print: %d\n") outcome.Minic.Interp.prints;
              Printf.printf "steps: %d, cycles: %sM\n" outcome.Minic.Interp.steps
                (Harness.Table.fmt_cycles
-                  (Runtime.Scheme.cycles scheme))
+                  (Runtime.Scheme.cycles scheme));
+             `Ok ()
            | exception Shadow.Report.Violation r ->
              Printf.printf "TEMPORAL ERROR DETECTED: %s\n"
-               (Shadow.Report.to_string r)
-         end;
-         `Ok ())
+               (Shadow.Report.to_string r);
+             `Ok ()
+           | exception
+               (Minic.Interp.Runtime_error msg
+               | Minic.Interp.Null_dereference msg) ->
+             `Error (false, Printf.sprintf "%s: runtime error: %s" file msg))
   in
   cmd "compile" ~doc:"Parse, pool-transform and optionally run a MiniC program."
     Term.(ret (const run $ file $ emit $ execute $ config_arg))
@@ -370,7 +375,7 @@ let compile_cmd =
 
 let lint_cmd =
   let file =
-    Arg.(required & pos 0 (some file) None
+    Arg.(required & pos 0 (some non_dir_file) None
          & info [] ~docv:"FILE.mc" ~doc:"MiniC source file.")
   in
   let sarif =
@@ -418,7 +423,7 @@ let lint_cmd =
 
 let pools_cmd =
   let file =
-    Arg.(required & pos 0 (some file) None
+    Arg.(required & pos 0 (some non_dir_file) None
          & info [] ~docv:"FILE.mc" ~doc:"MiniC source file.")
   in
   let run file json =
@@ -564,7 +569,7 @@ let trace_cmd =
            ~capacity;
          `Ok ()
        | None ->
-         if not (Sys.file_exists target) then
+         if (not (Sys.file_exists target)) || Sys.is_directory target then
            `Error
              ( false,
                Printf.sprintf "%s is neither a workload nor a trace file"

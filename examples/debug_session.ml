@@ -56,7 +56,8 @@ let () =
       | Runtime.Schemes.Shadow_pool { global; _ } -> global
       | _ -> assert false
     in
-    let policy = Shadow.Reuse_policy.create strategy pool in
+    let gc = Shadow.Gc.create ~roots:(Vmm.Roots.create ()) pool in
+    let policy = Shadow.Reuse_policy.create ~gc strategy pool in
     for i = 1 to 3_000 do
       let a = scheme.Runtime.Scheme.malloc ~site:"immortal" 64 in
       Runtime.Workload_api.store_field scheme a 0 i;

@@ -112,6 +112,50 @@ let field_index program sname fname =
 let find_func program name =
   List.find_opt (fun f -> f.name = name) program.funcs
 
+(** Visit every malloc site in deterministic program order, assigning
+    the positional site numbering shared by {!Dsa}, {!Dangling} and
+    {!Pool_transform}: functions in program order, statements in order,
+    expressions left-to-right (an array site after its count).  [pos] is
+    the position the site carries ({!no_pos} for programmatically built
+    ASTs). *)
+let iter_malloc_sites program visit =
+  let counter = ref 0 in
+  let site fname struct_name pos =
+    let n = !counter in
+    incr counter;
+    visit ~site:n ~fname ~struct_name ~pos
+  in
+  let rec expr fname = function
+    | Int _ | Null | Var _ -> ()
+    | Binop (_, a, c) | Index (a, c, _) ->
+      expr fname a;
+      expr fname c
+    | Unop (_, a) | Field (a, _, _) -> expr fname a
+    | Malloc (s, p) | Pool_malloc (_, s, p) -> site fname s p
+    | Malloc_array (s, count, p) | Pool_malloc_array (_, s, count, p) ->
+      expr fname count;
+      site fname s p
+    | Call (_, args) -> List.iter (expr fname) args
+  in
+  let rec stmt fname = function
+    | Decl (_, _, init) -> Option.iter (expr fname) init
+    | Assign (_, e) | Print e | Expr e | Free (e, _) | Pool_free (_, e, _)
+    | Return (Some e) ->
+      expr fname e
+    | Store (e1, _, e2, _) ->
+      expr fname e1;
+      expr fname e2
+    | If (cond, t, f) ->
+      expr fname cond;
+      List.iter (stmt fname) t;
+      List.iter (stmt fname) f
+    | While (cond, body) ->
+      expr fname cond;
+      List.iter (stmt fname) body
+    | Return None | Pool_init _ | Pool_destroy _ -> ()
+  in
+  List.iter (fun f -> List.iter (stmt f.name) f.body) program.funcs
+
 (** Erase all source positions (to [no_pos]); used by the pretty-printer
     round-trip test, which compares ASTs modulo positions. *)
 let rec strip_expr = function

@@ -2,17 +2,15 @@
    the tradition of Lattner & Adve's Data Structure Analysis — the
    analysis Automatic Pool Allocation is actually built on.
 
-   The one structural difference from the Steensgaard pass in
-   {!Points_to}: an object node carries one target edge per field
-   *name* instead of a single collapsed field node, so [p->a] and
-   [p->b] stay in distinct classes unless the program itself aliases
-   them.  This is what removes the "freeing [p->a] poisons [p->b]"
-   false positive in {!Dangling}, and what splits one coarse
-   all-fields pool into several smaller, shorter-lived ones in
-   {!Poolify}.
+   An object node carries one target edge per field *name* rather than
+   a single collapsed field node, so [p->a] and [p->b] stay in distinct
+   classes unless the program itself aliases them.  This is what keeps
+   "freeing [p->a] poisons [p->b]" false positives out of {!Dangling},
+   and what gives each field's objects their own, shorter-lived pool in
+   {!Pool_transform}.
 
    Heap nodes are keyed by allocation site (the shared positional
-   numbering of {!Points_to.iter_malloc_sites}) and live in one global
+   numbering of {!Ast.iter_malloc_sites}) and live in one global
    graph, so the allocation-site partition is a single sound global
    partition — exactly what pool assignment needs.  Function graphs are
    built per function over qualified variable nodes ("fn::x") and
@@ -26,8 +24,7 @@
    correspondence those summaries rely on — a callee freeing its
    argument would free a class no caller maps to.  Unification is
    monotone and order-independent, so one bottom-up pass over the
-   functions reaches the fixpoint; the finite-lattice argument is the
-   same as Steensgaard's. *)
+   functions reaches the fixpoint over a finite lattice. *)
 
 type class_id = int
 
@@ -263,7 +260,7 @@ let analyze (program : Ast.program) =
     program.Ast.funcs;
   let site_counter = ref 0 in
   (* Evaluate an expression to the node of its pointer value.  The
-     traversal order matches {!Points_to.iter_malloc_sites} exactly so
+     traversal order matches {!Ast.iter_malloc_sites} exactly so
      the positional site numbering agrees. *)
   let rec eval fname e =
     match e with
@@ -388,18 +385,3 @@ and expr_pointee_class t ~fname = function
     (* Handled positionally by consumers (they know the site). *)
     None
   | e -> Option.bind (expr_value_class t ~fname e) (pointee t)
-
-let query t =
-  {
-    Pt_query.nclasses = class_count t;
-    heap = heap_classes t;
-    site_class = site_class t;
-    var_class = (fun ~fname x -> var_class t ~fname x);
-    ret_class = ret_class t;
-    pointee = pointee t;
-    succ = succ t;
-    struct_hint = struct_hint t;
-    struct_names = struct_names t;
-    expr_value_class = (fun ~fname e -> expr_value_class t ~fname e);
-    expr_pointee_class = (fun ~fname e -> expr_pointee_class t ~fname e);
-  }

@@ -1,14 +1,15 @@
-(** DSA-lite: field-sensitive unification points-to analysis.
+(** DSA-lite: field-sensitive unification points-to analysis, the one
+    points-to engine every MiniC pass ({!Dangling}, {!Escape},
+    {!Pool_transform}, {!Poolify}) runs on.
 
-    Same lattice family as {!Points_to} (Steensgaard unification over a
-    finite node graph, allocation-site-keyed heap nodes, positional
-    site numbering shared with {!Points_to.iter_malloc_sites}) with one
-    structural refinement: object nodes keep one points-to edge {e per
-    field name} instead of a single collapsed field node.  [p->a] and
-    [p->b] therefore land in distinct classes unless the program itself
-    aliases them, which removes the collapsed-field false positives in
-    {!Dangling} and splits coarse all-fields pools into finer ones for
-    {!Poolify}.
+    Unification over a finite node graph with allocation-site-keyed heap
+    nodes (positional site numbering shared with
+    {!Ast.iter_malloc_sites}), where object nodes keep one points-to
+    edge {e per field name}.  [p->a] and [p->b] therefore land in
+    distinct classes unless the program itself aliases them, so freeing
+    one field's object does not poison the other in {!Dangling}, and
+    each field's objects get their own pool.  Class ids are dense, from
+    0 to [class_count t - 1].
 
     Call sites unify actuals with the callee's formals and the call
     result with the callee's return node — the callee's summary graph
@@ -40,7 +41,7 @@ val class_count : t -> int
 
 val site_class : t -> int -> class_id
 (** Class allocated into by the [n]-th malloc site in program order
-    (the {!Points_to.iter_malloc_sites} numbering).
+    (the {!Ast.iter_malloc_sites} numbering).
     @raise Invalid_argument on unknown sites. *)
 
 val var_class : t -> fname:string -> string -> class_id option
@@ -48,29 +49,29 @@ val var_class : t -> fname:string -> string -> class_id option
     global scope). *)
 
 val ret_class : t -> string -> class_id option
+
 val pointee : t -> class_id -> class_id option
+(** Class an element of this class points to, if any. *)
 
 val field_class : t -> class_id -> string -> class_id option
 (** Class of pointer values stored in the named field of this (object)
-    class — per field, unlike {!Points_to.field_class}. *)
-
-val field_names : t -> class_id -> string list
-(** Field names with outgoing edges, sorted. *)
+    class. *)
 
 val succ : t -> class_id -> class_id list
 (** All outgoing edges: pointee (if any) then field targets in
     field-name order. *)
 
 val struct_hint : t -> class_id -> string option
+(** One struct name allocated into the class ([poolinit] element-size
+    hints and diagnostics). *)
 
 val struct_names : t -> class_id -> string list
 (** Every struct name allocated into the class, sorted: a singleton
     means the class is type-homogeneous (the paper's type-safe-pool
     condition). *)
 
-val expr_value_class : t -> fname:string -> Ast.expr -> class_id option
 val expr_pointee_class : t -> fname:string -> Ast.expr -> class_id option
-
-val query : t -> Pt_query.t
-(** Freeze behind the analysis-agnostic interface shared with
-    {!Points_to.query}. *)
+(** Class of the {e object} an expression points to: the pointee of the
+    class of the pointer value it evaluates to ([Var] / [Field] /
+    [Call] chains).  [None] for literals and fresh [Malloc] results,
+    which consumers resolve positionally through the site numbering. *)

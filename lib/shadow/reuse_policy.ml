@@ -13,10 +13,12 @@ type t = {
 }
 
 let create ?gc strategy pool =
-  (match gc with
-  | Some g when Gc.pool g != pool ->
+  (match (strategy, gc) with
+  | _, Some g when Gc.pool g != pool ->
     invalid_arg "Reuse_policy.create: gc is bound to a different pool"
-  | Some _ | None -> ());
+  | Conservative_gc _, None ->
+    invalid_arg "Reuse_policy.create: Conservative_gc needs a ~gc collector"
+  | _ -> ());
   { strategy; pool; gc; trigger_override = None; reclaimed = 0; gc_runs = 0 }
 
 let reclaim t = t.reclaimed <- t.reclaimed + Shadow_pool.reclaim_freed_shadow t.pool
@@ -53,28 +55,17 @@ let after_free t =
     | Some trigger when Shadow_pool.freed_shadow_pages t.pool >= trigger ->
       reclaim t
     | Some _ | None -> ())
-  | Conservative_gc { scan_cost_per_object; _ } ->
-    (match trigger_pages t with
-    | Some trigger when Shadow_pool.freed_shadow_pages t.pool >= trigger ->
-      (match t.gc with
-      | Some g ->
-        (* The real mark phase: scan roots and live heap words, pin
-           witnessed ranges, release only the proven-unreferenced ones.
-           It charges its own scan cost. *)
-        let report = Gc.run g in
-        t.gc_runs <- t.gc_runs + 1;
-        t.reclaimed <- t.reclaimed + report.Gc.reclaimed_pages
-      | None ->
-        (* No root set attached: the legacy modeled scan — cost charged,
-           reclamation unconditional.  Kept for cost-model experiments
-           where only the price of the scan matters. *)
-        let live = Shadow_pool.live_blocks t.pool in
-        Vmm.Stats.count_instructions
-          (Shadow_pool.machine t.pool).Vmm.Machine.stats
-          (live * scan_cost_per_object);
-        t.gc_runs <- t.gc_runs + 1;
-        reclaim t)
-    | Some _ | None -> ())
+  | Conservative_gc _ ->
+    (match (trigger_pages t, t.gc) with
+    | Some trigger, Some g
+      when Shadow_pool.freed_shadow_pages t.pool >= trigger ->
+      (* The real mark phase: scan roots and live heap words, pin
+         witnessed ranges, release only the proven-unreferenced ones.
+         It charges its own scan cost. *)
+      let report = Gc.run g in
+      t.gc_runs <- t.gc_runs + 1;
+      t.reclaimed <- t.reclaimed + report.Gc.reclaimed_pages
+    | _ -> ())
 
 let attach t = Shadow_pool.set_after_free_hook t.pool (fun () -> after_free t)
 

@@ -7,27 +7,29 @@
       but any dangling use of those objects afterwards is no longer
       guaranteed to trap — the paper argues the probability is
       unimportant at realistic thresholds (hours of allocations).
-    - {!Conservative_gc}: at the same trigger, run a conservative scan
-      to find ranges stale pointers could still reach.  With a real
-      collector attached ([?gc] at {!create}), witnessed ranges stay
-      pinned and only proven-unreferenced ones are released — the
-      detection guarantee survives reclamation.  Without one, the
-      legacy cost model applies: the scan is charged
-      ([scan_cost_per_object] instructions per live object) and the
-      release is unconditional.
+    - {!Conservative_gc}: at the same trigger, run the attached
+      collector ([~gc] at {!create}) to find ranges stale pointers could
+      still reach.  Witnessed ranges stay pinned and only
+      proven-unreferenced ones are released — the detection guarantee
+      survives reclamation.
     - {!Manual}: never reclaim; the programmer restructured the code
       instead. *)
 
 type strategy =
   | Interval_reuse of { trigger_pages : int }
   | Conservative_gc of { trigger_pages : int; scan_cost_per_object : int }
+      (** [scan_cost_per_object] is not read: the collector charges its
+          own scan cost per word examined ({!Gc.create}'s
+          [cost_per_word]). *)
   | Manual
 
 type t
 
 val create : ?gc:Gc.t -> strategy -> Shadow_pool.t -> t
-(** [gc] arms {!Conservative_gc} with the real mark phase; it must be
-    bound to the same pool (raises [Invalid_argument] otherwise). *)
+(** [gc] arms {!Conservative_gc} with the real mark phase and is
+    required for it; it must be bound to the same pool.  Raises
+    [Invalid_argument] on a {!Conservative_gc} without [gc] or a [gc]
+    bound to another pool. *)
 
 val after_free : t -> unit
 (** Call after each [poolfree] on the managed pool; runs the strategy's
@@ -55,6 +57,6 @@ val reclaimed_pages : t -> int
 val gc_runs : t -> int
 
 val pinned_ranges : t -> int
-(** Ranges the most recent real GC run pinned (0 without a [gc]). *)
+(** Ranges the most recent GC run pinned (0 without a [gc]). *)
 
 val strategy_label : strategy -> string

@@ -51,6 +51,20 @@ if [ -n "$scheme_match" ]; then
   fail=1
 fi
 
+# One points-to engine: every MiniC pass runs on Minic.Dsa.  The retired
+# Steensgaard engine and its engine-agnostic query record must not come
+# back as a second implementation.
+second_engine=$( {
+  grep -rnwE 'Points_to|Pt_query' \
+    lib bin bench test examples --include='*.ml' --include='*.mli' || true
+  find lib bin bench test examples -name 'points_to.ml*' -o -name 'pt_query.ml*'
+} )
+if [ -n "$second_engine" ]; then
+  echo "lint-src: second points-to engine (Points_to/Pt_query) reintroduced:" >&2
+  echo "$second_engine" >&2
+  fail=1
+fi
+
 if [ "$fail" -eq 0 ]; then
   echo "lint-src: core libraries clean"
 fi

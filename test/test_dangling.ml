@@ -293,22 +293,48 @@ let test_verdict_figure1 () =
     (List.exists (( <> ) Minic.Dangling.Safe) (site_verdicts r))
 
 (* Field sensitivity: freeing the object behind s->a must not poison
-   the read through s->b.  The collapsed-field Steensgaard engine
-   merges the two fields and reports a spurious May; the default DSA
-   engine keeps them separate and everything is Safe — the regression
-   fixture for the field-insensitivity false positive. *)
+   the read through s->b.  The field-sensitive DSA partition keeps the
+   two fields in separate classes, so every use is Safe — the regression
+   fixture for the collapsed-field false positive. *)
 let test_verdict_field_disjoint () =
   let src = sample_file "examples/lint" "field_disjoint.mc" in
-  let dsa = Minic.Dangling.analyze ~engine:`Dsa (parse src) in
-  let _, may, must = counts dsa in
-  check_int "dsa: no may" 0 may;
-  check_int "dsa: no must" 0 must;
-  check_bool "dsa: all sites elidable" true
-    (List.for_all (( = ) Minic.Dangling.Safe) (site_verdicts dsa));
-  let steens = Minic.Dangling.analyze ~engine:`Steensgaard (parse src) in
-  let _, smay, smust = counts steens in
-  check_bool "steensgaard: collapsed fields raise a spurious may" true
-    (smay + smust >= 1)
+  let r = Minic.Dangling.analyze (parse src) in
+  let _, may, must = counts r in
+  check_int "no may" 0 may;
+  check_int "no must" 0 must;
+  check_bool "all sites elidable" true
+    (List.for_all (( = ) Minic.Dangling.Safe) (site_verdicts r));
+  (* The transform's pool table, pinned: one pool for the holder and
+     one per item field (a collapsed-field partition yields two). *)
+  let transformed, summary = Minic.Pool_transform.transform (parse src) in
+  let pools = summary.Minic.Pool_transform.pools in
+  check_int "three pools" 3 (List.length pools);
+  Alcotest.(check (list string))
+    "pool element types" [ "holder"; "item"; "item" ]
+    (List.sort compare
+       (List.map
+          (fun (d : Minic.Pool_transform.pool_desc) ->
+            Option.value ~default:"?" d.Minic.Pool_transform.struct_name)
+          pools));
+  let pool_of_field f =
+    let pools =
+      List.concat_map
+        (fun (fn : Minic.Ast.func) ->
+          List.filter_map
+            (function
+              | Minic.Ast.Store (_, f', Minic.Ast.Pool_malloc (pv, _, _), _)
+                when f' = f ->
+                Some pv
+              | _ -> None)
+            fn.Minic.Ast.body)
+        transformed.Minic.Ast.funcs
+    in
+    match pools with
+    | [ pv ] -> pv
+    | _ -> Alcotest.failf "expected one pooled allocation into s->%s" f
+  in
+  check_bool "s->a and s->b items in separate pools" true
+    (pool_of_field "a" <> pool_of_field "b")
 
 (* ---- satellite 6: typed layout errors ---- *)
 
@@ -719,13 +745,12 @@ let oracle_one ~ctx ~expect_elision source bug =
   in
   let out_static, viol_static = run_with_hook transformed static_scheme in
   check_violations_covered ~ctx:(ctx ^ "/static") r viol_static;
-  (* inferred-pool scheme over the DSA-driven transform: each inferred
+  (* inferred-pool scheme over the same transform: each inferred
      pool is a separate shadow pool whose destroy bulk-unmaps its VA, so
      a violation in a correct program here would mean an access after an
      inferred pool_destroy — the pool-lifetime soundness contract *)
-  let inferred_transformed, _ = Minic.Poolify.transform program in
   let out_inferred, viol_inferred =
-    run_with_hook inferred_transformed
+    run_with_hook transformed
       (Runtime.Schemes.shadow_pool_inferred (Vmm.Machine.create ()))
   in
   check_violations_covered ~ctx:(ctx ^ "/inferred") r viol_inferred;

@@ -182,31 +182,30 @@ let test_typecheck_void_return () =
 
 let test_points_to_example () =
   let p = Minic.Parser.parse running_example in
-  let pt = Minic.Points_to.analyze p in
-  check_bool "has heap classes" true (Minic.Points_to.heap_classes pt <> []);
+  let pt = Minic.Dsa.analyze p in
+  check_bool "has heap classes" true (Minic.Dsa.heap_classes pt <> []);
   (* All list-node malloc sites (sites 0 in create_list and 1 in g) land
      in one class; f's head allocation may be separate. *)
-  let c_list = Minic.Points_to.site_class pt 0 in
-  let c_g = Minic.Points_to.site_class pt 1 in
+  let c_list = Minic.Dsa.site_class pt 0 in
+  let c_g = Minic.Dsa.site_class pt 1 in
   check_int "list sites unified" c_list c_g;
   check_string "struct hint" "s"
-    (Option.value ~default:"?" (Minic.Points_to.struct_hint pt c_list))
+    (Option.value ~default:"?" (Minic.Dsa.struct_hint pt c_list))
 
 let test_escape_example () =
   let p = Minic.Parser.parse running_example in
-  let pt = Minic.Points_to.analyze p in
-  let q = Minic.Points_to.query pt in
-  let c = Minic.Points_to.site_class pt 0 in
+  let pt = Minic.Dsa.analyze p in
+  let c = Minic.Dsa.site_class pt 0 in
   let func name =
     match Minic.Ast.find_func p name with
     | Some f -> f
     | None -> Alcotest.fail ("no function " ^ name)
   in
   check_bool "escapes g (reachable from its param)" true
-    (Minic.Escape.escapes q (func "g") c);
-  check_bool "does not escape f" false (Minic.Escape.escapes q (func "f") c);
+    (Minic.Escape.escapes pt (func "g") c);
+  check_bool "does not escape f" false (Minic.Escape.escapes pt (func "f") c);
   check_bool "no globals -> nothing global" true
-    (Minic.Escape.reachable_from_globals q p = [])
+    (Minic.Escape.reachable_from_globals pt p = [])
 
 let test_escape_globals () =
   let src =
@@ -214,11 +213,10 @@ let test_escape_globals () =
      void main() { g = malloc(struct s); g->v = 1; }"
   in
   let p = Minic.Parser.parse src in
-  let pt = Minic.Points_to.analyze p in
-  let q = Minic.Points_to.query pt in
-  let c = Minic.Points_to.site_class pt 0 in
+  let pt = Minic.Dsa.analyze p in
+  let c = Minic.Dsa.site_class pt 0 in
   check_bool "global-reachable" true
-    (List.mem c (Minic.Escape.reachable_from_globals q p))
+    (List.mem c (Minic.Escape.reachable_from_globals pt p))
 
 (* ---- pool transform ---- *)
 

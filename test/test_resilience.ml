@@ -506,8 +506,10 @@ let test_reuse_policy_zero_trigger () =
 
 let test_reuse_policy_gc_zero_live () =
   let m, pool = make_pool_with_recycler () in
+  let roots = Roots.create () in
+  let gc = Shadow.Gc.create ~cost_per_word:2 ~roots pool in
   let policy =
-    Shadow.Reuse_policy.create
+    Shadow.Reuse_policy.create ~gc
       (Shadow.Reuse_policy.Conservative_gc
          { trigger_pages = 0; scan_cost_per_object = 1000 })
       pool
@@ -517,8 +519,13 @@ let test_reuse_policy_gc_zero_live () =
   let before = (Stats.snapshot m.Machine.stats).Stats.instructions in
   Shadow.Reuse_policy.after_free policy;
   check_int "gc ran" 1 (Shadow.Reuse_policy.gc_runs policy);
-  check_int "zero live objects: zero scan cost" before
-    (Stats.snapshot m.Machine.stats).Stats.instructions
+  (* No live object means no heap words: the scan covers only the
+     (empty) root set. *)
+  check_int "zero live objects: only the roots are scanned"
+    (before + (2 * Roots.word_count roots))
+    (Stats.snapshot m.Machine.stats).Stats.instructions;
+  check_int "no freed shadow pages retained" 0
+    (Shadow.Shadow_pool.freed_shadow_pages pool)
 
 let test_reuse_policy_after_destroy () =
   let _, pool = make_pool_with_recycler () in

@@ -355,14 +355,20 @@ let test_interval_reuse_policy () =
 
 let test_conservative_gc_policy () =
   let m, _, _, pool = make_pool () in
+  let roots = Roots.create () in
+  let gc = Shadow.Gc.create ~roots pool in
   let policy =
-    Shadow.Reuse_policy.create
+    Shadow.Reuse_policy.create ~gc
       (Shadow.Reuse_policy.Conservative_gc
          { trigger_pages = 3; scan_cost_per_object = 50 })
       pool
   in
   let keep = List.init 4 (fun _ -> Shadow.Shadow_pool.alloc pool 32) in
   ignore keep;
+  (* A stale pointer left in a register witnesses its freed range. *)
+  let stale = Shadow.Shadow_pool.alloc pool 32 in
+  Shadow.Shadow_pool.free pool stale;
+  Roots.set_register roots 0 stale;
   let instr_before = (Stats.snapshot m.Machine.stats).Stats.instructions in
   for _ = 1 to 6 do
     let p = Shadow.Shadow_pool.alloc pool 32 in
@@ -371,7 +377,21 @@ let test_conservative_gc_policy () =
   done;
   check_bool "gc ran" true (Shadow.Reuse_policy.gc_runs policy >= 1);
   check_bool "scan cost charged" true
-    ((Stats.snapshot m.Machine.stats).Stats.instructions > instr_before)
+    ((Stats.snapshot m.Machine.stats).Stats.instructions > instr_before);
+  check_bool "unreferenced ranges reclaimed" true
+    (Shadow.Reuse_policy.reclaimed_pages policy > 0);
+  check_int "witnessed range pinned" 1 (Shadow.Reuse_policy.pinned_ranges policy)
+
+let test_conservative_gc_requires_collector () =
+  let _, _, _, pool = make_pool () in
+  match
+    Shadow.Reuse_policy.create
+      (Shadow.Reuse_policy.Conservative_gc
+         { trigger_pages = 3; scan_cost_per_object = 50 })
+      pool
+  with
+  | _ -> Alcotest.fail "a Conservative_gc policy without ~gc must be rejected"
+  | exception Invalid_argument _ -> ()
 
 let test_manual_policy_never_reclaims () =
   let _, _, _, pool = make_pool () in
@@ -593,6 +613,8 @@ let () =
       ( "policies",
         [
           Alcotest.test_case "interval reuse" `Quick test_interval_reuse_policy;
+          Alcotest.test_case "conservative gc requires a collector" `Quick
+            test_conservative_gc_requires_collector;
           Alcotest.test_case "conservative gc" `Quick
             test_conservative_gc_policy;
           Alcotest.test_case "manual" `Quick test_manual_policy_never_reclaims;
