@@ -8,18 +8,16 @@ build:
 test:
 	dune runtest
 
-# Full-scale evaluation; writes BENCH_results.json.
+# Full-scale evaluation; writes BENCH_results.json, then exits nonzero
+# if any section's invariants failed (each section checks its own).
 bench:
 	dune exec bench/main.exe
 
-# Quick bench run (scale divisor 16) followed by a structural check of
-# the results file: fails if BENCH_results.json is malformed or the
-# fast-path invariants (no walk on TLB hit, one frame lookup per word
-# access) do not hold.  Then every simulated figure must match the
-# golden exactly (see bench/golden/README.md to regenerate it).
+# Quick bench run (scale divisor 16), gated by the same per-section
+# invariants as the full run.  Then every simulated figure must match
+# the golden exactly (see bench/golden/README.md to regenerate it).
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
-	dune exec bench/validate_results.exe -- BENCH_results.json
 	dune exec bench/strip_results.exe -- BENCH_results.json \
 	  > /tmp/bench.smoke.stripped.json
 	diff -u bench/golden/smoke.json /tmp/bench.smoke.stripped.json
@@ -62,9 +60,10 @@ tag-smoke:
 
 # Static-analysis CLI smoke: exit codes (0 clean/may, 3 must-UAF) and
 # the machine-readable output pinned by the golden files.  Then the
-# file-reading commands on a directory, and `compile --run` on a program
-# that fails at run time, must each fail with a clean error: a nonzero
-# exit other than 125 and no uncaught exception.
+# file-reading commands on a directory, `compile --run` on a program
+# that fails at run time, and the model commands on a zero or NaN rate
+# or a zero connection count must each fail with a clean error: a
+# nonzero exit other than 125 and no uncaught exception.
 lint-smoke:
 	dune build bin/danguard.exe
 	dune exec bin/danguard.exe -- lint examples/lint/safe.mc
@@ -80,7 +79,9 @@ lint-smoke:
 	  diff -u examples/lint/$$f.expected.json /tmp/lint.$$f.json || exit 1; \
 	done
 	@for args in "compile examples" "lint examples" "pools examples" \
-	    "trace examples" "compile --run examples/lint/negative_count.mc"; do \
+	    "trace examples" "compile --run examples/lint/negative_count.mc" \
+	    "exhaustion --allocs-per-sec 0" "exhaustion --allocs-per-sec nan" \
+	    "addr-space --connections 0"; do \
 	  rc=0; out=$$(dune exec bin/danguard.exe -- $$args 2>&1) || rc=$$?; \
 	  if [ $$rc -eq 0 ] || [ $$rc -eq 125 ] || \
 	     echo "$$out" | grep -q "uncaught exception"; then \
@@ -92,7 +93,7 @@ lint-smoke:
 # Pool-inference CLI smoke: the human pool map renders, the SARIF
 # export matches its golden, and two independent `pools --json` runs
 # over one program are byte-identical (the canonical-pool-map
-# determinism contract the bench validator also gates on).
+# determinism contract the pool_inference bench section also gates on).
 pools-smoke:
 	dune build bin/danguard.exe
 	dune exec bin/danguard.exe -- pools examples/programs/figure1.mc
@@ -114,7 +115,7 @@ lint-src:
 	sh scripts/lint_src.sh
 
 # The CI gate: build, the whole test suite, and a scale-divided bench
-# run that still exercises every section and validates BENCH_results.json.
+# run that still exercises every section and gates each one's invariants.
 check:
 	dune build
 	dune runtest

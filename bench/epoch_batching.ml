@@ -2,9 +2,9 @@
    allocator-driving workloads run under the eager shadow-pool scheme
    and under [Runtime.Schemes.shadow_pool_epoch], and the row records
    protection syscalls (mremap + mprotect + munmap) per heap operation
-   for both, plus the ratio the validator pins (epoch must cut churn
-   syscalls/op to at most a quarter of eager; the design target is a
-   tenth).
+   for both, plus their ratio, gated in [run]: epoch must cut every
+   workload's syscalls/op to at most a quarter of eager, and churn's to
+   the design target of a tenth.
 
    A second table sweeps the epoch size on churn for EXPERIMENTS.md —
    syscalls/op and simulated throughput against max_frees — and a probe
@@ -18,7 +18,8 @@ module J = Telemetry.Json
 let churn_site_alloc = "epoch_bench.c:10"
 let churn_site_free = "epoch_bench.c:11"
 
-(* Same-size alloc/free pairs: the pathological case for eager
+(* The frontier workloads, shared with the tag_backend section.
+   Same-size alloc/free pairs: the pathological case for eager
    protection (one mremap + one mprotect per pair) and the best case
    for slab reuse + coalesced retirement. *)
 let churn (scheme : Runtime.Scheme.t) ~ops =
@@ -178,6 +179,14 @@ let run ~smoke () =
         let ratio =
           if base.per_op > 0.0 then epoch.per_op /. base.per_op else 1.0
         in
+        Gate.require (ratio <= 0.25)
+          "epoch_batching: %s saved too little (ratio %.3f > 0.25)" name ratio;
+        Gate.require
+          (name <> "churn" || ratio <= 0.1)
+          "epoch_batching: churn is under 10x (ratio %.3f > 0.1)" ratio;
+        Gate.require
+          (es.Runtime.Schemes.epoch_failed_protects = 0)
+          "epoch_batching: %s dropped a protection" name;
         Printf.printf
           "  %-6s ops %5d  syscalls/op %6.3f -> %6.3f  (%.1fx fewer; %d \
            epochs, %d coalesced protects, slab %d calls / %d hits)\n"
@@ -237,6 +246,11 @@ let run ~smoke () =
       (fun (name, o, expect_via) ->
         Printf.printf "  probe %-16s detected=%b via=%s (expected %s)\n" name
           o.detected o.via expect_via;
+        Gate.require o.detected "epoch_batching: probe %s not detected" name;
+        Gate.require
+          ((not o.detected) || o.via = expect_via)
+          "epoch_batching: probe %s detected via %s (expected %s)" name o.via
+          expect_via;
         J.Obj
           [
             ("name", J.String name);

@@ -14,57 +14,6 @@
 open Vmm
 module J = Telemetry.Json
 
-(* ns/op for the seed (hashtbl page table, per-byte access, per-page
-   shootdowns), captured with this same timing loop before the rewrite.
-   These are the fallback of last resort: when a BENCH_results.json
-   from a previous run is present, its recorded after_ns become the
-   baselines instead (see [baselines_for]), so adding a scenario never
-   requires editing constants here. *)
-let seed_baseline_ns =
-  [
-    ("translate+load8/tlb-hit", 336.0);
-    ("translate+load8/tlb-miss", 458.7);
-    ("store8/tlb-hit", 336.3);
-    ("load1/tlb-hit", 94.3);
-    ("load8/exempt", 426.2);
-    ("mprotect/64-pages", 4751.2);
-    ("munmap+mmap_fixed/64-pages", 69916.0);
-  ]
-
-(* Per-scenario after_ns from the last recorded run, keyed by name.
-   Any parse trouble (missing file, foreign schema) degrades to the
-   empty history rather than failing the bench. *)
-let history_baselines file =
-  match In_channel.with_open_text file In_channel.input_all with
-  | exception Sys_error _ -> []
-  | text ->
-    (match J.of_string text with
-     | Error _ -> []
-     | Ok doc ->
-       (match Option.bind (J.member "fastpath" doc) (J.member "rows") with
-        | Some (J.List rows) ->
-          List.filter_map
-            (fun row ->
-              match (J.member "name" row, J.member "after_ns" row) with
-              | Some (J.String name), Some (J.Float ns) -> Some (name, ns)
-              | Some (J.String name), Some (J.Int ns) ->
-                Some (name, float_of_int ns)
-              | _ -> None)
-            rows
-        | _ -> []))
-
-(* Baseline for one scenario: history first, seed constant second, and
-   for a scenario new enough to have neither, its own measurement (ratio
-   1.0) — so a fresh scenario passes validation without anyone editing
-   baselines by hand. *)
-let baseline_for ~history name ~after =
-  match List.assoc_opt name history with
-  | Some ns -> ns
-  | None ->
-    (match List.assoc_opt name seed_baseline_ns with
-     | Some ns -> ns
-     | None -> after)
-
 let time_ns_per_op ~budget f =
   (* Warm up, then calibrate the iteration count to ~[budget] seconds. *)
   for _ = 1 to 1_000 do f () done;
@@ -78,15 +27,20 @@ let time_ns_per_op ~budget f =
   for _ = 1 to n do f () done;
   (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n
 
+(* Each scenario carries its "before": ns/op for the seed (hashtbl page
+   table, per-byte access, per-page shootdowns), captured with this same
+   timing loop before the rewrite. *)
 let scenarios =
   [
     ( "translate+load8/tlb-hit",
+      336.0,
       fun () ->
         let m = Machine.create () in
         let a = Kernel.mmap m ~pages:1 in
         Mmu.store m a ~width:8 42;
         fun () -> ignore (Mmu.load m a ~width:8) );
     ( "translate+load8/tlb-miss",
+      458.7,
       fun () ->
         (* Walk 256 pages with a 64-entry TLB: ~every access misses. *)
         let m = Machine.create () in
@@ -96,21 +50,25 @@ let scenarios =
           ignore (Mmu.load m (a + (!i * Addr.page_size)) ~width:8);
           i := (!i + 41) land 255 );
     ( "store8/tlb-hit",
+      336.3,
       fun () ->
         let m = Machine.create () in
         let a = Kernel.mmap m ~pages:1 in
         fun () -> Mmu.store m a ~width:8 7 );
     ( "load1/tlb-hit",
+      94.3,
       fun () ->
         let m = Machine.create () in
         let a = Kernel.mmap m ~pages:1 in
         fun () -> ignore (Mmu.load m a ~width:1) );
     ( "load8/exempt",
+      426.2,
       fun () ->
         let m = Machine.create () in
         let a = Kernel.mmap m ~pages:1 in
         fun () -> ignore (Mmu.load_exempt m a ~width:8) );
     ( "mprotect/64-pages",
+      4751.2,
       fun () ->
         (* Pooldestroy-shaped: flip a 64-page run's protection. *)
         let m = Machine.create () in
@@ -121,6 +79,7 @@ let scenarios =
           Kernel.mprotect m ~addr:a ~pages:64
             (if !rw then Perm.Read_write else Perm.No_access) );
     ( "munmap+mmap_fixed/64-pages",
+      69916.0,
       fun () ->
         let m = Machine.create () in
         let a = Kernel.mmap m ~pages:64 in
@@ -130,8 +89,8 @@ let scenarios =
   ]
 
 (* Structural counters: machine-load-proof evidence that the fast path
-   does what the design says.  Returned as (name, value) pairs; the
-   validator and tests pin the expected values. *)
+   does what the design says, gated below: a TLB-hit load walks no page
+   table, and a word load or store does exactly one frame lookup. *)
 let structural () =
   let m = Machine.create () in
   let a = Kernel.mmap m ~pages:1 in
@@ -145,6 +104,12 @@ let structural () =
   let frames1 = Frame_table.lookup_count m.Machine.frames in
   Mmu.store m a ~width:8 7;
   let frames_per_store8 = Frame_table.lookup_count m.Machine.frames - frames1 in
+  Gate.require (walks_per_hit_load = 0)
+    "fastpath: TLB-hit load walked the page table";
+  Gate.require (frames_per_load8 = 1)
+    "fastpath: 8-byte load did not do exactly one frame lookup";
+  Gate.require (frames_per_store8 = 1)
+    "fastpath: 8-byte store did not do exactly one frame lookup";
   [
     ("page_table_walks_per_tlb_hit_load", walks_per_hit_load);
     ("frame_lookups_per_load8", frames_per_load8);
@@ -153,19 +118,13 @@ let structural () =
 
 (* Run everything: prints a section to stdout, returns the JSON block
    that [write_results] embeds under the "fastpath" key. *)
-let run ?(history_file = "BENCH_results.json") ~smoke () =
-  let history = history_baselines history_file in
-  if history = [] then
-    print_endline "\n== MMU fast path (ns/op, before = seed implementation) =="
-  else
-    Printf.printf "\n== MMU fast path (ns/op, before = last %s) ==\n"
-      history_file;
+let run ~smoke () =
+  print_endline "\n== MMU fast path (ns/op, before = seed implementation) ==";
   let budget = if smoke then 0.02 else 0.15 in
   let rows =
     List.map
-      (fun (name, setup) ->
+      (fun (name, before, setup) ->
         let after = time_ns_per_op ~budget (setup ()) in
-        let before = baseline_for ~history name ~after in
         Printf.printf "  %-28s %8.1f -> %7.1f   (%.1fx)\n%!" name before after
           (before /. after);
         J.Obj

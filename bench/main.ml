@@ -17,7 +17,9 @@
    overridable with --out): tables 1-3 row data, an our-approach
    cycles/syscalls/faults row per workload, and the bechamel ns/op
    figures.  --smoke (scale divisor 16) keeps CI runs short;
-   --scale-divisor N picks any other divisor. *)
+   --scale-divisor N picks any other divisor.  Each section gates its
+   own invariants (gate.ml); after writing the results file the run
+   lists every failed gate and exits nonzero. *)
 
 module J = Telemetry.Json
 
@@ -186,9 +188,9 @@ let run_resilience ~scale_divisor () =
         Harness.Resilience.campaign ~scale_divisor ())
   in
   print_string (Harness.Resilience.render rows);
-  if not (Harness.Resilience.ok rows) then
-    print_endline
-      "WARNING: resilience invariants violated (see rows above)";
+  Gate.require (Harness.Resilience.ok rows)
+    "resilience: undiagnosed crash or unattributed detection miss (see the \
+     rows above)";
   rows
 
 (* ---- 7: ablations ---- *)
@@ -362,10 +364,10 @@ let micro_tests =
     steady "malloc+free/native" Runtime.Schemes.native;
     steady "malloc+free/shadow-pool" (fun m -> Runtime.Schemes.shadow_pool m);
     steady "malloc+free/capability" (fun m ->
-        Baseline.Capability_check.scheme m);
+        Runtime.Capability_check.scheme m);
     Test.make ~name:"malloc+free/efence-with-setup"
       (Staged.stage (fun () ->
-           let scheme = Baseline.Efence.scheme (Vmm.Machine.create ()) in
+           let scheme = Runtime.Efence.scheme (Vmm.Machine.create ()) in
            let a = scheme.Runtime.Scheme.malloc 48 in
            scheme.Runtime.Scheme.free a));
     Test.make ~name:"mmu-load/hot"
@@ -530,4 +532,9 @@ let () =
     ~epoch_batching ~tag_backend
     ~resilience:(Harness.Resilience.to_json resilience)
     ~farm ~fleet ~soak;
-  print_endline "\nAll sections complete."
+  match Gate.failures () with
+  | [] -> print_endline "\nAll sections complete."
+  | failures ->
+    Printf.eprintf "\nbench: %d invariant(s) failed:\n" (List.length failures);
+    List.iter (Printf.eprintf "  %s\n") failures;
+    exit 1

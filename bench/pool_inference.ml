@@ -16,8 +16,7 @@
 
    The probes re-run seeded-bug programs both ways and assert the
    violation lists are identical: pool inference must not move, add or
-   lose a detection.  The validator (validate_results.ml) pins all of
-   this in BENCH_results.json. *)
+   lose a detection.  [run] gates all of this. *)
 
 module J = Telemetry.Json
 
@@ -256,6 +255,29 @@ let run () =
           i.Runtime.Schemes.destroy_unmapped_pages global.total_syscalls
           inferred.total_syscalls global.munmap inferred.munmap
           (if outputs_equal then "" else "  OUTPUT MISMATCH");
+        Gate.require outputs_equal
+          "pool_inference: inference changed %s's output" name;
+        Gate.require deterministic
+          "pool_inference: pool map for %s is not deterministic" name;
+        Gate.require (result.Minic.Poolify.pools <> [])
+          "pool_inference: found no pools on %s" name;
+        (* scoped lifetimes: inferred pools must be destroyed, lowering
+           peak shadow VA *)
+        if name = "churn" || name = "server" then begin
+          Gate.require
+            (i.Runtime.Schemes.peak_shadow_pages
+            < global.inferred.Runtime.Schemes.peak_shadow_pages)
+            "pool_inference: inferred pools did not lower peak shadow VA on \
+             %s (%d vs %d)"
+            name i.Runtime.Schemes.peak_shadow_pages
+            global.inferred.Runtime.Schemes.peak_shadow_pages;
+          Gate.require
+            (i.Runtime.Schemes.inferred_pools_destroyed > 0)
+            "pool_inference: never destroyed a pool on %s" name;
+          Gate.require
+            (i.Runtime.Schemes.destroy_unmapped_pages > 0)
+            "pool_inference: pool destroys released no shadow pages on %s" name
+        end;
         J.Obj
           [
             ("name", J.String name);
@@ -291,6 +313,12 @@ let run () =
         let identical = inferred.violations = global.violations in
         Printf.printf "  probe %-16s detected=%b identical-to-global=%b\n" name
           detected identical;
+        Gate.require detected
+          "pool_inference: probe %s not detected under inferred pools" name;
+        Gate.require identical
+          "pool_inference: probe %s detections differ between inferred and \
+           global pools"
+          name;
         J.Obj
           [
             ("name", J.String name);

@@ -15,9 +15,11 @@
       the endurance action log and the governor's va-pressure
       transition.
 
-   The validator pins all three: oracle zeros on run 2, flatness of
-   run 2 against run 1, exhaustion-or-projection on run 1, and strict
-   gc < tighten < degrade ordering on run 3. *)
+   [run] gates all three: probes planted and [Harness.Soak.check]'s
+   oracle zeros on every run, exhaustion-or-projection on run 1, GC
+   activity and flatness against run 1 on run 2, and strict
+   gc < tighten < degrade ordering with a va-pressure governor
+   transition on run 3. *)
 
 module J = Telemetry.Json
 
@@ -178,6 +180,58 @@ let run ~smoke () =
       ()
   in
   print_result "ladder" ladder;
+  List.iter
+    (fun (name, (r : Harness.Soak.result)) ->
+      Gate.require
+        (r.Harness.Soak.total_probes > 0)
+        "soak %s: ran no dangling probes" name;
+      List.iter
+        (fun m -> Gate.fail (Printf.sprintf "soak %s: %s" name m))
+        (Harness.Soak.check r))
+    [ ("without_gc", without_gc); ("with_gc", with_gc); ("ladder", ladder) ];
+  Gate.require
+    (without_gc.Harness.Soak.exhausted
+    ||
+    match without_gc.Harness.Soak.projected_hours with
+    | Some h -> h > 0.0
+    | None -> false)
+    "soak without_gc: neither exhausted its budget nor projected a finite \
+     exhaustion time";
+  Gate.require (with_gc.Harness.Soak.gc_runs > 0) "soak with_gc: never ran the GC";
+  Gate.require
+    (with_gc.Harness.Soak.reclaimed_pages > 0)
+    "soak with_gc: reclaimed nothing";
+  Gate.require
+    (not with_gc.Harness.Soak.exhausted)
+    "soak with_gc: exhausted its VA budget despite the GC";
+  let gc_tail = with_gc.Harness.Soak.tail_delta_pages in
+  let raw_tail = without_gc.Harness.Soak.tail_delta_pages in
+  Gate.require (raw_tail > 0) "soak without_gc: no steady-state VA growth";
+  Gate.require
+    (4 * gc_tail <= raw_tail)
+    "soak with_gc: not flat (tail %d pages/day vs %d unreclaimed)" gc_tail
+    raw_tail;
+  let first_index want =
+    let rec go i = function
+      | [] -> None
+      | (action, _, _) :: rest -> if action = want then Some i else go (i + 1) rest
+    in
+    go 0 ladder.Harness.Soak.actions
+  in
+  (match (first_index "gc", first_index "tighten", first_index "degrade") with
+  | Some g, Some t, Some d ->
+    Gate.require (g < t && t < d)
+      "soak ladder: actions out of order (want gc < tighten < degrade)"
+  | g, t, d ->
+    Gate.fail
+      (Printf.sprintf
+         "soak ladder: missing actions (gc %b, tighten %b, degrade %b)"
+         (g <> None) (t <> None) (d <> None)));
+  Gate.require
+    (List.exists
+       (fun (_, _, reason) -> reason = "va-pressure")
+       ladder.Harness.Soak.governor_transitions)
+    "soak ladder: no governor transition attributed to va-pressure";
   J.Obj
     [
       ("without_gc", result_json without_gc);

@@ -11,8 +11,8 @@
 
    The probes then re-run seeded-bug programs under the *static* scheme
    and assert the violation still fires at a position the analysis
-   flagged May/Must: elision must never cost a detection.  The validator
-   (validate_results.ml) pins all of this in BENCH_results.json. *)
+   flagged May/Must: elision must never cost a detection.  [run] gates
+   all of this. *)
 
 module J = Telemetry.Json
 
@@ -294,6 +294,11 @@ let run () =
           static.total_syscalls saved full.mremap static.mremap full.mprotect
           static.mprotect
           (if outputs_equal then "" else "  OUTPUT MISMATCH");
+        Gate.require outputs_equal
+          "static_elision: elision changed %s's output" name;
+        Gate.require
+          (static.total_syscalls <= full.total_syscalls)
+          "static_elision: elision increased syscalls on %s" name;
         J.Obj
           [
             ("name", J.String name);
@@ -310,9 +315,13 @@ let run () =
             ("static_syscalls", J.Int static.total_syscalls);
             ("saved_syscalls", J.Int saved);
             ("outputs_equal", J.Bool outputs_equal);
-          ])
+          ],
+          es.Runtime.Schemes.elided_allocs > 0 && saved > 0)
       workloads
   in
+  let elided = List.length (List.filter snd rows) in
+  Gate.require (elided >= 2)
+    "static_elision: saved syscalls on %d workloads (need >= 2)" elided;
   let probe_rows =
     List.map
       (fun (name, source) ->
@@ -344,6 +353,12 @@ let run () =
         in
         Printf.printf "  probe %-16s detected=%b at-flagged-site=%b (%d elided)\n"
           name detected at_flagged_site elided;
+        Gate.require detected
+          "static_elision: probe %s not detected under elision" name;
+        Gate.require
+          ((not detected) || at_flagged_site)
+          "static_elision: probe %s trapped at a site the analysis marked Safe"
+          name;
         J.Obj
           [
             ("name", J.String name);
@@ -353,4 +368,5 @@ let run () =
           ])
       probes
   in
-  J.Obj [ ("rows", J.List rows); ("probes", J.List probe_rows) ]
+  J.Obj
+    [ ("rows", J.List (List.map fst rows)); ("probes", J.List probe_rows) ]

@@ -12,42 +12,10 @@
    generation wraps and the attributed masked passes; and a 1/2/4/8
    shard farm run under the tagged backend must keep merged detections
    and syscalls invariant across shard counts, like every other
-   scheme.  validate_results pins all of it. *)
+   scheme.  The workloads are the epoch section's, so the two frontier
+   rows (epoch vs tagged) share one eager baseline. *)
 
 module J = Telemetry.Json
-module F = Danguard_farm.Farm
-module Scheduler = Danguard_farm.Scheduler
-
-(* Same workload shapes as the epoch section, so the two frontier rows
-   (epoch vs tagged) are comparable against the same eager baseline. *)
-let churn (scheme : Runtime.Scheme.t) ~ops =
-  for i = 1 to ops do
-    let a = scheme.Runtime.Scheme.malloc ~site:"tag_bench.c:10" 48 in
-    scheme.Runtime.Scheme.store a ~width:8 i;
-    ignore (scheme.Runtime.Scheme.load a ~width:8);
-    scheme.Runtime.Scheme.free ~site:"tag_bench.c:11" a
-  done
-
-let mixed (scheme : Runtime.Scheme.t) ~ops =
-  let ring = Array.make 32 None in
-  for i = 0 to ops - 1 do
-    let size = if i land 1 = 0 then 48 else 112 in
-    let a = scheme.Runtime.Scheme.malloc ~site:"tag_bench.c:20" size in
-    scheme.Runtime.Scheme.store a ~width:8 i;
-    (match ring.(i mod 32) with
-     | Some old ->
-       ignore (scheme.Runtime.Scheme.load old ~width:8);
-       scheme.Runtime.Scheme.free ~site:"tag_bench.c:21" old
-     | None -> ());
-    ring.(i mod 32) <- Some a
-  done;
-  Array.iter
-    (function
-      | Some a -> scheme.Runtime.Scheme.free ~site:"tag_bench.c:22" a
-      | None -> ())
-    ring
-
-let workloads = [ ("churn", churn); ("mixed", mixed) ]
 
 type run_stats = {
   per_op : float;
@@ -127,7 +95,7 @@ let probes =
     ("use-after-pool-destroy", probe_pool_destroy);
   ]
 
-(* ---- the wraparound demo the validator pins ---- *)
+(* ---- the wraparound demo ---- *)
 
 let wrap_demo () =
   (* tag_bits=2 makes the wrap reachable in 4 frees; the wide
@@ -149,12 +117,6 @@ let wrap_demo () =
     | exception Shadow.Report.Violation _ -> false
   in
   (Tagging.Tag_table.stats table, passed)
-
-(* ---- farm rows under the tagged backend ---- *)
-
-let shard_counts = [ 1; 2; 4; 8 ]
-let seed = 0x5eed
-let probe_every = 8
 
 let run ~smoke () =
   print_endline
@@ -179,6 +141,27 @@ let run ~smoke () =
            syscalls/op %6d VA pages, %.2f checks/access, table %d B\n"
           name shadow.per_op shadow.va_pages tagged.per_op tagged.va_pages
           checks_per_access ts.Tagging.Tag_table.table_bytes;
+        (* the trade: at least 4x less VA and no protection syscalls, for
+           a tag check per access that never faults a correct program *)
+        Gate.require
+          (tagged.va_pages * 4 <= shadow.va_pages)
+          "tag_backend: tagged VA on %s not well under shadow's (%d vs %d \
+           pages)"
+          name tagged.va_pages shadow.va_pages;
+        Gate.require (tagged.per_op = 0.0)
+          "tag_backend: tagged backend on %s issued protection syscalls" name;
+        Gate.require
+          (ts.Tagging.Tag_table.tag_checks > 0)
+          "tag_backend: tagged backend on %s recorded no tag checks" name;
+        Gate.require
+          (ts.Tagging.Tag_table.tag_faults = 0)
+          "tag_backend: tagged backend on %s faulted on a correct workload"
+          name;
+        Gate.require
+          (ts.Tagging.Tag_table.generation_wraps >= 0
+          && ts.Tagging.Tag_table.wrap_masked_passes >= 0
+          && ts.Tagging.Tag_table.table_bytes >= 0)
+          "tag_backend: negative wrap or table counter on %s" name;
         J.Obj
           [
             ("workload", J.String name);
@@ -197,7 +180,7 @@ let run ~smoke () =
             ("table_bytes", J.Int ts.Tagging.Tag_table.table_bytes);
             ("checks_per_access", J.Float checks_per_access);
           ])
-      workloads
+      Epoch_batching.workloads
   in
   (* server row: the per-connection VA appetite of both backends *)
   let server_row =
@@ -211,6 +194,10 @@ let run ~smoke () =
       "  ghttpd shadow: %6d VA bytes/conn | tagged: %6d VA bytes/conn\n"
       shadow.Runtime.Process.max_va_bytes_per_connection
       tagged.Runtime.Process.max_va_bytes_per_connection;
+    Gate.require
+      (tagged.Runtime.Process.max_va_bytes_per_connection
+      <= shadow.Runtime.Process.max_va_bytes_per_connection)
+      "tag_backend: tagged server burns more VA per connection than shadow";
     J.Obj
       [
         ("server", J.String "ghttpd");
@@ -227,6 +214,7 @@ let run ~smoke () =
       (fun (name, probe) ->
         let o = probe () in
         Printf.printf "  probe %-24s detected=%b\n" name o.detected;
+        Gate.require o.detected "tag_backend: probe %s not detected" name;
         (name, o))
       probes
   in
@@ -244,30 +232,16 @@ let run ~smoke () =
     "  wrap demo (tag_bits=2): %d wraps, %d attributed masked passes\n"
     wrap_stats.Tagging.Tag_table.generation_wraps
     wrap_stats.Tagging.Tag_table.wrap_masked_passes;
-  let farm_rows =
-    print_endline "  -- tagged backend farm (ghttpd, 1/2/4/8 shards) --";
-    List.map
-      (fun shards ->
-        let r =
-          F.run_server ~policy:Scheduler.Round_robin ~seed ~probe_every
-            ~config:Harness.Experiment.tagged ~shards
-            ~connections:(if smoke then 32 else 96)
-            Workload.Servers.ghttpd
-        in
-        Printf.printf "  %-7d %14.0f %12.3f %11d %9d\n" r.F.shards
-          r.F.makespan_cycles r.F.throughput r.F.totals.F.detections
-          r.F.totals.F.syscalls;
-        J.Obj
-          [
-            ("shards", J.Int r.F.shards);
-            ("makespan_cycles", J.Float r.F.makespan_cycles);
-            ("throughput_conn_per_mcycle", J.Float r.F.throughput);
-            ("connections", J.Int r.F.totals.F.connections);
-            ("detections", J.Int r.F.totals.F.detections);
-            ("syscalls", J.Int r.F.totals.F.syscalls);
-          ])
-      shard_counts
-  in
+  Gate.require
+    (wrap_stats.Tagging.Tag_table.generation_wraps > 0)
+    "tag_backend: wrap demo recorded no generation wrap";
+  Gate.require
+    (wrap_stats.Tagging.Tag_table.wrap_masked_passes > 0)
+    "tag_backend: wrap demo recorded no attributed masked pass";
+  Gate.require wrap_passed
+    "tag_backend: wrap demo masked pass not observed at the access site";
+  print_endline "  -- tagged backend farm (ghttpd, 1/2/4/8 shards) --";
+  let farm = Farm.sweep ~smoke ~name:"tagged" Harness.Experiment.tagged in
   J.Obj
     [
       ("ops", J.Int ops);
@@ -285,5 +259,5 @@ let run ~smoke () =
               J.Int wrap_stats.Tagging.Tag_table.wrap_masked_passes );
             ("masked_pass_observed", J.Bool wrap_passed);
           ] );
-      ("farm_rows", J.List farm_rows);
+      ("farm_rows", J.List (List.map (fun r -> Farm.row_json r) farm));
     ]

@@ -113,11 +113,15 @@ let addr_space_cmd =
     Arg.(value & opt (some int) None
          & info [ "c"; "connections" ] ~docv:"N" ~doc:"Connections per server.")
   in
-  let run connections =
-    print_endline (Harness.Addr_space.render (Harness.Addr_space.rows ?connections ()))
+  let run = function
+    | Some n when n < 1 -> `Error (false, "--connections must be at least 1")
+    | connections ->
+      print_endline
+        (Harness.Addr_space.render (Harness.Addr_space.rows ?connections ()));
+      `Ok ()
   in
   cmd "addr-space" ~doc:"Per-connection virtual-address usage of the five servers (§4.3)."
-    Term.(const run $ connections)
+    Term.(ret (const run $ connections))
 
 (* ---- detect ---- *)
 
@@ -195,16 +199,21 @@ let exhaustion_cmd =
            ~doc:"User address-space bits.")
   in
   let run rate bits =
-    Printf.printf
-      "with 2^%d bytes of address space, 4K pages and %.0f allocations/s:\n\
-       %.2f hours until virtual addresses run out with no reuse at all\n"
-      bits rate
-      (Shadow.Exhaustion.hours_until_exhaustion
-         ~va_bytes:(2. ** float_of_int bits)
-         ~page_bytes:4096 ~pages_per_second:rate)
+    match
+      Shadow.Exhaustion.hours_until_exhaustion
+        ~va_bytes:(2. ** float_of_int bits)
+        ~page_bytes:4096 ~pages_per_second:rate
+    with
+    | exception Invalid_argument m -> `Error (false, m)
+    | hours ->
+      Printf.printf
+        "with 2^%d bytes of address space, 4K pages and %.0f allocations/s:\n\
+         %.2f hours until virtual addresses run out with no reuse at all\n"
+        bits rate hours;
+      `Ok ()
   in
   cmd "exhaustion" ~doc:"The §3.4 address-space exhaustion model."
-    Term.(const run $ allocs_per_sec $ va_bits)
+    Term.(ret (const run $ allocs_per_sec $ va_bits))
 
 (* ---- run ---- *)
 
@@ -836,9 +845,6 @@ let report_cmd =
             ~recover:true ~config ?connections ~shards server
         in
         let served = r.Farm.totals.Farm.connections in
-        let expected_probes =
-          if probe_every <= 0 then 0 else (served + probe_every - 1) / probe_every
-        in
         let label = Harness.Experiment.config_label config in
         let gauge name =
           int_of_float
@@ -892,23 +898,9 @@ let report_cmd =
             (gauge "shadow.gc_pinned_ranges");
           print_string (Fleet.Crash.render r.Farm.crashes)
         end;
-        (* Self-checks: the recoverable wrapper must keep every child
-           alive, and a seeded run must surface every probe. *)
-        if r.Farm.totals.Farm.detections > 0 then
-          `Error
-            ( false,
-              Printf.sprintf "%d violation(s) escaped recovery and killed \
-                              their connection"
-                r.Farm.totals.Farm.detections )
-        else if
-          probe_every > 0
-          && r.Farm.crashes.Fleet.Crash.total_reports < expected_probes
-        then
-          `Error
-            ( false,
-              Printf.sprintf "expected %d probe report(s), got %d"
-                expected_probes r.Farm.crashes.Fleet.Crash.total_reports )
-        else `Ok ()
+        match Farm.check_recovered ~probe_sites ~probe_every r with
+        | [] -> `Ok ()
+        | failures -> `Error (false, String.concat "; " failures)
   in
   cmd "report"
     ~doc:"Run a server farm in recoverable (log-don't-abort) mode with \
@@ -1040,37 +1032,30 @@ let soak_cmd =
         | false, None -> print_endline "  flat: never exhausts at this rate"
       end;
       (* The endurance gates (CI calls this via make soak-smoke): the
-         detection guarantee must be perfect, reclamation must never
-         touch a rooted range, and with the GC armed the steady state
-         must be much flatter than the warm-up day. *)
-      if r.Harness.Soak.missed_probes > 0 then
-        `Error
-          ( false,
-            Printf.sprintf "%d dangling probe(s) went undetected"
-              r.Harness.Soak.missed_probes )
-      else if r.Harness.Soak.reclaims_with_witness > 0 then
-        `Error
-          ( false,
-            Printf.sprintf "GC reclaimed %d rooted (witnessed) range(s)"
-              r.Harness.Soak.reclaims_with_witness )
-      else if no_reclaim then `Ok ()
-      else if r.Harness.Soak.exhausted then
-        `Error (false, "VA budget exhausted despite the GC")
-      else if
-        (* the flatness gate needs a tail to compare against the first
-           day; a 1-day run has only the warm-up delta *)
-        r.Harness.Soak.cfg.Harness.Soak.days > 1
-        && r.Harness.Soak.tail_delta_pages > 0
-        && 2 * r.Harness.Soak.tail_delta_pages
-           > r.Harness.Soak.first_day_delta_pages
-      then
-        `Error
-          ( false,
-            Printf.sprintf
-              "VA not flat: final day grew %d pages (first day %d)"
-              r.Harness.Soak.tail_delta_pages
-              r.Harness.Soak.first_day_delta_pages )
-      else `Ok ()
+         detection guarantee must be perfect, and with the GC armed the
+         budget must hold and the steady state must be much flatter
+         than the warm-up day. *)
+      match Harness.Soak.check r with
+      | _ :: _ as failures -> `Error (false, String.concat "; " failures)
+      | [] ->
+        if no_reclaim then `Ok ()
+        else if r.Harness.Soak.exhausted then
+          `Error (false, "VA budget exhausted despite the GC")
+        else if
+          (* the flatness gate needs a tail to compare against the first
+             day; a 1-day run has only the warm-up delta *)
+          r.Harness.Soak.cfg.Harness.Soak.days > 1
+          && r.Harness.Soak.tail_delta_pages > 0
+          && 2 * r.Harness.Soak.tail_delta_pages
+             > r.Harness.Soak.first_day_delta_pages
+        then
+          `Error
+            ( false,
+              Printf.sprintf
+                "VA not flat: final day grew %d pages (first day %d)"
+                r.Harness.Soak.tail_delta_pages
+                r.Harness.Soak.first_day_delta_pages )
+        else `Ok ()
   in
   cmd "soak"
     ~doc:"Multi-day uptime soak over a server model (§3.4 endurance): \

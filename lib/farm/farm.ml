@@ -282,6 +282,39 @@ let run ?(policy = Scheduler.Round_robin) ?(seed = 0x5eed) ?(probe_every = 0)
     traces;
   }
 
+let probe_counts ~probe_sites ~probe_every ~connections =
+  let counts = Array.make (max 1 probe_sites) 0 in
+  let rec go conn =
+    if conn < connections then begin
+      let site = probe_site ~probe_sites ~probe_every conn in
+      counts.(site) <- counts.(site) + 1;
+      go (conn + probe_every)
+    end
+  in
+  if probe_every > 0 then go 0;
+  counts
+
+let check_recovered ~probe_sites ~probe_every r =
+  let expected =
+    Array.fold_left ( + ) 0
+      (probe_counts ~probe_sites ~probe_every
+         ~connections:r.totals.connections)
+  in
+  List.filter_map Fun.id
+    [
+      (if r.totals.detections > 0 then
+         Some
+           (Printf.sprintf
+              "%d violation(s) escaped recovery and killed their connection"
+              r.totals.detections)
+       else None);
+      (if r.crashes.Fleet.Crash.total_reports < expected then
+         Some
+           (Printf.sprintf "expected %d probe report(s), got %d" expected
+              r.crashes.Fleet.Crash.total_reports)
+       else None);
+    ]
+
 let run_server ?policy ?seed ?probe_every ?probe_sites ?recover ?trace_capacity
     ?(config = Harness.Experiment.ours) ?connections ~shards
     (server : Workload.Spec.server) =

@@ -53,12 +53,18 @@ type result = {
           {!Telemetry.Export.chrome_trace_grouped}); [[]] otherwise *)
 }
 
-val probe_site : probe_sites:int -> probe_every:int -> int -> int
-(** The injection site the probe appended to connection [conn]
-    exercises (0 when [probe_sites] is 1).  A pure function of the
-    connection index, exported so callers — the report CLI, the bench
-    validator — can compute the exact expected site population of a
-    seeded run. *)
+val probe_counts :
+  probe_sites:int -> probe_every:int -> connections:int -> int array
+(** The seeded probe population of a run over [connections]: element
+    [i] is the number of probed connections that exercise injection
+    site [i] (site [0] only when [probe_sites] is 1).  Its sum is the
+    probe count a run seeds; all zero when [probe_every <= 0]. *)
+
+val check_recovered : probe_sites:int -> probe_every:int -> result -> string list
+(** The gates of a [~recover:true] run seeded with the given probes: no
+    violation escaped recovery (zero detections), and the crash reports
+    number at least the seeded {!probe_counts}.  One message per broken
+    gate; [[]] when both hold. *)
 
 val run :
   ?policy:Scheduler.policy ->

@@ -5,9 +5,7 @@
     cost-model profile (native GCC vs LLVM-base code quality, via
     {!Runtime.Scheme_spec.cost_profile}) and the protection scheme (via
     {!Runtime.Scheme_spec.build}), mirroring the columns of Tables 1
-    and 3.  {!make_scheme} installs the baseline builders
-    ([Baseline.Register.install]) so [efence]/[valgrind]/[capability]
-    specs build without further setup. *)
+    and 3. *)
 
 type config = Runtime.Scheme_spec.t
 

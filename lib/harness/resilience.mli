@@ -15,8 +15,8 @@
       explained by the governed scheme's own records (the victim lived
       unprotected, or the ladder was below [Full]) — never a surprise.
 
-    The campaign's rows land in BENCH_results.json under ["resilience"]
-    and are checked by [bench/validate_results]. *)
+    The campaign's rows land in BENCH_results.json under ["resilience"];
+    {!ok} is the gate both [danguard faults] and the bench apply. *)
 
 type plan_spec = {
   p_name : string;

@@ -335,3 +335,18 @@ let run ?(config = default_config) () =
           Shadow.Va_budget.level_label tr.Shadow.Va_budget.to_level)
         (Shadow.Va_budget.transitions budget);
   }
+
+let check r =
+  List.filter_map Fun.id
+    [
+      (if r.missed_probes > 0 then
+         Some
+           (Printf.sprintf "%d dangling probe(s) went undetected"
+              r.missed_probes)
+       else None);
+      (if r.reclaims_with_witness > 0 then
+         Some
+           (Printf.sprintf "GC reclaimed %d rooted (witnessed) range(s)"
+              r.reclaims_with_witness)
+       else None);
+    ]

@@ -85,3 +85,8 @@ type result = {
 
 val run : ?config:config -> unit -> result
 (** Deterministic for a given config (seeded PRNG, no wall clock). *)
+
+val check : result -> string list
+(** The detection guarantee every soak run must keep, reclaiming or
+    not: no missed probe and no reclaimed witnessed range.  One message
+    per broken gate; [[]] when both hold. *)

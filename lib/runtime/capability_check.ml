@@ -88,7 +88,7 @@ let scheme ?(config = default_config) machine =
   let rec scheme =
     lazy
       {
-        Runtime.Scheme.name = "capability";
+        Scheme.name = "capability";
         machine;
         malloc = (fun ?site size -> malloc st machine ?site size);
         free = (fun ?site p -> free st machine ?site p);
@@ -102,7 +102,7 @@ let scheme ?(config = default_config) machine =
             Mmu.store machine (untag p) ~width v);
         pool_create =
           (fun ?elem_size:_ () ->
-            Runtime.Scheme.direct_pool (Lazy.force scheme));
+            Scheme.direct_pool (Lazy.force scheme));
         compute = (fun n -> charge machine n);
         extra_memory_bytes =
           (fun () ->
@@ -110,7 +110,7 @@ let scheme ?(config = default_config) machine =
                retired set retained for diagnosis. *)
             (Hashtbl.length st.gcs * 48) + (Hashtbl.length st.retired * 16));
         guarantees_detection = true;
-        introspection = Runtime.Scheme.No_introspection;
+        introspection = Scheme.No_introspection;
       }
   in
   Lazy.force scheme

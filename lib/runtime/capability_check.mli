@@ -18,4 +18,4 @@ type config = {
 val default_config : config
 (** 10-instruction checks, 15-instruction updates. *)
 
-val scheme : ?config:config -> Vmm.Machine.t -> Runtime.Scheme.t
+val scheme : ?config:config -> Vmm.Machine.t -> Scheme.t

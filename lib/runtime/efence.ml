@@ -63,7 +63,7 @@ let scheme ?(guard_pages = true) machine =
   let rec scheme =
     lazy
       {
-        Runtime.Scheme.name = "electric-fence";
+        Scheme.name = "electric-fence";
         machine;
         malloc = (fun ?site size -> malloc st machine ?site size);
         free = (fun ?site a -> free st machine ?site a);
@@ -72,11 +72,11 @@ let scheme ?(guard_pages = true) machine =
           (fun addr ~width v -> guard (fun () -> Mmu.store machine addr ~width v));
         pool_create =
           (fun ?elem_size:_ () ->
-            Runtime.Scheme.direct_pool (Lazy.force scheme));
+            Scheme.direct_pool (Lazy.force scheme));
         compute = (fun n -> Stats.count_instructions machine.Machine.stats n);
         extra_memory_bytes = (fun () -> 0);
         guarantees_detection = true;
-        introspection = Runtime.Scheme.No_introspection;
+        introspection = Scheme.No_introspection;
       }
   in
   Lazy.force scheme

@@ -7,5 +7,5 @@
     notes enscript runs out of physical memory under Electric Fence).
     An optional guard page after each object also catches overruns. *)
 
-val scheme : ?guard_pages:bool -> Vmm.Machine.t -> Runtime.Scheme.t
+val scheme : ?guard_pages:bool -> Vmm.Machine.t -> Scheme.t
 (** [guard_pages] defaults to true. *)

@@ -136,31 +136,6 @@ let cost_profile spec ~pa_quality_gain =
       (base.Vmm.Cost_model.code_quality *. pa_quality_gain)
   | _ -> Vmm.Cost_model.llvm_base
 
-(* Baselines live a library above this one; their constructors arrive by
-   injection (Baseline.Register.install) before [build] can use them. *)
-type baseline_builders = {
-  efence : Vmm.Machine.t -> Scheme.t;
-  valgrind : Vmm.Machine.t -> Scheme.t;
-  capability : Vmm.Machine.t -> Scheme.t;
-}
-
-let baselines : baseline_builders option ref = ref None
-
-let set_baseline_builders ~efence ~valgrind ~capability =
-  baselines := Some { efence; valgrind; capability }
-
-let baseline which =
-  match !baselines with
-  | Some b -> (
-    match which with
-    | `Efence -> b.efence
-    | `Valgrind -> b.valgrind
-    | `Capability -> b.capability)
-  | None ->
-    invalid_arg
-      "Scheme_spec.build: baseline builders not installed (call \
-       Baseline.Register.install ())"
-
 let rec build spec machine =
   match spec with
   | Native | Llvm_base -> Schemes.native machine
@@ -172,7 +147,7 @@ let rec build spec machine =
   | Shadow_pool_epoch config -> Schemes.shadow_pool_epoch ~config machine
   | Tagged config -> Schemes.tagged ~config machine
   | Backend_ladder -> Governed.scheme (Governed.backend_ladder machine)
-  | Efence -> baseline `Efence machine
-  | Valgrind -> baseline `Valgrind machine
-  | Capability -> baseline `Capability machine
+  | Efence -> Efence.scheme machine
+  | Valgrind -> Valgrind_sim.scheme machine
+  | Capability -> Capability_check.scheme machine
   | Recover base -> Schemes.recoverable (build base machine)

@@ -10,12 +10,7 @@
     all enumerate the same {!all}.
 
     It stays a closed variant on purpose: a record of independent axes
-    would make dozens of combinations settable that no caller uses.
-
-    Baselines live in the [baseline] library, which depends on this one;
-    their builders are injected via {!set_baseline_builders}
-    ([Baseline.Register.install ()]) before {!build} can construct
-    [Efence]/[Valgrind]/[Capability]. *)
+    would make dozens of combinations settable that no caller uses. *)
 
 type t =
   | Native  (** unmodified program, native code quality *)
@@ -98,16 +93,5 @@ val cost_profile : t -> pa_quality_gain:float -> Vmm.Cost_model.t
     for [Native], LLVM-base otherwise, with [pa_quality_gain] scaling
     code quality for the pool-based configs (APA's locality effect). *)
 
-val set_baseline_builders :
-  efence:(Vmm.Machine.t -> Scheme.t) ->
-  valgrind:(Vmm.Machine.t -> Scheme.t) ->
-  capability:(Vmm.Machine.t -> Scheme.t) ->
-  unit
-(** Inject the baseline constructors (the [baseline] library sits above
-    this one).  Idempotent; [Baseline.Register.install ()] is the one
-    caller. *)
-
 val build : t -> Vmm.Machine.t -> Scheme.t
-(** Construct the scheme on the given machine.  Raises
-    [Invalid_argument] for a baseline spec before
-    {!set_baseline_builders} was called. *)
+(** Construct the scheme on the given machine. *)

@@ -1,7 +1,7 @@
 (** Constructors for the paper's own configurations (Table 1 columns)
     plus the pointer-tagging backend.  Related-work baselines (Electric
-    Fence, Valgrind-style, capability checking) live in the [baseline]
-    library.
+    Fence, Valgrind-style, capability checking) are {!Efence},
+    {!Valgrind_sim} and {!Capability_check}.
 
     Each scheme record is made by {!Pool_scheme.build} ([recoverable]
     wraps one); DESIGN.md §6d lists the parts they are built from.
@@ -201,8 +201,8 @@ val introspect : Scheme.t -> info
 (** The single entry point for scheme internals.  Reads the
     [introspection] field carried on the scheme record itself — no
     global side table, so it is safe when schemes are built concurrently
-    on many domains — and returns [Opaque] for schemes built by other
-    libraries (baselines, governed wrappers). *)
+    on many domains — and returns [Opaque] for schemes that carry none
+    (baselines, governed wrappers). *)
 
 val shadow_pool_static : config:static_config -> Vmm.Machine.t -> Scheme.t
 (** {!shadow_pool} driven by a static per-malloc-site protection policy

@@ -125,7 +125,7 @@ let scheme ?(config = default_config) machine =
   let rec scheme =
     lazy
       {
-        Runtime.Scheme.name = "valgrind-sim";
+        Scheme.name = "valgrind-sim";
         machine;
         malloc = (fun ?site size -> malloc st machine ?site size);
         free = (fun ?site a -> free st machine ?site a);
@@ -139,7 +139,7 @@ let scheme ?(config = default_config) machine =
             Mmu.store machine addr ~width v);
         pool_create =
           (fun ?elem_size:_ () ->
-            Runtime.Scheme.direct_pool (Lazy.force scheme));
+            Scheme.direct_pool (Lazy.force scheme));
         compute =
           (fun n ->
             charge machine (int_of_float (float_of_int n *. config.dbt_factor)));
@@ -148,7 +148,7 @@ let scheme ?(config = default_config) machine =
             (* Shadow validity bits (~1/8 of heap) plus the quarantine. *)
             (Heap.Freelist_malloc.live_bytes st.heap / 8) + st.quarantined_bytes);
         guarantees_detection = false;
-        introspection = Runtime.Scheme.No_introspection;
+        introspection = Scheme.No_introspection;
       }
   in
   Lazy.force scheme

@@ -18,4 +18,4 @@ type config = {
 val default_config : config
 (** 1000-block quarantine, 60 instructions per access check, 12x DBT. *)
 
-val scheme : ?config:config -> Vmm.Machine.t -> Runtime.Scheme.t
+val scheme : ?config:config -> Vmm.Machine.t -> Scheme.t

@@ -19,7 +19,7 @@ let is_double = function Shadow.Report.Double_free -> true | _ -> false
 
 (* ---- Electric Fence ---- *)
 
-let efence () = Baseline.Efence.scheme (Machine.create ())
+let efence () = Runtime.Efence.scheme (Machine.create ())
 
 let test_efence_roundtrip () =
   let s = efence () in
@@ -140,7 +140,7 @@ let test_spatial_check_cost_charged () =
 (* ---- Valgrind model ---- *)
 
 let valgrind ?config () =
-  Baseline.Valgrind_sim.scheme ?config (Machine.create ())
+  Runtime.Valgrind_sim.scheme ?config (Machine.create ())
 
 let test_valgrind_roundtrip () =
   let s = valgrind () in
@@ -159,8 +159,8 @@ let test_valgrind_misses_after_reuse () =
   (* The heuristic gap: a tiny quarantine, enough churn to recycle the
      block, and the stale read goes through silently. *)
   let config =
-    { Baseline.Valgrind_sim.default_config with
-      Baseline.Valgrind_sim.quarantine_blocks = 2 }
+    { Runtime.Valgrind_sim.default_config with
+      Runtime.Valgrind_sim.quarantine_blocks = 2 }
   in
   let s = valgrind ~config () in
   let p = s.Runtime.Scheme.malloc 48 in
@@ -210,7 +210,7 @@ let test_valgrind_extra_memory () =
 
 (* ---- Capability checker ---- *)
 
-let capability () = Baseline.Capability_check.scheme (Machine.create ())
+let capability () = Runtime.Capability_check.scheme (Machine.create ())
 
 let test_capability_roundtrip () =
   let s = capability () in

@@ -1,6 +1,7 @@
 (* Tests for the experiment harness: table generation, ratio sanity, the
    §4.3 address-space study, and the detection matrix — checking the
-   *shape* of the paper's results at reduced scale. *)
+   *shape* of the paper's results at reduced scale — plus the shared
+   soak and fleet gates that the CLI and the bench both apply. *)
 
 let check_int = Alcotest.check Alcotest.int
 let check_bool = Alcotest.check Alcotest.bool
@@ -217,6 +218,57 @@ let test_table_render () =
   Alcotest.check Alcotest.string "bytes fmt" "4.0 KiB"
     (Harness.Table.fmt_bytes 4096)
 
+(* ---- shared gates: soak endurance, recoverable fleet ---- *)
+
+let test_soak_check () =
+  let r =
+    Harness.Soak.run
+      ~config:
+        {
+          Harness.Soak.default_config with
+          Harness.Soak.days = 2;
+          connections_per_day = 40;
+          budget_pages = 80;
+        }
+      ()
+  in
+  check_bool "probes planted" true (r.Harness.Soak.total_probes > 0);
+  Alcotest.(check (list string)) "real soak passes" [] (Harness.Soak.check r);
+  check_int "missed probe fails" 1
+    (List.length (Harness.Soak.check { r with Harness.Soak.missed_probes = 1 }));
+  check_int "witnessed reclaim fails" 1
+    (List.length
+       (Harness.Soak.check { r with Harness.Soak.reclaims_with_witness = 1 }))
+
+let test_fleet_check () =
+  let module Farm = Danguard_farm.Farm in
+  let probe_every = 4 and probe_sites = 2 in
+  let r =
+    Farm.run_server ~probe_every ~probe_sites ~recover:true ~shards:1
+      ~connections:8 Workload.Servers.ghttpd
+  in
+  let check = Farm.check_recovered ~probe_sites ~probe_every in
+  check_int "seeded probes" 2
+    (Array.fold_left ( + ) 0
+       (Farm.probe_counts ~probe_sites ~probe_every ~connections:8));
+  Alcotest.(check (list string)) "recovered run passes" [] (check r);
+  check_int "escaped detection fails" 1
+    (List.length
+       (check
+          { r with Farm.totals = { r.Farm.totals with Farm.detections = 1 } }));
+  check_int "missing probe report fails" 1
+    (List.length
+       (check
+          {
+            r with
+            Farm.crashes =
+              {
+                r.Farm.crashes with
+                Fleet.Crash.total_reports =
+                  r.Farm.crashes.Fleet.Crash.total_reports - 1;
+              };
+          }))
+
 let () =
   Alcotest.run "harness"
     [
@@ -243,5 +295,10 @@ let () =
         [
           Alcotest.test_case "matrix" `Quick test_detection_matrix;
           Alcotest.test_case "spatial matrix" `Quick test_spatial_matrix;
+        ] );
+      ( "gates",
+        [
+          Alcotest.test_case "soak check" `Quick test_soak_check;
+          Alcotest.test_case "fleet check" `Quick test_fleet_check;
         ] );
     ]

@@ -65,9 +65,9 @@ let schemes : (string * (Machine.t -> Runtime.Scheme.t)) list =
     ("pa+dummy", Runtime.Schemes.pa ~config:{ Runtime.Schemes.dummy_syscalls = true });
     ("shadow-basic", Runtime.Schemes.shadow_basic);
     ("shadow-pool", fun m -> Runtime.Schemes.shadow_pool m);
-    ("efence", fun m -> Baseline.Efence.scheme m);
-    ("valgrind", fun m -> Baseline.Valgrind_sim.scheme m);
-    ("capability", fun m -> Baseline.Capability_check.scheme m);
+    ("efence", fun m -> Runtime.Efence.scheme m);
+    ("valgrind", fun m -> Runtime.Valgrind_sim.scheme m);
+    ("capability", fun m -> Runtime.Capability_check.scheme m);
   ]
 
 let test_minic_under_every_scheme () =

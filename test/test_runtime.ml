@@ -215,9 +215,9 @@ let prop_scheme_uniformity =
       && run Runtime.Schemes.pa = expected
       && run Runtime.Schemes.shadow_basic = expected
       && run Runtime.Schemes.shadow_pool = expected
-      && run Baseline.Efence.scheme = expected
-      && run (fun m -> Baseline.Valgrind_sim.scheme m) = expected
-      && run (fun m -> Baseline.Capability_check.scheme m) = expected)
+      && run Runtime.Efence.scheme = expected
+      && run (fun m -> Runtime.Valgrind_sim.scheme m) = expected
+      && run (fun m -> Runtime.Capability_check.scheme m) = expected)
 
 let () =
   Alcotest.run "runtime"

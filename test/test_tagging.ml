@@ -236,7 +236,6 @@ let test_kind_round_trip () =
 (* ---- the spec catalogue round-trips and builds ---- *)
 
 let test_spec_round_trip () =
-  Baseline.Register.install ();
   let module Spec = Runtime.Scheme_spec in
   List.iter
     (fun spec ->

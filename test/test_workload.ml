@@ -34,7 +34,7 @@ let test_batch_no_false_positives (b : Workload.Spec.batch) () =
     (fun make -> ignore (run_batch_under b make))
     [
       (fun m -> Runtime.Schemes.shadow_pool_spatial m);
-      (fun m -> Baseline.Capability_check.scheme m);
+      (fun m -> Runtime.Capability_check.scheme m);
     ]
 
 let test_batch_deterministic (b : Workload.Spec.batch) () =
@@ -130,7 +130,7 @@ let test_fault_injection_under_native () =
       ("native double-free: " ^ Workload.Fault_injection.outcome_label o)
 
 let test_fault_injection_valgrind_gap () =
-  let scheme () = Baseline.Valgrind_sim.scheme (Machine.create ()) in
+  let scheme () = Runtime.Valgrind_sim.scheme (Machine.create ()) in
   (match
      Workload.Fault_injection.read_after_free.Workload.Fault_injection.inject
        (scheme ())
@@ -198,9 +198,9 @@ let prop_trace_schemes_agree =
              (fun m -> Runtime.Schemes.pa m);
              Runtime.Schemes.shadow_basic;
              (fun m -> Runtime.Schemes.shadow_pool m);
-             (fun m -> Baseline.Efence.scheme m);
-             (fun m -> Baseline.Valgrind_sim.scheme m);
-             (fun m -> Baseline.Capability_check.scheme m);
+             (fun m -> Runtime.Efence.scheme m);
+             (fun m -> Runtime.Valgrind_sim.scheme m);
+             (fun m -> Runtime.Capability_check.scheme m);
            ])
 
 let test_trace_recording_roundtrip () =
