@@ -70,43 +70,52 @@ let create ?(cost_per_word = 2) ~roots pool =
 
 (* Conservative membership: any word value landing anywhere inside a
    freed range — interior pointers included — counts as a reference to
-   it.  Binary search over the sorted candidate array. *)
-let find_range ranges v =
-  let n = Array.length ranges in
-  let lo = ref 0 and hi = ref (n - 1) and found = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let base, pages = ranges.(mid) in
-    if v < base then hi := mid - 1
-    else if v >= base + Addr.of_page pages then lo := mid + 1
-    else begin
-      found := Some (base, pages);
-      lo := !hi + 1
-    end
-  done;
-  !found
+   it.  [bases] and [ends] hold the sorted candidates' bounds; a value
+   outside [first base, last end) is rejected before the binary search.
+   Returns the range's index, or -1. *)
+let find_range bases ends v =
+  let n = Array.length bases in
+  if n = 0 || v < bases.(0) || v >= ends.(n - 1) then -1
+  else begin
+    let lo = ref 0 and hi = ref (n - 1) and found = ref (-1) in
+    while !lo <= !hi do
+      let mid = (!lo + !hi) / 2 in
+      if v < bases.(mid) then hi := mid - 1
+      else if v >= ends.(mid) then lo := mid + 1
+      else begin
+        found := mid;
+        lo := !hi + 1
+      end
+    done;
+    !found
+  end
 
 let run t =
   let machine = Shadow_pool.machine t.pool in
   let registry = Shadow_pool.registry t.pool in
   t.runs <- t.runs + 1;
-  let freed = Shadow_pool.freed_ranges t.pool in
-  let candidates = Array.of_list freed in
-  let witnesses : (Addr.t, witness) Hashtbl.t = Hashtbl.create 16 in
-  let scanned = ref 0 in
-  let note ~source ~word_addr v =
-    match find_range candidates v with
-    | Some (base, _) ->
-      if not (Hashtbl.mem witnesses base) then
-        Hashtbl.replace witnesses base
-          { w_source = source; w_word_addr = word_addr; w_value = v }
-    | None -> ()
+  let freed = Array.of_list (Shadow_pool.freed_ranges t.pool) in
+  let bases = Array.map fst freed in
+  let ends = Array.map (fun (base, pages) -> base + Addr.of_page pages) freed in
+  (* First witness per candidate.  A word that names no candidate, or
+     one already witnessed, allocates nothing: the witness and its label
+     are built only when recorded. *)
+  let witnesses : witness option array = Array.make (Array.length freed) None in
+  let unwitnessed v =
+    let i = find_range bases ends v in
+    if i >= 0 && Option.is_none witnesses.(i) then i else -1
   in
-  if freed <> [] then begin
+  let scanned = ref 0 in
+  if freed <> [||] then begin
     (* Roots: registers, stack words, globals. *)
     scanned := Roots.word_count t.roots;
     Roots.iter_words t.roots (fun src v ->
-        note ~source:(Roots.source_label src) ~word_addr:None v);
+        let i = unwitnessed v in
+        if i >= 0 then
+          witnesses.(i) <-
+            Some
+              { w_source = Roots.source_label src; w_word_addr = None;
+                w_value = v });
     (* Heap words of every live object in the pool's registry.  The
        freed objects' own words need no scan: their pages are protected
        and their contents unreachable without first tripping a trap. *)
@@ -117,31 +126,36 @@ let run t =
               ~bytes:o.Object_registry.size;
         Roots.iter_heap_words machine ~addr:o.Object_registry.user_addr
           ~bytes:o.Object_registry.size (fun word_addr v ->
-            note
-              ~source:
-                (Printf.sprintf "heap:%s#%d" o.Object_registry.alloc_site
-                   o.Object_registry.id)
-              ~word_addr:(Some word_addr) v))
+            let i = unwitnessed v in
+            if i >= 0 then
+              witnesses.(i) <-
+                Some
+                  {
+                    w_source =
+                      Printf.sprintf "heap:%s#%d" o.Object_registry.alloc_site
+                        o.Object_registry.id;
+                    w_word_addr = Some word_addr;
+                    w_value = v;
+                  }))
   end;
   (* The scan is real work on the simulated machine: charge it. *)
   let pause = !scanned * t.cost_per_word in
   if pause > 0 then Stats.count_instructions machine.Machine.stats pause;
   let pinned, reclaimable =
-    List.partition_map
-      (fun (base, pages) ->
-        match Hashtbl.find_opt witnesses base with
-        | Some w ->
-          Either.Left { p_base = base; p_pages = pages; p_witness = w }
-        | None -> Either.Right (base, pages))
-      freed
+    Array.to_list freed
+    |> List.mapi (fun i (base, pages) ->
+           match witnesses.(i) with
+           | Some w ->
+             Either.Left { p_base = base; p_pages = pages; p_witness = w }
+           | None -> Either.Right (base, pages))
+    |> List.partition_map Fun.id
   in
   let reclaimed_pages = Shadow_pool.reclaim_ranges t.pool reclaimable in
   (* A range whose merged unmap failed stays protected; report only what
      was actually released. *)
   let reclaimed =
     List.filter
-      (fun (base, _) ->
-        not (List.mem_assoc base (Shadow_pool.freed_ranges t.pool)))
+      (fun (base, _) -> not (Shadow_pool.is_freed t.pool base))
       reclaimable
   in
   t.total_reclaimed_pages <- t.total_reclaimed_pages + reclaimed_pages;
@@ -156,7 +170,7 @@ let run t =
   Telemetry.Histogram.observe t.pause_hist (float_of_int pause);
   let report =
     {
-      freed_ranges = List.length freed;
+      freed_ranges = Array.length freed;
       scanned_words = !scanned;
       pinned;
       reclaimed;

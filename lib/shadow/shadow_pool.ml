@@ -4,6 +4,56 @@ type range_state =
   | Rs_live
   | Rs_freed
 
+(* The shadow ranges this pool holds, with their page totals kept as
+   running counts so the per-free reuse-policy check and the per-alloc
+   live-page sample are O(1).  Every change to [table] goes through
+   [set_range], [remove_range] or [reset_ranges], which keep the counts
+   equal to a fold over it. *)
+type ranges = {
+  table : (Addr.t, int * range_state) Hashtbl.t; (* base -> pages, state *)
+  mutable held_pages : int;
+  mutable freed_pages : int;
+  mutable visited : int; (* diagnostic: entries read by scans and queries *)
+}
+
+let freed_share pages = function Rs_freed -> pages | Rs_live -> 0
+
+let uncount r base =
+  match Hashtbl.find_opt r.table base with
+  | Some (pages, state) ->
+    r.held_pages <- r.held_pages - pages;
+    r.freed_pages <- r.freed_pages - freed_share pages state
+  | None -> ()
+
+let set_range r base pages state =
+  uncount r base;
+  Hashtbl.replace r.table base (pages, state);
+  r.held_pages <- r.held_pages + pages;
+  r.freed_pages <- r.freed_pages + freed_share pages state
+
+let remove_range r base =
+  uncount r base;
+  Hashtbl.remove r.table base
+
+let reset_ranges r =
+  Hashtbl.reset r.table;
+  r.held_pages <- 0;
+  r.freed_pages <- 0
+
+(* A read of one entry on behalf of a scan or a membership query — what
+   the [ranges_visited] diagnostic counts.  The point updates above are
+   not visits: they are the O(1) bookkeeping of a single alloc or free. *)
+let lookup r base =
+  r.visited <- r.visited + 1;
+  Hashtbl.find_opt r.table base
+
+let fold_ranges f r acc =
+  Hashtbl.fold
+    (fun base entry acc ->
+      r.visited <- r.visited + 1;
+      f base entry acc)
+    r.table acc
+
 type t = {
   machine : Machine.t;
   registry : Object_registry.t;
@@ -11,7 +61,7 @@ type t = {
   heap : Shadow_heap.t;
   recycler : Apa.Page_recycler.t option;
   slab : Slab.t option;
-  shadow_ranges : (Addr.t, int * range_state) Hashtbl.t; (* base -> pages, state *)
+  shadow_ranges : ranges;
   elided_live : (Addr.t, int) Hashtbl.t; (* addr -> size, statically-safe blocks *)
   unmap : addr:Addr.t -> pages:int -> (unit, Fault_plan.error) result;
   mutable after_free_hook : (unit -> unit) option;
@@ -29,7 +79,9 @@ let create ?(arena_pages = 16) ?elem_size ?(reuse_shadow_va = true) ?recycler
     | None -> Apa.Pool.Unmap
   in
   let pool = Apa.Pool.create ~arena_pages ?elem_size ~reclaim machine in
-  let shadow_ranges = Hashtbl.create 64 in
+  let shadow_ranges =
+    { table = Hashtbl.create 64; held_pages = 0; freed_pages = 0; visited = 0 }
+  in
   let shadow_placer pages =
     match recycler with
     | Some r when reuse_shadow_va -> Apa.Page_recycler.take r ~pages
@@ -40,9 +92,7 @@ let create ?(arena_pages = 16) ?elem_size ?(reuse_shadow_va = true) ?recycler
     | Some r when reuse_shadow_va -> Apa.Page_recycler.put r ~base ~pages
     | Some _ | None -> ()
   in
-  let on_shadow_range ~base ~pages =
-    Hashtbl.replace shadow_ranges base (pages, Rs_live)
-  in
+  let on_shadow_range ~base ~pages = set_range shadow_ranges base pages Rs_live in
   let shadow_alias =
     Option.map (fun s ~src ~pages -> Slab.take s ~src ~pages) slab
   in
@@ -98,8 +148,8 @@ let try_alloc t ?site size =
   Shadow_heap.try_malloc t.heap ?site size
 
 let mark_range_freed t (o : Object_registry.obj) =
-  Hashtbl.replace t.shadow_ranges o.Object_registry.shadow_base
-    (o.Object_registry.pages, Rs_freed)
+  set_range t.shadow_ranges o.Object_registry.shadow_base
+    o.Object_registry.pages Rs_freed
 
 let free t ?site user =
   check_usable t "free";
@@ -202,8 +252,7 @@ let destroy t =
      mapped, never reused — the registry entries are dropped either
      way). *)
   let ranges =
-    Hashtbl.fold
-      (fun base (pages, _state) acc -> (base, pages) :: acc)
+    fold_ranges (fun base (pages, _state) acc -> (base, pages) :: acc)
       t.shadow_ranges []
     |> List.sort compare
   in
@@ -219,12 +268,12 @@ let destroy t =
   List.iter
     (fun (base, pages) -> Object_registry.forget_range t.registry ~base ~pages)
     ranges;
-  Hashtbl.reset t.shadow_ranges;
+  reset_ranges t.shadow_ranges;
   Hashtbl.reset t.elided_live;
   Apa.Pool.destroy t.pool
 
 let freed_ranges t =
-  Hashtbl.fold
+  fold_ranges
     (fun base (pages, state) acc ->
       match state with
       | Rs_freed -> (base, pages) :: acc
@@ -241,15 +290,17 @@ let freed_ranges t =
 let reclaim_ranges t ranges =
   check_usable t "reclaim_ranges";
   (* Only ranges currently in the freed set are eligible; anything else
-     (live, quarantined, already reclaimed) is skipped, so callers may
-     pass stale lists safely. *)
+     (live, quarantined, already reclaimed) is skipped, and a range
+     listed twice is released and counted once, so callers may pass
+     stale lists safely. *)
   let eligible =
     List.filter
       (fun (base, pages) ->
-        match Hashtbl.find_opt t.shadow_ranges base with
+        match lookup t.shadow_ranges base with
         | Some (p, Rs_freed) -> p = pages
         | Some (_, Rs_live) | None -> false)
       ranges
+    |> List.sort_uniq compare
   in
   let merged = Syscalls.coalesce_ranges eligible in
   let released_runs =
@@ -269,21 +320,23 @@ let reclaim_ranges t ranges =
           | Error _ -> false)
         merged
   in
-  let run_released (base, pages) =
-    let limit = base + Addr.of_page pages in
-    List.exists
-      (fun (rb, rp) -> base >= rb && limit <= rb + Addr.of_page rp)
-      released_runs
-  in
-  List.fold_left
-    (fun acc (base, pages) ->
-      if run_released (base, pages) then begin
+  (* One merge over the two base-sorted lists: each eligible range lies
+     inside exactly one merged run, released or not, and a run is passed
+     over once a range starts beyond its end. *)
+  let rec release acc ranges runs =
+    match (ranges, runs) with
+    | [], _ | _, [] -> acc
+    | (base, pages) :: rest, (rb, rp) :: later ->
+      let run_end = rb + Addr.of_page rp in
+      if base >= run_end then release acc ranges later
+      else if base >= rb && base + Addr.of_page pages <= run_end then begin
         Object_registry.forget_range t.registry ~base ~pages;
-        Hashtbl.remove t.shadow_ranges base;
-        acc + pages
+        remove_range t.shadow_ranges base;
+        release (acc + pages) rest runs
       end
-      else acc)
-    0 eligible
+      else release acc rest runs
+  in
+  release 0 eligible released_runs
 
 let reclaim_freed_shadow t =
   check_usable t "reclaim_freed_shadow";
@@ -294,13 +347,11 @@ let registry t = t.registry
 let is_destroyed t = t.destroyed
 let live_blocks t = Apa.Pool.live_blocks t.pool
 
-let shadow_pages_live t =
-  Hashtbl.fold (fun _ (pages, _) acc -> acc + pages) t.shadow_ranges 0
+let shadow_pages_live t = t.shadow_ranges.held_pages
+let freed_shadow_pages t = t.shadow_ranges.freed_pages
+let ranges_visited t = t.shadow_ranges.visited
 
-let freed_shadow_pages t =
-  Hashtbl.fold
-    (fun _ (pages, state) acc ->
-      match state with
-      | Rs_freed -> acc + pages
-      | Rs_live -> acc)
-    t.shadow_ranges 0
+let is_freed t base =
+  match lookup t.shadow_ranges base with
+  | Some (_, Rs_freed) -> true
+  | Some (_, Rs_live) | None -> false

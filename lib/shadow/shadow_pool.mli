@@ -122,7 +122,13 @@ val reclaim_ranges : t -> (Vmm.Addr.t * int) list -> int
     via {!Vmm.Syscalls.coalesce_ranges} and each merged run costs one
     [unmap] (or one recycler insertion).  A merged run whose unmap fails
     is kept whole — still protected, reclaimable later — never
-    half-released.  Ranges not currently in the freed set are skipped. *)
+    half-released.  Ranges not currently in the freed set are skipped,
+    and a range listed more than once is released and counted once. *)
+
+val is_freed : t -> Vmm.Addr.t -> bool
+(** [is_freed t base]: a range starting at [base] is in the freed set —
+    after {!reclaim_ranges}, exactly the ranges it did not release.
+    O(1). *)
 
 val set_after_free_hook : t -> (unit -> unit) -> unit
 (** Install the pool's reclamation hook (typically
@@ -141,7 +147,16 @@ val registry : t -> Object_registry.t
 val is_destroyed : t -> bool
 val live_blocks : t -> int
 val shadow_pages_live : t -> int
-(** Shadow pages currently held (live + freed-retained). *)
+(** Shadow pages currently held (live + freed-retained).  O(1): a
+    running count, not a traversal of the pool's ranges. *)
 
 val freed_shadow_pages : t -> int
-(** Shadow pages held only to keep freed objects trapping. *)
+(** Shadow pages held only to keep freed objects trapping.  O(1), like
+    {!shadow_pages_live}, so a reuse policy may ask on every free. *)
+
+val ranges_visited : t -> int
+(** Diagnostic, like [Vmm.Page_table.walk_count]: shadow-range entries
+    read so far by {!freed_ranges}, {!destroy}, {!reclaim_ranges}'s
+    eligibility checks and {!is_freed}.  The per-alloc and per-free
+    bookkeeping visits none, so a free path that stays O(1) leaves it
+    unchanged. *)

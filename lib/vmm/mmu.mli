@@ -25,9 +25,12 @@ val store : Machine.t -> Addr.t -> width:int -> int -> unit
 
 val load_exempt : Machine.t -> Addr.t -> width:int -> int
 val store_exempt : Machine.t -> Addr.t -> width:int -> int -> unit
+val kernel_frame : Machine.t -> Addr.t -> Frame_table.frame
 (** Kernel-mode access: ignores permissions (but not mappings) and does
     not count user loads/stores or TLB traffic.  Used by the simulated
-    kernel and by debuggers; never by workload code. *)
+    kernel and by debuggers; never by workload code.  {!kernel_frame} is
+    the page-table walk behind both accessors: the frame mapped at the
+    address's page, or a {!Fault.Unmapped} trap. *)
 
 val probe : Machine.t -> Addr.t -> access:Perm.access -> (unit, Fault.t) result
 (** Check whether an access would succeed, without performing it or

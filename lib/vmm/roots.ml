@@ -82,17 +82,25 @@ let word_count t =
    word fully inside [addr, addr+bytes), read in kernel mode so scanning
    neither trips page protections nor perturbs user-level access
    statistics.  Pointers are stored word-aligned by convention, so the
-   sub-word tail cannot hold one and is not scanned. *)
+   sub-word tail cannot hold one and is not scanned.  An aligned word
+   never crosses a page, so the page table is walked once per page and
+   that page's words are read straight from its frame. *)
 let word_bytes = 8
 
 let iter_heap_words machine ~addr ~bytes f =
-  let first = (addr + word_bytes - 1) / word_bytes * word_bytes in
+  let frames = machine.Machine.frames in
   let limit = addr + bytes in
-  let w = ref first in
+  let w = ref ((addr + word_bytes - 1) / word_bytes * word_bytes) in
   while !w + word_bytes <= limit do
-    let v = Mmu.load_exempt machine !w ~width:word_bytes in
-    if v <> 0 then f !w v;
-    w := !w + word_bytes
+    let frame = Mmu.kernel_frame machine !w in
+    let stop = min limit (Addr.page_base !w + Addr.page_size) in
+    while !w + word_bytes <= stop do
+      let v =
+        Frame_table.read_word frames frame (Addr.offset !w) ~width:word_bytes
+      in
+      if v <> 0 then f !w v;
+      w := !w + word_bytes
+    done
   done
 
 let heap_word_count ~addr ~bytes =

@@ -60,10 +60,12 @@ val iter_heap_words :
   Machine.t -> addr:Addr.t -> bytes:int -> (Addr.t -> int -> unit) -> unit
 (** [iter_heap_words m ~addr ~bytes f] calls [f word_addr value] for
     every non-zero word-aligned 8-byte word fully inside
-    [addr, addr+bytes), read via {!Mmu.load_exempt} — kernel-mode, so
-    the scan neither trips page protections (live objects are readable
-    anyway) nor perturbs user access statistics.  The sub-word tail is
-    not scanned: pointers are stored word-aligned by convention. *)
+    [addr, addr+bytes), read in kernel mode — one {!Mmu.kernel_frame}
+    walk per page, then the words straight from that frame — so the
+    scan neither trips page protections (live objects are readable
+    anyway) nor perturbs user access statistics or the TLB.  The
+    sub-word tail is not scanned: pointers are stored word-aligned by
+    convention. *)
 
 val heap_word_count : addr:Addr.t -> bytes:int -> int
 (** Words {!iter_heap_words} would visit (zero or not) — the scan-cost

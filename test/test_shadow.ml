@@ -333,6 +333,73 @@ let test_reclaim_freed_shadow () =
   ignore q;
   Shadow.Shadow_pool.destroy pool
 
+(* A caller may pass a stale list, duplicates included: a range listed
+   twice is released once, so the pages reported match the pages that
+   reached the recycler. *)
+let test_reclaim_duplicated_range () =
+  let _, _, recycler, pool = make_pool () in
+  let p = Shadow.Shadow_pool.alloc pool 32 in
+  Shadow.Shadow_pool.free pool p;
+  let fr = Shadow.Shadow_pool.freed_ranges pool in
+  check_int "one freed range" 1 (List.length fr);
+  let reclaimed = Shadow.Shadow_pool.reclaim_ranges pool (fr @ fr) in
+  check_int "on the free list" 1 (Apa.Page_recycler.available_pages recycler);
+  check_int "counted once" 1 reclaimed;
+  check_int "freed set drained" 0 (Shadow.Shadow_pool.freed_shadow_pages pool);
+  check_int "a stale list releases nothing" 0
+    (Shadow.Shadow_pool.reclaim_ranges pool fr);
+  Shadow.Shadow_pool.destroy pool
+
+(* ---- structural gates: the reclamation path stays linear ---- *)
+
+(* The gate in the style of the MMU's walks-per-TLB-hit: a free that
+   consults the reuse policy reads no shadow-range entry, however many
+   ranges the pool holds. *)
+let test_free_path_visits_no_range () =
+  let _, _, _, pool = make_pool () in
+  let policy =
+    Shadow.Reuse_policy.create
+      (Shadow.Reuse_policy.Interval_reuse { trigger_pages = max_int })
+      pool
+  in
+  Shadow.Reuse_policy.attach policy;
+  let before = Shadow.Shadow_pool.ranges_visited pool in
+  for _ = 1 to 10_000 do
+    Shadow.Shadow_pool.free pool (Shadow.Shadow_pool.alloc pool 32)
+  done;
+  check_int "10,000 frees hold 10,000 freed pages" 10_000
+    (Shadow.Shadow_pool.freed_shadow_pages pool);
+  check_int "held pages" 10_000 (Shadow.Shadow_pool.shadow_pages_live pool);
+  check_int "no range visited on the alloc/free path" 0
+    (Shadow.Shadow_pool.ranges_visited pool - before);
+  check_int "trigger never reached" 0 (Shadow.Reuse_policy.reclaimed_pages policy)
+
+(* One GC run reads each range entry a bounded number of times, the
+   same bound at every size — a per-range refold of the table would
+   grow with the number of freed ranges. *)
+let test_gc_run_visits_linear () =
+  List.iter
+    (fun n ->
+      let _, _, _, pool = make_pool () in
+      let roots = Roots.create () in
+      let gc = Shadow.Gc.create ~roots pool in
+      let objs = List.init (2 * n) (fun _ -> Shadow.Shadow_pool.alloc pool 32) in
+      List.iteri (fun i a -> if i mod 2 = 0 then Shadow.Shadow_pool.free pool a) objs;
+      (* one freed range stays pinned by a register *)
+      Roots.set_register roots 0 (List.hd objs);
+      let entries = 2 * n in
+      let before = Shadow.Shadow_pool.ranges_visited pool in
+      let r = Shadow.Gc.run gc in
+      let visits = Shadow.Shadow_pool.ranges_visited pool - before in
+      check_int (Printf.sprintf "n=%d: reclaimed" n) (n - 1)
+        (List.length r.Shadow.Gc.reclaimed);
+      check_bool
+        (Printf.sprintf "n=%d: %d visits <= 3 per entry (%d entries)" n visits
+           entries)
+        true
+        (visits <= 3 * entries))
+    [ 10; 100; 1000 ]
+
 (* ---- §3.4 policies + exhaustion ---- *)
 
 let test_interval_reuse_policy () =
@@ -561,6 +628,215 @@ let prop_pool_soundness =
         ops;
       !ok)
 
+(* ---- running counts under random reclamation traces ---- *)
+
+type count_op =
+  | C_alloc of int  (** size *)
+  | C_free of int  (** pick among live objects *)
+  | C_free_unprotected of int
+  | C_defer of int  (** epoch-mode free of a live object *)
+  | C_retire of int  (** protect, then retire, a deferred object *)
+  | C_reclaim of int list  (** picks among freed and stale ranges *)
+  | C_gc of int * int  (** freed object to root, live object to hold it *)
+  | C_fail_unmap of bool
+
+let show_count_op = function
+  | C_alloc n -> Printf.sprintf "alloc %d" n
+  | C_free i -> Printf.sprintf "free %d" i
+  | C_free_unprotected i -> Printf.sprintf "free_unprotected %d" i
+  | C_defer i -> Printf.sprintf "defer %d" i
+  | C_retire i -> Printf.sprintf "retire %d" i
+  | C_reclaim l ->
+    Printf.sprintf "reclaim [%s]" (String.concat ";" (List.map string_of_int l))
+  | C_gc (i, j) -> Printf.sprintf "gc %d %d" i j
+  | C_fail_unmap b -> Printf.sprintf "fail_unmap %b" b
+
+let gen_count_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, map (fun n -> C_alloc n) (int_range 1 6000));
+      (3, map (fun i -> C_free i) nat);
+      (1, map (fun i -> C_free_unprotected i) nat);
+      (2, map (fun i -> C_defer i) nat);
+      (2, map (fun i -> C_retire i) nat);
+      (2, map (fun l -> C_reclaim l) (list_size (int_bound 6) nat));
+      (2, map2 (fun i j -> C_gc (i, j)) nat nat);
+      (1, map (fun b -> C_fail_unmap b) bool);
+    ]
+
+type tracked = {
+  obj : Shadow.Object_registry.obj;
+  mutable stage : [ `Live | `Deferred | `Freed ];
+  mutable protected_ : bool;
+}
+
+(* After every step of a random trace — the eager, degraded and epoch
+   free paths, stale/duplicated/unsorted reclaim lists, GC runs with
+   planted roots, injected unmap failures and a final destroy — the
+   running counts equal a recount from scratch, the freed set is exactly
+   the retired objects still held, every range a GC reports reclaimed
+   has left the freed set, and every pinned protected range traps. *)
+let prop_running_counts =
+  QCheck.Test.make ~name:"shadow-pool: running counts match a recount"
+    ~count:60
+    QCheck.(
+      triple bool bool
+        (make
+           ~print:(fun ops -> String.concat ", " (List.map show_count_op ops))
+           Gen.(list_size (int_range 1 60) gen_count_op)))
+    (fun (with_recycler, destroy, ops) ->
+      let m = Machine.create () in
+      let registry = Shadow.Object_registry.create () in
+      let recycler =
+        if with_recycler then Some (Apa.Page_recycler.create ()) else None
+      in
+      let fail = ref false in
+      let unmap ~addr ~pages =
+        if !fail then Error (Fault_plan.Transient Fault_plan.Eagain)
+        else Syscalls.munmap m ~addr ~pages
+      in
+      let pool = Shadow.Shadow_pool.create ?recycler ~unmap ~registry m in
+      let roots = Roots.create () in
+      let gc = Shadow.Gc.create ~roots pool in
+      let objs = ref [] in
+      let held t =
+        match Shadow.Object_registry.find_by_addr registry t.obj.user_addr with
+        | Some o -> o == t.obj
+        | None -> false
+      in
+      let pick stage i =
+        match List.filter (fun t -> t.stage = stage && held t) !objs with
+        | [] -> None
+        | l -> Some (List.nth l (i mod List.length l))
+      in
+      let range t = (t.obj.shadow_base, t.obj.pages) in
+      let sum = List.fold_left (fun acc (_, p) -> acc + p) 0 in
+      let check_counts step =
+        let freed = Shadow.Shadow_pool.freed_ranges pool in
+        let expect_freed =
+          List.filter (fun t -> t.stage = `Freed && held t) !objs
+          |> List.map range |> List.sort compare
+        in
+        let recount =
+          List.fold_left
+            (fun acc t -> if held t then acc + t.obj.pages else acc)
+            0 !objs
+        in
+        if Shadow.Shadow_pool.freed_shadow_pages pool <> sum freed then
+          QCheck.Test.fail_reportf "%s: freed_shadow_pages %d, ranges sum %d"
+            step (Shadow.Shadow_pool.freed_shadow_pages pool) (sum freed);
+        if Shadow.Shadow_pool.shadow_pages_live pool <> recount then
+          QCheck.Test.fail_reportf "%s: shadow_pages_live %d, recount %d" step
+            (Shadow.Shadow_pool.shadow_pages_live pool) recount;
+        if freed <> expect_freed then
+          QCheck.Test.fail_reportf "%s: freed set differs from the model" step
+      in
+      let step op =
+        match op with
+        | C_alloc n ->
+          let a = Shadow.Shadow_pool.alloc pool n in
+          (match Shadow.Object_registry.find_by_addr registry a with
+           | Some obj -> objs := { obj; stage = `Live; protected_ = false } :: !objs
+           | None -> QCheck.Test.fail_report "alloc not registered")
+        | C_free i ->
+          Option.iter
+            (fun t ->
+              Shadow.Shadow_pool.free pool t.obj.user_addr;
+              t.stage <- `Freed;
+              t.protected_ <- true)
+            (pick `Live i)
+        | C_free_unprotected i ->
+          Option.iter
+            (fun t ->
+              ignore (Shadow.Shadow_pool.free_unprotected pool t.obj.user_addr);
+              t.stage <- `Freed)
+            (pick `Live i)
+        | C_defer i ->
+          Option.iter
+            (fun t ->
+              ignore (Shadow.Shadow_pool.free_deferred pool t.obj.user_addr);
+              t.stage <- `Deferred)
+            (pick `Live i)
+        | C_retire i ->
+          Option.iter
+            (fun t ->
+              Kernel.mprotect m ~addr:t.obj.shadow_base ~pages:t.obj.pages
+                Perm.No_access;
+              Shadow.Shadow_pool.retire_object pool t.obj;
+              t.stage <- `Freed;
+              t.protected_ <- true)
+            (pick `Deferred i)
+        | C_reclaim picks ->
+          (* Unsorted picks over the freed set plus every range ever
+             handed out, so stale and duplicated entries both occur. *)
+          let candidates =
+            Array.of_list
+              (Shadow.Shadow_pool.freed_ranges pool @ List.map range !objs)
+          in
+          if candidates <> [||] then begin
+            let ranges =
+              List.map (fun k -> candidates.(k mod Array.length candidates)) picks
+            in
+            let before = Shadow.Shadow_pool.freed_shadow_pages pool in
+            let released = Shadow.Shadow_pool.reclaim_ranges pool ranges in
+            if before - Shadow.Shadow_pool.freed_shadow_pages pool <> released
+            then
+              QCheck.Test.fail_reportf "reclaim reported %d pages, released %d"
+                released
+                (before - Shadow.Shadow_pool.freed_shadow_pages pool)
+          end
+        | C_gc (i, j) ->
+          let target = pick `Freed i in
+          let holder = pick `Live j in
+          Option.iter
+            (fun t -> Roots.set_register roots 0 (t.obj.user_addr + (i mod 8)))
+            target;
+          (match (target, holder) with
+           | Some t, Some h ->
+             Mmu.store m h.obj.user_addr ~width:8 t.obj.user_addr
+           | _ -> ());
+          let r = Shadow.Gc.run gc in
+          List.iter
+            (fun (base, _) ->
+              if Shadow.Shadow_pool.is_freed pool base
+                 || List.mem_assoc base (Shadow.Shadow_pool.freed_ranges pool)
+              then QCheck.Test.fail_reportf "reclaimed 0x%x still freed" base)
+            r.Shadow.Gc.reclaimed;
+          Option.iter
+            (fun t ->
+              if not
+                   (List.exists
+                      (fun p -> p.Shadow.Gc.p_base = t.obj.shadow_base)
+                      r.Shadow.Gc.pinned)
+              then QCheck.Test.fail_report "rooted range not pinned")
+            target;
+          List.iter
+            (fun (t : tracked) ->
+              if t.protected_ && t.stage = `Freed && held t then
+                match load m registry t.obj.user_addr with
+                | _ -> QCheck.Test.fail_report "pinned range did not trap"
+                | exception Shadow.Report.Violation _ -> ())
+            !objs;
+          Roots.clear_register roots 0;
+          Option.iter
+            (fun h -> Mmu.store m h.obj.user_addr ~width:8 0)
+            holder
+        | C_fail_unmap b -> fail := b
+      in
+      List.iter
+        (fun op ->
+          step op;
+          check_counts (show_count_op op))
+        ops;
+      if destroy then begin
+        Shadow.Shadow_pool.destroy pool;
+        check_counts "destroy";
+        if Shadow.Shadow_pool.shadow_pages_live pool <> 0 then
+          QCheck.Test.fail_report "destroy left pages held"
+      end;
+      true)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -609,6 +885,15 @@ let () =
             test_registry_forgotten_after_destroy;
           Alcotest.test_case "reclaim freed shadow" `Quick
             test_reclaim_freed_shadow;
+          Alcotest.test_case "reclaim counts a duplicated range once" `Quick
+            test_reclaim_duplicated_range;
+        ] );
+      ( "structural",
+        [
+          Alcotest.test_case "free path visits no range" `Quick
+            test_free_path_visits_no_range;
+          Alcotest.test_case "gc run visits each range a bounded number of times"
+            `Quick test_gc_run_visits_linear;
         ] );
       ( "policies",
         [
@@ -621,5 +906,10 @@ let () =
           Alcotest.test_case "exhaustion model" `Quick test_exhaustion_model;
         ] );
       ( "properties",
-        qcheck [ prop_soundness_and_precision; prop_pool_soundness ] );
+        qcheck
+          [
+            prop_soundness_and_precision;
+            prop_pool_soundness;
+            prop_running_counts;
+          ] );
     ]
