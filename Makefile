@@ -14,13 +14,12 @@ bench:
 	dune exec bench/main.exe
 
 # Quick bench run (scale divisor 16), gated by the same per-section
-# invariants as the full run.  Then every simulated figure must match
-# the golden exactly (see bench/golden/README.md to regenerate it).
+# invariants as the full run.  Then the results file, every figure in
+# it simulated, must match the golden exactly (see
+# bench/golden/README.md to regenerate it).
 bench-smoke:
 	dune exec bench/main.exe -- --smoke
-	dune exec bench/strip_results.exe -- BENCH_results.json \
-	  > /tmp/bench.smoke.stripped.json
-	diff -u bench/golden/smoke.json /tmp/bench.smoke.stripped.json
+	diff -u bench/golden/smoke.json BENCH_results.json
 
 # Quick fault-injection campaign: exits nonzero if any workload crashes
 # undiagnosed or any detection miss cannot be attributed to a recorded
@@ -61,9 +60,10 @@ tag-smoke:
 # Static-analysis CLI smoke: exit codes (0 clean/may, 3 must-UAF) and
 # the machine-readable output pinned by the golden files.  Then the
 # file-reading commands on a directory, `compile --run` on a program
-# that fails at run time, and the model commands on a zero or NaN rate
-# or a zero connection count must each fail with a clean error: a
-# nonzero exit other than 125 and no uncaught exception.
+# that fails at run time, the model commands on a zero or NaN rate or a
+# zero connection count, and every size flag (--scale, --record-scale,
+# --scale-divisor, --connections) below 1 must each fail with a clean
+# error: a nonzero exit other than 125 and no uncaught exception.
 lint-smoke:
 	dune build bin/danguard.exe
 	dune exec bin/danguard.exe -- lint examples/lint/safe.mc
@@ -81,7 +81,12 @@ lint-smoke:
 	@for args in "compile examples" "lint examples" "pools examples" \
 	    "trace examples" "compile --run examples/lint/negative_count.mc" \
 	    "exhaustion --allocs-per-sec 0" "exhaustion --allocs-per-sec nan" \
-	    "addr-space --connections 0"; do \
+	    "addr-space --connections 0" \
+	    "table 1 --scale-divisor 0" "faults all --scale-divisor 0" \
+	    "faults all --scale-divisor=-1" "farm ghttpd --connections=-3" \
+	    "report ghttpd --connections=-3" "run bh --scale=-1" \
+	    "trace --record bh --record-scale=-1" "run tsp --scale=-1" \
+	    "run treeadd --scale=-1" "run treeadd --scale=0"; do \
 	  rc=0; out=$$(dune exec bin/danguard.exe -- $$args 2>&1) || rc=$$?; \
 	  if [ $$rc -eq 0 ] || [ $$rc -eq 125 ] || \
 	     echo "$$out" | grep -q "uncaught exception"; then \
@@ -109,7 +114,8 @@ pools-smoke:
 
 # No new bare failwith / assert false in the core libraries (each must
 # name the invariant it guards), no scheme-name string matching outside
-# Scheme_spec, and no second points-to engine beside Minic.Dsa; see
+# Scheme_spec, no second points-to engine beside Minic.Dsa, and no
+# environment-variable reads in lib, bin or bench; see
 # scripts/lint_src.sh.
 lint-src:
 	sh scripts/lint_src.sh

@@ -113,7 +113,7 @@ let probe_in_window () =
 let probe_at_retirement () =
   let machine = Vmm.Machine.create () in
   let scheme = Runtime.Schemes.shadow_pool_epoch
-      ~config:{ Runtime.Schemes.default_epoch_config with max_frees = 4 } machine in
+      ~config:{ Runtime.Schemes.max_frees = 4 } machine in
   let victims =
     List.init 4 (fun i ->
         let a =
@@ -222,7 +222,7 @@ let run ~smoke () =
             (fun m ->
               Runtime.Schemes.shadow_pool_epoch
                 ~config:
-                  { Runtime.Schemes.default_epoch_config with max_frees }
+                  { Runtime.Schemes.max_frees }
                 m)
             churn ~ops
         in

@@ -1,7 +1,7 @@
 (* The benchmark harness: regenerates every table and study from the
-   paper's evaluation section at full scale, then runs bechamel
-   micro/macro benchmarks (one Test.make per table plus the core
-   allocator micro-operations).
+   paper's evaluation section at full scale, then the per-subsystem
+   sections (fast path, static elision, pool inference, epoch batching,
+   tagging, farm, fleet report, soak).
 
    Output sections:
      1. Table 1  — utilities + servers, all five configurations
@@ -11,15 +11,17 @@
      5. Sec 3.4  — exhaustion model and long-lived-pool policies
      6. Sec 5    — detection-guarantee matrix
      7. Ablations — design choices DESIGN.md calls out
-     8. Bechamel — wall-clock cost of the simulator itself
 
    Besides the text report, the run writes BENCH_results.json (path
    overridable with --out): tables 1-3 row data, an our-approach
-   cycles/syscalls/faults row per workload, and the bechamel ns/op
-   figures.  --smoke (scale divisor 16) keeps CI runs short;
-   --scale-divisor N picks any other divisor.  Each section gates its
-   own invariants (gate.ml); after writing the results file the run
-   lists every failed gate and exits nonzero. *)
+   cycles/syscalls/faults row per workload, and each section's figures.
+   Every figure is simulated and every object's keys are sorted, so two
+   runs at one scale write the same bytes; the simulator's own
+   host-clock speed is measured by benchmark/, not here.  --smoke
+   (scale divisor 16) keeps CI runs short; --scale-divisor N picks any
+   other divisor.  Each section gates its own invariants (gate.ml);
+   after writing the results file the run lists every failed gate and
+   exits nonzero. *)
 
 module J = Telemetry.Json
 
@@ -342,101 +344,17 @@ let run_ablations () =
       ablation_cache_behaviour ();
       ablation_allocator_agnostic ())
 
-(* ---- 8: bechamel ---- *)
-
-open Bechamel
-open Toolkit
-
-let micro_tests =
-  (* Steady-state cost of one alloc+free pair: the scheme is created once
-     and reused across runs (all of these recycle memory, so state stays
-     bounded).  Electric Fence never reuses pages, so it is measured
-     with per-run setup instead — its figure includes machine creation. *)
-  let steady name make =
-    Test.make ~name
-      (Staged.stage
-         (let scheme = make (Vmm.Machine.create ()) in
-          fun () ->
-            let a = scheme.Runtime.Scheme.malloc 48 in
-            scheme.Runtime.Scheme.free a))
-  in
-  [
-    steady "malloc+free/native" Runtime.Schemes.native;
-    steady "malloc+free/shadow-pool" (fun m -> Runtime.Schemes.shadow_pool m);
-    steady "malloc+free/capability" (fun m ->
-        Runtime.Capability_check.scheme m);
-    Test.make ~name:"malloc+free/efence-with-setup"
-      (Staged.stage (fun () ->
-           let scheme = Runtime.Efence.scheme (Vmm.Machine.create ()) in
-           let a = scheme.Runtime.Scheme.malloc 48 in
-           scheme.Runtime.Scheme.free a));
-    Test.make ~name:"mmu-load/hot"
-      (Staged.stage
-         (let m = Vmm.Machine.create () in
-          let a = Vmm.Kernel.mmap m ~pages:1 in
-          fun () -> ignore (Vmm.Mmu.load m a ~width:8)));
-    Test.make ~name:"pool-create+destroy"
-      (Staged.stage
-         (let m = Vmm.Machine.create () in
-          let r = Apa.Page_recycler.create () in
-          fun () ->
-            let p = Apa.Pool.create ~reclaim:(Apa.Pool.Recycle r) m in
-            ignore (Apa.Pool.alloc p 32);
-            Apa.Pool.destroy p));
-  ]
-
-(* One macro bench per paper table, at reduced scale so bechamel can
-   sample them a few times. *)
-let table_tests =
-  [
-    Test.make ~name:"table1/utilities+servers"
-      (Staged.stage (fun () -> ignore (Harness.Table1.rows ~scale_divisor:16 ())));
-    Test.make ~name:"table2/valgrind-comparison"
-      (Staged.stage (fun () -> ignore (Harness.Table2.rows ~scale_divisor:16 ())));
-    Test.make ~name:"table3/olden"
-      (Staged.stage (fun () -> ignore (Harness.Table3.rows ~scale_divisor:16 ())));
-    Test.make ~name:"sec4.3/addr-space"
-      (Staged.stage (fun () ->
-           ignore (Harness.Addr_space.rows ~connections:3 ())));
-    Test.make ~name:"sec5/detection-matrix"
-      (Staged.stage (fun () -> ignore (Harness.Detection_matrix.run ())));
-  ]
-
-let run_bechamel () =
-  section "Bechamel: simulator wall-clock (ns per operation)";
-  let tests = micro_tests @ table_tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.4) ~stabilize:false ()
-  in
-  let grouped = Test.make_grouped ~name:"bench" ~fmt:"%s/%s" tests in
-  let raw = Benchmark.all cfg instances grouped in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  let estimated =
-    List.filter_map
-      (fun (name, ols) ->
-        match Analyze.OLS.estimates ols with
-        | Some [ ns ] -> Some (name, ns)
-        | Some _ | None -> None)
-      rows
-  in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ ns ] ->
-        if ns > 1e6 then Printf.printf "  %-36s %10.2f ms/run\n" name (ns /. 1e6)
-        else Printf.printf "  %-36s %10.0f ns/run\n" name ns
-      | Some _ | None -> Printf.printf "  %-36s (no estimate)\n" name)
-    (List.sort compare rows);
-  List.sort compare estimated
-
 (* ---- JSON results file ---- *)
 
-let write_results ~out ~scale_divisor ~smoke ~tables ~costs ~bechamel ~fastpath
+let rec sort_keys = function
+  | J.Obj kvs ->
+    J.Obj
+      (List.map (fun (k, v) -> (k, sort_keys v)) kvs
+      |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b))
+  | J.List l -> J.List (List.map sort_keys l)
+  | v -> v
+
+let write_results ~out ~scale_divisor ~smoke ~tables ~costs ~fastpath
     ~static_elision ~pool_inference ~epoch_batching ~tag_backend ~resilience
     ~farm ~fleet ~soak =
   let doc =
@@ -447,12 +365,6 @@ let write_results ~out ~scale_divisor ~smoke ~tables ~costs ~bechamel ~fastpath
         ("smoke", J.Bool smoke);
         ("tables", J.Obj tables);
         ("cost_rows", J.List costs);
-        ( "bechamel",
-          J.List
-            (List.map
-               (fun (name, ns) ->
-                 J.Obj [ ("name", J.String name); ("ns_per_run", J.Float ns) ])
-               bechamel) );
         ("fastpath", fastpath);
         ("static_elision", static_elision);
         ("pool_inference", pool_inference);
@@ -465,7 +377,7 @@ let write_results ~out ~scale_divisor ~smoke ~tables ~costs ~bechamel ~fastpath
       ]
   in
   Out_channel.with_open_text out (fun oc ->
-      Out_channel.output_string oc (J.to_string_pretty doc);
+      Out_channel.output_string oc (J.to_string_pretty (sort_keys doc));
       Out_channel.output_char oc '\n');
   Printf.printf "\nwrote %s\n" out
 
@@ -506,7 +418,7 @@ let () =
   run_detection ();
   let resilience = run_resilience ~scale_divisor () in
   run_ablations ();
-  let fastpath = Fastpath.run ~smoke:!smoke () in
+  let fastpath = Fastpath.run () in
   let static_elision = Static_elision.run () in
   let pool_inference = Pool_inference.run () in
   let epoch_batching = Epoch_batching.run ~smoke:!smoke () in
@@ -514,13 +426,6 @@ let () =
   let farm = Farm.run ~smoke:!smoke () in
   let fleet = Fleet_report.run ~smoke:!smoke () in
   let soak = Soak.run ~smoke:!smoke () in
-  let bechamel =
-    match Sys.getenv_opt "SKIP_BECHAMEL" with
-    | Some _ ->
-      print_endline "\n(bechamel section skipped)";
-      []
-    | None -> run_bechamel ()
-  in
   write_results ~out:!out ~scale_divisor ~smoke:!smoke
     ~tables:
       [
@@ -528,7 +433,7 @@ let () =
         ("table2", Harness.Table2.to_json t2);
         ("table3", Harness.Table3.to_json t3);
       ]
-    ~costs ~bechamel ~fastpath ~static_elision ~pool_inference
+    ~costs ~fastpath ~static_elision ~pool_inference
     ~epoch_batching ~tag_backend
     ~resilience:(Harness.Resilience.to_json resilience)
     ~farm ~fleet ~soak;

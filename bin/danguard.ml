@@ -48,9 +48,22 @@ let config_arg =
     & opt scheme_conv Harness.Experiment.ours
     & info [ "s"; "scheme" ] ~docv:"SCHEME" ~doc)
 
+(* Sizes and counts (scales, divisors, connections, shards): anything
+   below 1 is a usage error at parse time, so no workload ever runs at
+   a zero or negative size. *)
+let positive =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+      Error
+        (`Msg (Printf.sprintf "invalid value %S, expected a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let scale_divisor_arg =
   let doc = "Divide workload sizes by this factor (quick runs)." in
-  Arg.(value & opt int 1 & info [ "d"; "scale-divisor" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive 1 & info [ "d"; "scale-divisor" ] ~docv:"N" ~doc)
 
 let json_arg =
   let doc = "Emit machine-readable JSON instead of table text." in
@@ -62,8 +75,34 @@ let seed_arg ~default ~doc =
 let scale_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive) None
     & info [ "scale" ] ~docv:"N" ~doc:"Override the workload scale.")
+
+(* The farm and report subcommands serve the same daemon over the same
+   scheduler, so they share these four arguments. *)
+let server_arg =
+  Arg.(required & pos 0 (some string) None
+       & info [] ~docv:"SERVER"
+           ~doc:"Server daemon name (see $(b,danguard list)).")
+
+let shards_arg =
+  Arg.(value & opt positive 4
+       & info [ "shards" ] ~docv:"N" ~doc:"Number of shard domains.")
+
+let connections_arg =
+  Arg.(value & opt (some positive) None
+       & info [ "c"; "connections" ] ~docv:"M"
+           ~doc:"Total connections to serve (default: the server's).")
+
+let policy_arg =
+  let module Scheduler = Danguard_farm.Scheduler in
+  let policies =
+    [ ("round-robin", Scheduler.Round_robin);
+      ("work-steal", Scheduler.Work_steal) ]
+  in
+  Arg.(value & opt (enum policies) Scheduler.Round_robin
+       & info [ "policy" ] ~docv:"POLICY"
+           ~doc:"Connection scheduler: round-robin or work-steal.")
 
 (* ---- table ---- *)
 
@@ -110,18 +149,15 @@ let table_cmd =
 
 let addr_space_cmd =
   let connections =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "c"; "connections" ] ~docv:"N" ~doc:"Connections per server.")
   in
-  let run = function
-    | Some n when n < 1 -> `Error (false, "--connections must be at least 1")
-    | connections ->
-      print_endline
-        (Harness.Addr_space.render (Harness.Addr_space.rows ?connections ()));
-      `Ok ()
+  let run connections =
+    print_endline
+      (Harness.Addr_space.render (Harness.Addr_space.rows ?connections ()))
   in
   cmd "addr-space" ~doc:"Per-connection virtual-address usage of the five servers (§4.3)."
-    Term.(ret (const run $ connections))
+    Term.(const run $ connections)
 
 (* ---- detect ---- *)
 
@@ -477,7 +513,7 @@ let trace_cmd =
              ~doc:"Record the named workload's heap trace to stdout.")
   in
   let record_scale =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "record-scale" ] ~docv:"N"
              ~doc:"Scale for --record (default: the workload's).")
   in
@@ -650,34 +686,11 @@ let demo_cmd =
 let farm_cmd =
   let module Farm = Danguard_farm.Farm in
   let module Scheduler = Danguard_farm.Scheduler in
-  let server_name =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"SERVER"
-             ~doc:"Server daemon name (see $(b,danguard list)).")
-  in
-  let shards =
-    Arg.(value & opt int 4
-         & info [ "shards" ] ~docv:"N" ~doc:"Number of shard domains.")
-  in
-  let connections =
-    Arg.(value & opt (some int) None
-         & info [ "c"; "connections" ] ~docv:"M"
-             ~doc:"Total connections to serve (default: the server's).")
-  in
   let probe_every =
     Arg.(value & opt int 0
          & info [ "probe-every" ] ~docv:"K"
              ~doc:"Append a dangling-use probe to every K-th connection \
                    (0 = none).")
-  in
-  let policy =
-    let policies =
-      [ ("round-robin", Scheduler.Round_robin);
-        ("work-steal", Scheduler.Work_steal) ]
-    in
-    Arg.(value & opt (enum policies) Scheduler.Round_robin
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:"Connection scheduler: round-robin or work-steal.")
   in
   let trace_file =
     Arg.(value & opt (some string) None
@@ -687,101 +700,99 @@ let farm_cmd =
   in
   let run name shards connections probe_every policy config seed json
       trace_file =
-    if shards < 1 then `Error (false, "--shards must be at least 1")
-    else
-      match Workload.Catalog.find_server name with
-      | None -> `Error (false, "unknown server " ^ name)
-      | Some server ->
-        let trace_capacity = if trace_file = None then 0 else 65536 in
-        let r =
-          Farm.run_server ~policy ~seed ~probe_every ~trace_capacity ~config
-            ?connections ~shards server
-        in
-        (match trace_file with
-         | None -> ()
-         | Some path ->
-           (* pid 0 renders oddly in trace viewers; lanes are 1-based *)
-           let groups =
-             List.map
-               (fun (shard, events) -> (shard + 1, 1, events))
-               r.Farm.traces
-           in
-           Out_channel.with_open_text path (fun oc ->
-               Out_channel.output_string oc
-                 (Telemetry.Export.to_chrome_string_grouped
-                    ~name_of_pid:(fun pid -> Printf.sprintf "shard %d" (pid - 1))
-                    groups)));
-        let label = Harness.Experiment.config_label config in
-        if json then
-          print_endline
-            (J.to_string
-               (J.Obj
-                  [
-                    ("server", J.String name);
-                    ("scheme", J.String label);
-                    ("shards", J.Int r.Farm.shards);
-                    ("policy", J.String (Scheduler.policy_label r.Farm.policy));
-                    ("seed", J.Int r.Farm.seed);
-                    ("connections", J.Int r.Farm.totals.Farm.connections);
-                    ("detections", J.Int r.Farm.totals.Farm.detections);
-                    ("syscalls", J.Int r.Farm.totals.Farm.syscalls);
-                    ("max_va_bytes", J.Int r.Farm.totals.Farm.max_va_bytes);
-                    ("makespan_cycles", J.Float r.Farm.makespan_cycles);
-                    ("throughput_conn_per_mcycle", J.Float r.Farm.throughput);
-                    ("latency_p50", J.Float r.Farm.latency.Harness.Latency.q50);
-                    ("latency_p95", J.Float r.Farm.latency.Harness.Latency.q95);
-                    ("latency_p99", J.Float r.Farm.latency.Harness.Latency.q99);
-                    ( "per_shard",
-                      J.List
-                        (List.map
-                           (fun (sh : Farm.shard_report) ->
-                             J.Obj
-                               [
-                                 ("shard", J.Int sh.Farm.shard);
-                                 ("served", J.Int sh.Farm.served);
-                                 ("busy_cycles", J.Float sh.Farm.busy_cycles);
-                                 ("detections", J.Int sh.Farm.shard_detections);
-                               ])
-                           r.Farm.per_shard) );
-                    ("stats", Vmm.Stats.snapshot_to_json r.Farm.totals.Farm.stats);
-                    ( "syscalls_per_op",
-                      match Vmm.Stats.syscalls_per_op r.Farm.totals.Farm.stats with
-                      | Some v -> J.Float v
-                      | None -> J.Null );
-                  ]))
-        else begin
-          Printf.printf
-            "%s under %s: %d connections over %d shards (%s, seed 0x%x)\n"
-            name label r.Farm.totals.Farm.connections r.Farm.shards
-            (Scheduler.policy_label r.Farm.policy)
-            r.Farm.seed;
-          List.iter
-            (fun (sh : Farm.shard_report) ->
-              Printf.printf
-                "  shard %d: %3d connections, %sM cycles, %d detections\n"
-                sh.Farm.shard sh.Farm.served
-                (Harness.Table.fmt_cycles sh.Farm.busy_cycles)
-                sh.Farm.shard_detections)
-            r.Farm.per_shard;
-          Printf.printf
-            "  makespan %sM cycles, throughput %.3f conn/Mcycle\n"
-            (Harness.Table.fmt_cycles r.Farm.makespan_cycles)
-            r.Farm.throughput;
-          Printf.printf
-            "  detections %d, syscalls %d, latency p50 %sM p99 %sM cycles\n"
-            r.Farm.totals.Farm.detections r.Farm.totals.Farm.syscalls
-            (Harness.Table.fmt_cycles r.Farm.latency.Harness.Latency.q50)
-            (Harness.Table.fmt_cycles r.Farm.latency.Harness.Latency.q99)
-        end;
-        `Ok ()
+    match Workload.Catalog.find_server name with
+    | None -> `Error (false, "unknown server " ^ name)
+    | Some server ->
+      let trace_capacity = if trace_file = None then 0 else 65536 in
+      let r =
+        Farm.run_server ~policy ~seed ~probe_every ~trace_capacity ~config
+          ?connections ~shards server
+      in
+      (match trace_file with
+       | None -> ()
+       | Some path ->
+         (* pid 0 renders oddly in trace viewers; lanes are 1-based *)
+         let groups =
+           List.map
+             (fun (shard, events) -> (shard + 1, 1, events))
+             r.Farm.traces
+         in
+         Out_channel.with_open_text path (fun oc ->
+             Out_channel.output_string oc
+               (Telemetry.Export.to_chrome_string_grouped
+                  ~name_of_pid:(fun pid -> Printf.sprintf "shard %d" (pid - 1))
+                  groups)));
+      let label = Harness.Experiment.config_label config in
+      if json then
+        print_endline
+          (J.to_string
+             (J.Obj
+                [
+                  ("server", J.String name);
+                  ("scheme", J.String label);
+                  ("shards", J.Int r.Farm.shards);
+                  ("policy", J.String (Scheduler.policy_label r.Farm.policy));
+                  ("seed", J.Int r.Farm.seed);
+                  ("connections", J.Int r.Farm.totals.Farm.connections);
+                  ("detections", J.Int r.Farm.totals.Farm.detections);
+                  ("syscalls", J.Int r.Farm.totals.Farm.syscalls);
+                  ("max_va_bytes", J.Int r.Farm.totals.Farm.max_va_bytes);
+                  ("makespan_cycles", J.Float r.Farm.makespan_cycles);
+                  ("throughput_conn_per_mcycle", J.Float r.Farm.throughput);
+                  ("latency_p50", J.Float r.Farm.latency.Harness.Latency.q50);
+                  ("latency_p95", J.Float r.Farm.latency.Harness.Latency.q95);
+                  ("latency_p99", J.Float r.Farm.latency.Harness.Latency.q99);
+                  ( "per_shard",
+                    J.List
+                      (List.map
+                         (fun (sh : Farm.shard_report) ->
+                           J.Obj
+                             [
+                               ("shard", J.Int sh.Farm.shard);
+                               ("served", J.Int sh.Farm.served);
+                               ("busy_cycles", J.Float sh.Farm.busy_cycles);
+                               ("detections", J.Int sh.Farm.shard_detections);
+                             ])
+                         r.Farm.per_shard) );
+                  ("stats", Vmm.Stats.snapshot_to_json r.Farm.totals.Farm.stats);
+                  ( "syscalls_per_op",
+                    match Vmm.Stats.syscalls_per_op r.Farm.totals.Farm.stats with
+                    | Some v -> J.Float v
+                    | None -> J.Null );
+                ]))
+      else begin
+        Printf.printf
+          "%s under %s: %d connections over %d shards (%s, seed 0x%x)\n"
+          name label r.Farm.totals.Farm.connections r.Farm.shards
+          (Scheduler.policy_label r.Farm.policy)
+          r.Farm.seed;
+        List.iter
+          (fun (sh : Farm.shard_report) ->
+            Printf.printf
+              "  shard %d: %3d connections, %sM cycles, %d detections\n"
+              sh.Farm.shard sh.Farm.served
+              (Harness.Table.fmt_cycles sh.Farm.busy_cycles)
+              sh.Farm.shard_detections)
+          r.Farm.per_shard;
+        Printf.printf
+          "  makespan %sM cycles, throughput %.3f conn/Mcycle\n"
+          (Harness.Table.fmt_cycles r.Farm.makespan_cycles)
+          r.Farm.throughput;
+        Printf.printf
+          "  detections %d, syscalls %d, latency p50 %sM p99 %sM cycles\n"
+          r.Farm.totals.Farm.detections r.Farm.totals.Farm.syscalls
+          (Harness.Table.fmt_cycles r.Farm.latency.Harness.Latency.q50)
+          (Harness.Table.fmt_cycles r.Farm.latency.Harness.Latency.q99)
+      end;
+      `Ok ()
   in
   cmd "farm"
     ~doc:"Serve one of the paper's daemons across N shard domains and \
           report merged throughput, detection and latency statistics."
     Term.(
       ret
-        (const run $ server_name $ shards $ connections $ probe_every $ policy
-         $ config_arg
+        (const run $ server_arg $ shards_arg $ connections_arg $ probe_every
+         $ policy_arg $ config_arg
          $ seed_arg ~default:0x5eed ~doc:"Connection-shuffle seed."
          $ json_arg $ trace_file))
 
@@ -790,20 +801,6 @@ let farm_cmd =
 let report_cmd =
   let module Farm = Danguard_farm.Farm in
   let module Scheduler = Danguard_farm.Scheduler in
-  let server_name =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"SERVER"
-             ~doc:"Server daemon name (see $(b,danguard list)).")
-  in
-  let shards =
-    Arg.(value & opt int 4
-         & info [ "shards" ] ~docv:"N" ~doc:"Number of shard domains.")
-  in
-  let connections =
-    Arg.(value & opt (some int) None
-         & info [ "c"; "connections" ] ~docv:"M"
-             ~doc:"Total connections to serve (default: the server's).")
-  in
   let probe_every =
     Arg.(value & opt int 4
          & info [ "probe-every" ] ~docv:"K"
@@ -816,15 +813,6 @@ let report_cmd =
              ~doc:"Spread the probes over S distinct injection sites, \
                    each its own bug flavour.")
   in
-  let policy =
-    let policies =
-      [ ("round-robin", Scheduler.Round_robin);
-        ("work-steal", Scheduler.Work_steal) ]
-    in
-    Arg.(value & opt (enum policies) Scheduler.Round_robin
-         & info [ "policy" ] ~docv:"POLICY"
-             ~doc:"Connection scheduler: round-robin or work-steal.")
-  in
   let prometheus =
     Arg.(value & flag
          & info [ "prometheus" ]
@@ -834,8 +822,7 @@ let report_cmd =
   in
   let run name shards connections probe_every probe_sites policy config seed
       json prometheus =
-    if shards < 1 then `Error (false, "--shards must be at least 1")
-    else if probe_sites < 1 then `Error (false, "--sites must be at least 1")
+    if probe_sites < 1 then `Error (false, "--sites must be at least 1")
     else
       match Workload.Catalog.find_server name with
       | None -> `Error (false, "unknown server " ^ name)
@@ -908,8 +895,8 @@ let report_cmd =
           dashboard: unique stack signatures by report count."
     Term.(
       ret
-        (const run $ server_name $ shards $ connections $ probe_every
-         $ probe_sites $ policy $ config_arg
+        (const run $ server_arg $ shards_arg $ connections_arg $ probe_every
+         $ probe_sites $ policy_arg $ config_arg
          $ seed_arg ~default:0x5eed ~doc:"Connection-shuffle seed."
          $ json_arg $ prometheus))
 
@@ -920,7 +907,7 @@ let soak_cmd =
     Arg.(value & opt int 3 & info [ "days" ] ~docv:"D" ~doc:"Simulated days.")
   in
   let connections =
-    Arg.(value & opt int 120
+    Arg.(value & opt positive 120
          & info [ "c"; "connections" ] ~docv:"N" ~doc:"Connections per day.")
   in
   let server =
@@ -949,7 +936,6 @@ let soak_cmd =
   let run days connections server budget no_reclaim governor seed json =
     let config =
       {
-        Harness.Soak.default_config with
         Harness.Soak.days;
         connections_per_day = connections;
         server;

@@ -4,11 +4,6 @@ let policy_label = function
   | Round_robin -> "round-robin"
   | Work_steal -> "work-steal"
 
-let policy_of_string = function
-  | "round-robin" | "rr" -> Some Round_robin
-  | "work-steal" | "steal" -> Some Work_steal
-  | _ -> None
-
 type t = {
   policy : policy;
   order : int array; (* seeded shuffle of [0, connections) *)

@@ -20,7 +20,6 @@ type policy =
           exactly [0, connections). *)
 
 val policy_label : policy -> string
-val policy_of_string : string -> policy option
 
 type t
 

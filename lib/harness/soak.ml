@@ -12,12 +12,7 @@ type config = {
   connections_per_day : int;
   server : string;
   seed : int;
-  probe_every : int;  (* connections between probe rounds *)
-  probe_slots : int;  (* root global slots holding dangling pointers *)
-  session_bytes : int;
   budget_pages : int;
-  trigger_pages : int;
-  stale_heap_every : int;  (* plant a stale heap word every n frees *)
   endurance : bool;  (* reuse policy + watermark escalation armed? *)
   governor : bool;  (* degrade stage wired to a ladder? *)
 }
@@ -26,18 +21,23 @@ type config = {
    is one calendar day, whatever the connection count. *)
 let seconds_per_day = 86_400.
 
+(* The fixed shape of every soak: a probe round every [probe_every]
+   connections, planted in [probe_slots] root global slots; sessions of
+   [session_bytes]; the reuse policy's trigger; and a stale heap word
+   planted every [stale_heap_every] frees. *)
+let probe_every = 10
+let probe_slots = 4
+let session_bytes = 256
+let trigger_pages = 64
+let stale_heap_every = 37
+
 let default_config =
   {
     days = 4;
     connections_per_day = 150;
     server = "ghttpd";
     seed = 42;
-    probe_every = 10;
-    probe_slots = 4;
-    session_bytes = 256;
     budget_pages = 6000;
-    trigger_pages = 64;
-    stale_heap_every = 37;
     endurance = true;
     governor = false;
   }
@@ -102,8 +102,6 @@ let find_server name =
 let run ?(config = default_config) () =
   if config.days < 1 then invalid_arg "Soak: days < 1";
   if config.connections_per_day < 1 then invalid_arg "Soak: connections_per_day < 1";
-  if config.probe_every < 1 then invalid_arg "Soak: probe_every < 1";
-  if config.probe_slots < 1 then invalid_arg "Soak: probe_slots < 1";
   let spec = find_server config.server in
   let machine = Vmm.Machine.create () in
   let scheme = Runtime.Schemes.shadow_pool machine in
@@ -117,7 +115,7 @@ let run ?(config = default_config) () =
   let policy =
     Shadow.Reuse_policy.create ~gc
       (Shadow.Reuse_policy.Conservative_gc
-         { trigger_pages = config.trigger_pages; scan_cost_per_object = 2 })
+         { trigger_pages; scan_cost_per_object = 2 })
       pool
   in
   let governor =
@@ -138,7 +136,7 @@ let run ?(config = default_config) () =
   in
   let rng = ref config.seed in
   let sessions = ref ([] : session list) in
-  let planted = Array.make config.probe_slots 0 in
+  let planted = Array.make probe_slots 0 in
   let next_slot = ref 0 in
   let want_plant = ref false in
   let frees = ref 0 in
@@ -162,11 +160,11 @@ let run ?(config = default_config) () =
       | None -> true
     in
     let addr =
-      if protect then scheme.Runtime.Scheme.malloc ~site:"soak:session" config.session_bytes
-      else Shadow.Shadow_pool.alloc_raw pool config.session_bytes
+      if protect then scheme.Runtime.Scheme.malloc ~site:"soak:session" session_bytes
+      else Shadow.Shadow_pool.alloc_raw pool session_bytes
     in
     (* Session payload: realistic words, none of which are pointers. *)
-    for i = 0 to (config.session_bytes / word) - 1 do
+    for i = 0 to (session_bytes / word) - 1 do
       scheme.Runtime.Scheme.store (addr + (i * word)) ~width:word ((conn * 17) + i + 1)
     done;
     sessions :=
@@ -185,7 +183,7 @@ let run ?(config = default_config) () =
       if !want_plant then begin
         want_plant := false;
         let slot = !next_slot in
-        next_slot := (slot + 1) mod config.probe_slots;
+        next_slot := (slot + 1) mod probe_slots;
         (* Overwriting a slot drops the old root: its range becomes
            provably unreferenced and a later GC may reclaim it. *)
         planted.(slot) <- s.s_addr;
@@ -194,14 +192,13 @@ let run ?(config = default_config) () =
       (* Occasionally leave a stale copy of the dying pointer in a live
          session's heap word: the mark phase must find it and pin the
          range until that session dies too. *)
-      (if config.stale_heap_every > 0 && !frees mod config.stale_heap_every = 0
-       then
+      (if !frees mod stale_heap_every = 0 then
          match
            List.find_opt (fun l -> l.s_protected && l.s_addr <> s.s_addr) !sessions
          with
          | Some l ->
            scheme.Runtime.Scheme.store
-             (l.s_addr + ((config.session_bytes / word / 2) * word))
+             (l.s_addr + ((session_bytes / word / 2) * word))
              ~width:word s.s_addr
          | None -> ());
       scheme.Runtime.Scheme.free ~site:"soak:session-done" s.s_addr
@@ -258,7 +255,7 @@ let run ?(config = default_config) () =
       (match endurance with
       | Some e -> ignore (Runtime.Endurance.tick e : Shadow.Gc.report option)
       | None -> ignore (Shadow.Va_budget.poll budget : Shadow.Va_budget.level));
-      if c mod config.probe_every = 0 then begin
+      if c mod probe_every = 0 then begin
         want_plant := true;
         probe_round day_probes day_detected
       end

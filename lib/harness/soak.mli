@@ -3,8 +3,8 @@
     Simulates days of server uptime — the chosen {!Workload.Servers}
     model handles each connection, while a long-lived pool accumulates
     per-connection session objects with heavy-tailed lifetimes.  Every
-    [probe_every] connections a dying session's pointer is planted in a
-    simulated root ({!Vmm.Roots} global slot) {e before} its free — the
+    10 connections a dying session's pointer is planted in a simulated
+    root ({!Vmm.Roots} global slot) {e before} its free — the
     stale-global case the GC must witness — and every planted pointer is
     then probed through the scheme's guarded load.
 
@@ -29,12 +29,7 @@ type config = {
   connections_per_day : int;
   server : string;  (** a {!Workload.Servers} model name, e.g. ["ghttpd"] *)
   seed : int;
-  probe_every : int;  (** connections between probe rounds *)
-  probe_slots : int;  (** root global slots holding dangling pointers *)
-  session_bytes : int;
   budget_pages : int;
-  trigger_pages : int;  (** reuse policy trigger (when endurance is on) *)
-  stale_heap_every : int;  (** plant a stale heap word every n frees; 0 = never *)
   endurance : bool;  (** reuse policy + watermark escalation armed? *)
   governor : bool;  (** degrade stage wired to a real ladder? *)
 }

@@ -303,7 +303,7 @@ and exec_stmt st frame fname stmt =
     let pool = lookup_pool st frame pv in
     pool.Runtime.Scheme.pool_destroy ()
 
-let run ?(entry = "main") ?(max_steps = 50_000_000) ?on_violation program scheme =
+let run ?(max_steps = 50_000_000) ?on_violation program scheme =
   let st =
     {
       program;
@@ -323,9 +323,9 @@ let run ?(entry = "main") ?(max_steps = 50_000_000) ?on_violation program scheme
       | Ast.Tptr s -> Hashtbl.replace st.globals ("%type:" ^ name) (struct_id st s)
       | Ast.Tint -> ())
     program.Ast.globals;
-  (match Ast.find_func program entry with
-   | None -> fail "no %s function" entry
+  (match Ast.find_func program "main" with
+   | None -> fail "no main function"
    | Some f ->
-     if f.Ast.params <> [] then fail "%s must take no parameters" entry;
-     ignore (call st "<top>" entry [] { vars = Hashtbl.create 1; pools = Hashtbl.create 1 }));
+     if f.Ast.params <> [] then fail "main must take no parameters";
+     ignore (call st "<top>" "main" [] { vars = Hashtbl.create 1; pools = Hashtbl.create 1 }));
   { prints = List.rev st.prints; steps = st.steps }

@@ -19,13 +19,12 @@ type outcome = {
 }
 
 val run :
-  ?entry:string ->
   ?max_steps:int ->
   ?on_violation:(fname:string -> pos:Ast.pos -> Shadow.Report.t -> unit) ->
   Ast.program ->
   Runtime.Scheme.t ->
   outcome
-(** Execute [entry] (default ["main"]) with no arguments.  Raises
+(** Execute [main] with no arguments.  Raises
     {!Runtime_error} if [max_steps] (default 50 million) is exceeded —
     the brake for accidentally non-terminating test programs.
 

@@ -1,8 +1,9 @@
 open Vmm
 
-type config = { check_cost : int; update_cost : int }
-
-let default_config = { check_cost = 10; update_cost = 15 }
+(* Instructions per access check, and per capability insert or
+   remove. *)
+let check_cost = 10
+let update_cost = 15
 
 (* Tagged pointers: capability id in the bits above bit 38.  Simulated
    virtual addresses stay far below 2^38, and offsets added by workloads
@@ -16,7 +17,6 @@ let tag addr cap = addr lor (cap lsl tag_shift)
 type cap_info = { base : Addr.t; size : int; alloc_site : string; mutable free_site : string option }
 
 type state = {
-  config : config;
   heap : Heap.Freelist_malloc.t;
   gcs : (int, cap_info) Hashtbl.t;          (** live capabilities *)
   retired : (int, cap_info) Hashtbl.t;      (** for diagnostics *)
@@ -41,7 +41,7 @@ let violation kind fault_addr info =
   raise (Shadow.Report.Violation { Shadow.Report.kind; fault_addr; object_info })
 
 let malloc st machine ?(site = "<unknown>") size =
-  charge machine st.config.update_cost;
+  charge machine update_cost;
   let base = Heap.Freelist_malloc.alloc st.heap size in
   let cap = st.next_cap in
   st.next_cap <- st.next_cap + 1;
@@ -49,7 +49,7 @@ let malloc st machine ?(site = "<unknown>") size =
   tag base cap
 
 let check st machine access p =
-  charge machine st.config.check_cost;
+  charge machine check_cost;
   let cap = cap_of p in
   if not (Hashtbl.mem st.gcs cap) then begin
     let info =
@@ -61,7 +61,7 @@ let check st machine access p =
   end
 
 let free st machine ?(site = "<unknown>") p =
-  charge machine st.config.update_cost;
+  charge machine update_cost;
   let cap = cap_of p in
   match Hashtbl.find_opt st.gcs cap with
   | Some info when info.base = untag p ->
@@ -75,10 +75,9 @@ let free st machine ?(site = "<unknown>") p =
      | Some info -> violation Shadow.Report.Double_free p (Some (cap, info))
      | None -> violation Shadow.Report.Invalid_free p None)
 
-let scheme ?(config = default_config) machine =
+let scheme machine =
   let st =
     {
-      config;
       heap = Heap.Freelist_malloc.create machine;
       gcs = Hashtbl.create 4096;
       retired = Hashtbl.create 4096;

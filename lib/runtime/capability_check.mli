@@ -8,14 +8,8 @@
     capability, so {e all} dangling uses are detected even after the
     memory is re-allocated — at the price of a software check on every
     single access and a capability store that grows with the heap
-    (the 1.6x–4x memory overhead the paper cites for this family). *)
+    (the 1.6x–4x memory overhead the paper cites for this family).
+    Each access check costs 10 instructions; each capability insert
+    (malloc) or remove (free) costs 15. *)
 
-type config = {
-  check_cost : int;   (** instructions per access check *)
-  update_cost : int;  (** instructions per capability insert/remove *)
-}
-
-val default_config : config
-(** 10-instruction checks, 15-instruction updates. *)
-
-val scheme : ?config:config -> Vmm.Machine.t -> Scheme.t
+val scheme : Vmm.Machine.t -> Scheme.t

@@ -1,26 +1,19 @@
 open Vmm
 
-type state = { registry : Shadow.Object_registry.t; guard_pages : bool }
+type state = { registry : Shadow.Object_registry.t }
 
 let malloc st machine ?(site = "<unknown>") size =
   if size <= 0 then invalid_arg "Efence.malloc: size <= 0";
   let data_pages = Addr.pages_spanning 0 size in
-  let total_pages = data_pages + if st.guard_pages then 1 else 0 in
   (* Unlike the shadow scheme there is no canonical/shadow split: the one
      mapping owns its frames outright — that is exactly the flaw. *)
-  let base = Kernel.mmap machine ~pages:total_pages in
-  if st.guard_pages then
-    Kernel.mprotect machine
-      ~addr:(base + (data_pages * Addr.page_size))
-      ~pages:1 Perm.No_access;
+  let base = Kernel.mmap machine ~pages:(data_pages + 1) in
+  let guard = base + (data_pages * Addr.page_size) in
+  Kernel.mprotect machine ~addr:guard ~pages:1 Perm.No_access;
   (* Real Electric Fence places the object flush against the end of its
      page(s), so even a one-byte overrun lands on the guard page (at the
      price of leaving underruns uncaught). *)
-  let user =
-    if st.guard_pages then
-      base + (data_pages * Addr.page_size) - ((size + 7) land lnot 7)
-    else base
-  in
+  let user = guard - ((size + 7) land lnot 7) in
   ignore
     (Shadow.Object_registry.register st.registry ~canonical:base
        ~shadow_base:base ~pages:data_pages ~user_addr:user ~size
@@ -57,8 +50,8 @@ let free st machine ?(site = "<unknown>") addr =
            object_info = None;
          })
 
-let scheme ?(guard_pages = true) machine =
-  let st = { registry = Shadow.Object_registry.create (); guard_pages } in
+let scheme machine =
+  let st = { registry = Shadow.Object_registry.create () } in
   let guard f = Shadow.Detector.guard st.registry ~in_free:false f in
   let rec scheme =
     lazy

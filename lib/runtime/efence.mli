@@ -5,7 +5,6 @@
     allocation consumes at least one whole physical frame, so memory
     blows up by orders of magnitude on small-object workloads (the paper
     notes enscript runs out of physical memory under Electric Fence).
-    An optional guard page after each object also catches overruns. *)
+    A guard page after each object also catches overruns. *)
 
-val scheme : ?guard_pages:bool -> Vmm.Machine.t -> Scheme.t
-(** [guard_pages] defaults to true. *)
+val scheme : Vmm.Machine.t -> Scheme.t

@@ -19,29 +19,23 @@ type t = {
   gc : Shadow.Gc.t;
   policy : Shadow.Reuse_policy.t option;
   governor : Governor.t option;
-  tighten_divisor : int;
-  min_trigger_pages : int;
   mutable prev_level : Shadow.Va_budget.level;
   mutable actions_rev : entry list;
-  mutable last_report : Shadow.Gc.report option;
 }
 
-let create ?policy ?governor ?(tighten_divisor = 4) ?(min_trigger_pages = 1)
-    ~budget gc =
-  if tighten_divisor < 2 then
-    invalid_arg "Endurance.create: tighten_divisor < 2";
-  if min_trigger_pages < 1 then
-    invalid_arg "Endurance.create: min_trigger_pages < 1";
+(* Each tightening divides the reuse trigger by [tighten_divisor],
+   never below [min_trigger_pages]. *)
+let tighten_divisor = 4
+let min_trigger_pages = 1
+
+let create ?policy ?governor ~budget gc =
   {
     budget;
     gc;
     policy;
     governor;
-    tighten_divisor;
-    min_trigger_pages;
     prev_level = Shadow.Va_budget.L_ok;
     actions_rev = [];
-    last_report = None;
   }
 
 let note t action =
@@ -57,7 +51,6 @@ let run_gc t =
   let pool = Shadow.Gc.pool t.gc in
   if Shadow.Shadow_pool.freed_shadow_pages pool > 0 then begin
     let report = Shadow.Gc.run t.gc in
-    t.last_report <- Some report;
     note t Ran_gc;
     Some report
   end
@@ -67,9 +60,9 @@ let tighten t =
   match t.policy with
   | Some policy ->
     (match Shadow.Reuse_policy.trigger_pages policy with
-    | Some trigger when trigger > t.min_trigger_pages ->
+    | Some trigger when trigger > min_trigger_pages ->
       Shadow.Reuse_policy.set_trigger_pages policy
-        (max t.min_trigger_pages (trigger / t.tighten_divisor));
+        (max min_trigger_pages (trigger / tighten_divisor));
       note t Tightened
     | Some _ | None -> ())
   | None -> ()
@@ -99,6 +92,5 @@ let tick t =
   report
 
 let actions t = List.rev t.actions_rev
-let last_report t = t.last_report
 let budget t = t.budget
 let gc t = t.gc

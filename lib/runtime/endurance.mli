@@ -38,15 +38,13 @@ type t
 val create :
   ?policy:Shadow.Reuse_policy.t ->
   ?governor:Governor.t ->
-  ?tighten_divisor:int ->
-  ?min_trigger_pages:int ->
   budget:Shadow.Va_budget.t ->
   Shadow.Gc.t ->
   t
 (** [policy] is the reuse policy to tighten (omitted: the tighten stage
     is a no-op); [governor] the ladder to trip (omitted: the degrade
     stage is a no-op).  Each tightening divides the current trigger by
-    [tighten_divisor] (default 4), floored at [min_trigger_pages]. *)
+    4, floored at one page. *)
 
 val tick : t -> Shadow.Gc.report option
 (** Poll the budget and run the escalation; returns the GC report if a
@@ -56,6 +54,5 @@ val tick : t -> Shadow.Gc.report option
 val actions : t -> entry list
 (** Ordered action log, oldest first. *)
 
-val last_report : t -> Shadow.Gc.report option
 val budget : t -> Shadow.Va_budget.t
 val gc : t -> Shadow.Gc.t

@@ -105,9 +105,9 @@ let governed_ops ~machine ~governor ~ever_unprotected ~unprotected_allocs
         destroy ());
   }
 
-let shadow_basic ?config machine =
+let shadow_basic machine =
   let registry = Shadow.Object_registry.create () in
-  let governor = Governor.create ?config machine in
+  let governor = Governor.create machine in
   let ever_unprotected = Hashtbl.create 64 in
   let unprotected_allocs = ref 0 in
   let malloc_heap = Heap.Freelist_malloc.create machine in
@@ -144,7 +144,7 @@ let shadow_basic ?config machine =
 let governed_pool ~name ~config ~table machine =
   let registry = Shadow.Object_registry.create () in
   let recycler = Apa.Page_recycler.create () in
-  let governor = Governor.create ?config machine in
+  let governor = Governor.create ~config machine in
   let ever_unprotected = Hashtbl.create 64 in
   let unprotected_allocs = ref 0 in
   let wrap pool =
@@ -198,8 +198,9 @@ let governed_pool ~name ~config ~table machine =
   in
   { scheme; governor; registry; unprotected_allocs; ever_unprotected; table }
 
-let shadow_pool ?config machine =
-  governed_pool ~name:"governed-shadow-pool" ~config ~table:None machine
+let shadow_pool machine =
+  governed_pool ~name:"governed-shadow-pool" ~config:Governor.default_config
+    ~table:None machine
 
 (* The backend ladder: one machine, three detection backends, the
    governor choosing per-allocation which one guards the object.
@@ -212,9 +213,6 @@ let backend_ladder ?config machine =
     Option.value config
       ~default:{ Governor.default_config with ladder = Governor.backend_ladder }
   in
-  let { Schemes.tag_bits; tag_check_cost } = Schemes.default_tagged_config in
-  let table =
-    Tagging.Tag_table.create ~tag_bits ~check_cost:tag_check_cost machine
-  in
-  governed_pool ~name:"governed-backend-ladder" ~config:(Some config)
-    ~table:(Some table) machine
+  let table = Tagging.Tag_table.create machine in
+  governed_pool ~name:"governed-backend-ladder" ~config ~table:(Some table)
+    machine

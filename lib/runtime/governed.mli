@@ -18,17 +18,19 @@
 
 type t
 
-val shadow_basic : ?config:Governor.config -> Vmm.Machine.t -> t
-(** Governed {!Schemes.shadow_basic}: freelist allocator + shadow heap. *)
+val shadow_basic : Vmm.Machine.t -> t
+(** Governed {!Schemes.shadow_basic}: freelist allocator + shadow heap,
+    under {!Governor.default_config}. *)
 
-val shadow_pool : ?config:Governor.config -> Vmm.Machine.t -> t
+val shadow_pool : Vmm.Machine.t -> t
 (** Governed {!Schemes.shadow_pool}: the full pool-based scheme, with
-    governed sub-pools sharing one governor, registry and recycler. *)
+    governed sub-pools sharing one governor ({!Governor.default_config}),
+    registry and recycler. *)
 
 val backend_ladder : ?config:Governor.config -> Vmm.Machine.t -> t
 (** The governor stepping {e backends}, not sample rates: shadow paging
     in [Full], the pointer-tagging backend ({!Tagging.Tag_table}) on
-    the [Tagged] rung (at {!Schemes.default_tagged_config}), raw
+    the [Tagged] rung (the same 8-bit tags as {!Schemes.tagged}), raw
     passthrough at the bottom.  [config] defaults to
     {!Governor.default_config} with {!Governor.backend_ladder} as the
     rung order.  A shadow allocation whose syscalls fail after retries

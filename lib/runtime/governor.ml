@@ -74,7 +74,6 @@ type t = {
   mutable last_up_was_probe : bool;
   mutable transitions_rev : transition list;
   mutable unprotected_frees : int;
-  mutable failures_total : int;
 }
 
 let check config =
@@ -128,7 +127,6 @@ let create ?(config = default_config) machine =
     last_up_was_probe = false;
     transitions_rev = [];
     unprotected_frees = 0;
-    failures_total = 0;
   }
 
 let mode t = t.mode
@@ -143,7 +141,6 @@ let backend t =
 let alloc_seq t = t.alloc_seq
 let transitions t = List.rev t.transitions_rev
 let unprotected_free_count t = t.unprotected_frees
-let failure_count t = t.failures_total
 
 let reset_window t =
   Queue.clear t.recent;
@@ -252,7 +249,6 @@ let record_success t =
 let record_failure t ~reason =
   push_outcome t true;
   t.consecutive_successes <- 0;
-  t.failures_total <- t.failures_total + 1;
   if t.recent_failures >= t.config.failure_threshold then
     step_down t ~reason
 
@@ -290,10 +286,3 @@ let degraded_windows t =
         | None -> go None acc rest))
   in
   go None [] (transitions t)
-
-let was_degraded_at t ~alloc_seq =
-  List.exists
-    (fun (start, stop) ->
-      alloc_seq >= start
-      && match stop with Some e -> alloc_seq < e | None -> true)
-    (degraded_windows t)

@@ -136,7 +136,4 @@ val degraded_windows : t -> (int * int option) list
 (** Allocation-sequence intervals during which the mode was not [Full];
     [None] end = still degraded. *)
 
-val was_degraded_at : t -> alloc_seq:int -> bool
-
 val unprotected_free_count : t -> int
-val failure_count : t -> int

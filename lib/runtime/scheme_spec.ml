@@ -4,10 +4,10 @@ type t =
   | Pa of Schemes.pa_config
   | Shadow_basic
   | Shadow_pool of Schemes.pool_config
-  | Shadow_pool_spatial of Schemes.spatial_config
+  | Shadow_pool_spatial
   | Shadow_pool_inferred
   | Shadow_pool_epoch of Schemes.epoch_config
-  | Tagged of Schemes.tagged_config
+  | Tagged
   | Backend_ladder
   | Efence
   | Valgrind
@@ -21,10 +21,10 @@ let pa = Pa Schemes.default_pa_config
 let pa_dummy = Pa { Schemes.dummy_syscalls = true }
 let ours_basic = Shadow_basic
 let ours = Shadow_pool Schemes.default_pool_config
-let ours_bounds = Shadow_pool_spatial Schemes.default_spatial_config
+let ours_bounds = Shadow_pool_spatial
 let ours_inferred = Shadow_pool_inferred
 let ours_epoch = Shadow_pool_epoch Schemes.default_epoch_config
-let tagged = Tagged Schemes.default_tagged_config
+let tagged = Tagged
 let ladder = Backend_ladder
 let efence = Efence
 let valgrind = Valgrind
@@ -42,10 +42,10 @@ let rec to_string = function
   | Pa { Schemes.dummy_syscalls = true } -> "pa-dummy"
   | Shadow_basic -> "ours-basic"
   | Shadow_pool _ -> "ours"
-  | Shadow_pool_spatial _ -> "ours-bounds"
+  | Shadow_pool_spatial -> "ours-bounds"
   | Shadow_pool_inferred -> "ours-inferred"
   | Shadow_pool_epoch _ -> "ours-epoch"
-  | Tagged _ -> "tagged"
+  | Tagged -> "tagged"
   | Backend_ladder -> "ladder"
   | Efence -> "efence"
   | Valgrind -> "valgrind"
@@ -72,10 +72,10 @@ let rec label = function
   | Pa { Schemes.dummy_syscalls = true } -> "pa+dummy-syscalls"
   | Shadow_basic -> "our-approach (no pools)"
   | Shadow_pool _ -> "our-approach"
-  | Shadow_pool_spatial _ -> "ours+bounds"
+  | Shadow_pool_spatial -> "ours+bounds"
   | Shadow_pool_inferred -> "our-approach+inferred"
   | Shadow_pool_epoch _ -> "our-approach+epoch"
-  | Tagged _ -> "tagged"
+  | Tagged -> "tagged"
   | Backend_ladder -> "backend-ladder"
   | Efence -> "electric-fence"
   | Valgrind -> "valgrind-sim"
@@ -91,13 +91,13 @@ let rec description = function
     "pools plus one no-op syscall per alloc/free (syscall-cost control)"
   | Shadow_basic -> "shadow pages over the plain allocator (binary-only mode)"
   | Shadow_pool _ -> "the paper's full scheme: shadow pages + pool allocation"
-  | Shadow_pool_spatial _ ->
+  | Shadow_pool_spatial ->
     "shadow pages plus per-access software bounds checks"
   | Shadow_pool_inferred ->
     "one shadow pool per statically inferred pool scope; destroy unmaps"
   | Shadow_pool_epoch _ ->
     "epoch-batched deferred protection with slab pre-aliasing"
-  | Tagged _ ->
+  | Tagged ->
     "pointer tagging: per-access generation-tag check, instant VA reuse"
   | Backend_ladder ->
     "governor steps backends: shadow -> tagged -> raw, probe-recovered"
@@ -108,18 +108,18 @@ let rec description = function
 
 let rec detects = function
   | Native | Llvm_base | Pa _ -> false
-  | Shadow_basic | Shadow_pool _ | Shadow_pool_spatial _ | Shadow_pool_inferred
-  | Shadow_pool_epoch _ | Tagged _ ->
+  | Shadow_basic | Shadow_pool _ | Shadow_pool_spatial | Shadow_pool_inferred
+  | Shadow_pool_epoch _ | Tagged ->
     true
   | Backend_ladder -> false (* conditional on the ladder staying in Full *)
   | Efence | Valgrind | Capability -> true
   | Recover base -> detects base
 
 let rec uses_pa_profile = function
-  | Pa _ | Shadow_pool _ | Shadow_pool_inferred | Shadow_pool_epoch _ | Tagged _
+  | Pa _ | Shadow_pool _ | Shadow_pool_inferred | Shadow_pool_epoch _ | Tagged
   | Backend_ladder ->
     true
-  | Native | Llvm_base | Shadow_basic | Shadow_pool_spatial _ | Efence
+  | Native | Llvm_base | Shadow_basic | Shadow_pool_spatial | Efence
   | Valgrind | Capability ->
     false
   | Recover base -> uses_pa_profile base
@@ -142,10 +142,10 @@ let rec build spec machine =
   | Pa config -> Schemes.pa ~config machine
   | Shadow_basic -> Schemes.shadow_basic machine
   | Shadow_pool config -> Schemes.shadow_pool ~config machine
-  | Shadow_pool_spatial config -> Schemes.shadow_pool_spatial ~config machine
+  | Shadow_pool_spatial -> Schemes.shadow_pool_spatial machine
   | Shadow_pool_inferred -> Schemes.shadow_pool_inferred machine
   | Shadow_pool_epoch config -> Schemes.shadow_pool_epoch ~config machine
-  | Tagged config -> Schemes.tagged ~config machine
+  | Tagged -> Schemes.tagged machine
   | Backend_ladder -> Governed.scheme (Governed.backend_ladder machine)
   | Efence -> Efence.scheme machine
   | Valgrind -> Valgrind_sim.scheme machine

@@ -4,8 +4,8 @@
     — the CLI, the farm, the harness tables, the bench sections — now
     carries a [Scheme_spec.t] and lets {!of_string}/{!to_string} be the
     {e only} place the spelling of a scheme name lives.  A spec bundles
-    the constructor variant with its per-backend config record
-    ({!Schemes.pool_config} and friends), so the catalogue, the CLI
+    the constructor variant with its config record, for the families
+    that have one ({!Schemes.pool_config} and friends), so the catalogue, the CLI
     listing ([danguard help]), the README table and the round-trip tests
     all enumerate the same {!all}.
 
@@ -18,12 +18,11 @@ type t =
   | Pa of Schemes.pa_config  (** pool allocation alone (no detection) *)
   | Shadow_basic  (** shadow pages, no pools (binary-only mode, §3.2) *)
   | Shadow_pool of Schemes.pool_config  (** the paper's full scheme (§3.3) *)
-  | Shadow_pool_spatial of Schemes.spatial_config
-      (** shadow pages + software bounds checks *)
+  | Shadow_pool_spatial  (** shadow pages + software bounds checks *)
   | Shadow_pool_inferred  (** one shadow pool per inferred pool scope *)
   | Shadow_pool_epoch of Schemes.epoch_config
       (** epoch-batched deferred protection *)
-  | Tagged of Schemes.tagged_config
+  | Tagged
       (** pointer-tagging backend: per-access software tag check,
           instant VA reuse *)
   | Backend_ladder

@@ -8,25 +8,11 @@ type pool_config = { reuse_shadow_va : bool }
 
 let default_pool_config = { reuse_shadow_va = true }
 
-type spatial_config = { bounds_check_cost : int }
-
-let default_spatial_config = { bounds_check_cost = 6 }
-
 type static_config = { elide : string -> bool }
 
-type epoch_config = {
-  max_frees : int;
-  max_pages : int;
-  slab_copies : int;
-  backstop_check_cost : int;
-}
+type epoch_config = { max_frees : int }
 
-let default_epoch_config =
-  { max_frees = 64; max_pages = 256; slab_copies = 16; backstop_check_cost = 2 }
-
-type tagged_config = { tag_bits : int; tag_check_cost : int }
-
-let default_tagged_config = { tag_bits = 8; tag_check_cost = 4 }
+let default_epoch_config = { max_frees = 64 }
 
 type elision_stats = {
   elided_allocs : int;
@@ -250,9 +236,12 @@ let shadow_pool ?(config = default_pool_config) machine =
    (the alias covers the whole physical frame), so the combined checker
    validates the offset against the object registry before letting the
    access through — the paper's future-work "comprehensive safety
-   checking tool" built from its two complementary halves. *)
-let shadow_pool_spatial ?(config = default_spatial_config) machine =
-  let { bounds_check_cost } = config in
+   checking tool" built from its two complementary halves.  A check
+   costs 6 instructions, the few-percent overhead of the authors'
+   companion spatial checker. *)
+let bounds_check_cost = 6
+
+let shadow_pool_spatial machine =
   let recycler = Apa.Page_recycler.create () in
   let check registry access addr width =
     Stats.count_instructions machine.Machine.stats bounds_check_cost;
@@ -503,9 +492,12 @@ let add_epoch_stats acc (e, s) =
    run that still fails is split per object by the epoch — protection
    is never silently dropped.  A destroyed pool's counters fold into
    [retired] and its (epoch, slab) leaves [units], so the backstop
-   walks live pools only. *)
+   walks live pools only.  The backstop costs 2 instructions per
+   access, charged only while an epoch holds pending frees. *)
+let backstop_check_cost = 2
+
 let shadow_pool_epoch ?(config = default_epoch_config) machine =
-  let { max_frees; max_pages; slab_copies; backstop_check_cost } = config in
+  let { max_frees } = config in
   let recycler = Apa.Page_recycler.create () in
   let backstop_hits = ref 0 in
   let units : (Shadow.Epoch.t * Shadow.Slab.t) list ref = ref [] in
@@ -515,8 +507,8 @@ let shadow_pool_epoch ?(config = default_epoch_config) machine =
         Syscalls.mprotect machine ~addr ~pages Perm.No_access)
   in
   let wrap create =
-    let slab = Shadow.Slab.create ~copies:slab_copies machine in
-    let epoch = Shadow.Epoch.create ~max_frees ~max_pages ~protect () in
+    let slab = Shadow.Slab.create machine in
+    let epoch = Shadow.Epoch.create ~max_frees ~protect () in
     let unit = (epoch, slab) in
     units := unit :: !units;
     (* The slab supplies the shadow VA; canonical pages still recycle. *)
@@ -590,11 +582,8 @@ let shadow_pool_epoch ?(config = default_epoch_config) machine =
    MMU directly and is never tag-checked, exactly as the shadow schemes
    exempt it from guarded access.  The registry stays empty: a trap on
    an address the table never saw is a wild access. *)
-let tagged ?(config = default_tagged_config) machine =
-  let { tag_bits; tag_check_cost } = config in
-  let table =
-    Tagging.Tag_table.create ~tag_bits ~check_cost:tag_check_cost machine
-  in
+let tagged machine =
+  let table = Tagging.Tag_table.create machine in
   let recycler = Apa.Page_recycler.create () in
   let stats = machine.Machine.stats in
   let wrap pool =

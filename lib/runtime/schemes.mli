@@ -6,10 +6,12 @@
     Each scheme record is made by {!Pool_scheme.build} ([recoverable]
     wraps one); DESIGN.md §6d lists the parts they are built from.
 
-    Every tunable lives in a per-backend config record with a documented
-    default value, so adding a knob extends one record instead of
-    rippling an optional argument through every call site.  The typed
-    scheme catalogue over these constructors is {!Scheme_spec}. *)
+    A config record exists only where a caller varies the value: the
+    [pa] dummy-syscall control, the [shadow_pool] VA-reuse ablation,
+    the static elision policy and the epoch size.  Every other cost or
+    size is a constant inside the scheme that uses it, documented on
+    its constructor.  The typed scheme catalogue over these
+    constructors is {!Scheme_spec}. *)
 
 (** {1 Per-backend configuration} *)
 
@@ -33,15 +35,6 @@ type pool_config = {
 
 val default_pool_config : pool_config
 
-type spatial_config = {
-  bounds_check_cost : int;
-      (** instructions charged per software bounds check.  Default 6,
-          matching the few-percent overhead of the authors' companion
-          spatial checker. *)
-}
-
-val default_spatial_config : spatial_config
-
 type static_config = {
   elide : string -> bool;
       (** per-malloc-site protection policy (see
@@ -53,27 +46,9 @@ type static_config = {
 
 type epoch_config = {
   max_frees : int;   (** quarantined frees that force retirement; 64 *)
-  max_pages : int;   (** quarantined pages that force retirement; 256 *)
-  slab_copies : int; (** shadow aliases per vectored slab mremap; 16 *)
-  backstop_check_cost : int;
-      (** instructions per access for the quarantine-window software
-          check, charged only while an epoch is non-empty; 2 *)
 }
 
 val default_epoch_config : epoch_config
-
-type tagged_config = {
-  tag_bits : int;
-      (** width of the hardware-checked generation tag (1..15).
-          Default 8 — one tag byte per 16-byte granule, the xTag
-          operating point; smaller widths wrap sooner (the differential
-          harness uses 2 to provoke attributable wraparound). *)
-  tag_check_cost : int;
-      (** instructions charged per tag check (mask, shift, tag-byte
-          load, compare).  Default 4. *)
-}
-
-val default_tagged_config : tagged_config
 
 (** {1 Schemes} *)
 
@@ -97,19 +72,20 @@ val shadow_pool : ?config:pool_config -> Vmm.Machine.t -> Scheme.t
     Top-level [malloc]/[free] go through a global pool; [pool_create]
     makes compiler-inferred pools whose destroy recycles all pages. *)
 
-val tagged : ?config:tagged_config -> Vmm.Machine.t -> Scheme.t
+val tagged : Vmm.Machine.t -> Scheme.t
 (** The pointer-tagging backend ({!Tagging.Tag_table}; xTag/LightDE in
     PAPERS.md) — the opposite point on the overhead-vs-coverage
-    frontier from shadow paging.  Allocation embeds a generation tag in
+    frontier from shadow paging.  Allocation embeds an 8-bit generation
+    tag (one tag byte per 16-byte granule, the xTag operating point) in
     the pointer's unused high bits; every load and store pays a
-    [tag_check_cost]-instruction software check of the tag against the
+    4-instruction software check of the tag against the
     per-granule generation table; free validates the tag and bumps the
     generation, so a stale pointer faults deterministically (raised as
     {!Shadow.Report.Tag_mismatch} with full alloc/free-site
     diagnostics) while the memory and its address are reused
     immediately.  No shadow aliasing, no [mremap]/[mprotect] traffic,
     no VA growth; the one coverage hole is a stale pointer whose
-    generation distance is an exact multiple of [2^tag_bits], which
+    generation distance is an exact multiple of [2^8], which
     passes the masked check — counted and bounded in the table's
     [wrap_masked_passes], so the differential harness can attribute
     every asymmetry against the shadow schemes.  Pool destroy retires
@@ -229,13 +205,11 @@ val shadow_pool_epoch : ?config:epoch_config -> Vmm.Machine.t -> Scheme.t
     ({!Shadow.Epoch}) and slab-preallocated shadow aliases
     ({!Shadow.Slab}): a free is validated and quarantined instead of
     mprotected, and when the per-pool epoch fills ([max_frees] frees,
-    default 64, or [max_pages] pages, default 256) retirement issues
-    one coalesced mprotect per merged page run and only then recycles
-    the canonical blocks.  Shadow aliases are drawn [slab_copies]
-    (default 16) at a time from one vectored mremap.  Inside the
-    quarantine window detection is software: every access pays
-    [backstop_check_cost] instructions (default 2, only while an epoch
-    is non-empty) to consult the quarantine table, and a hit raises the
+    default 64, or 256 pages) retirement issues one coalesced mprotect
+    per merged page run and only then recycles the canonical blocks.
+    Shadow aliases are drawn 16 at a time from one vectored mremap.
+    Inside the quarantine window detection is software: every access
+    pays 2 instructions (only while an epoch is non-empty) to consult the quarantine table, and a hit raises the
     same {!Shadow.Report.Violation} the trap handler would.  After
     retirement detection is byte-for-byte {!shadow_pool}'s.  Batched
     protects go through {!Retry}; a run that still fails is split and
@@ -256,11 +230,10 @@ val recoverable :
     wrapper never re-traces.  Recovery counts are available via
     {!introspect}. *)
 
-val shadow_pool_spatial : ?config:spatial_config -> Vmm.Machine.t -> Scheme.t
+val shadow_pool_spatial : Vmm.Machine.t -> Scheme.t
 (** The paper's future-work "comprehensive safety checking tool":
     {!shadow_pool} (all temporal errors, by hardware) plus a software
     bounds check per access against the object registry (spatial errors
     within the shadow page, which the MMU cannot see).  The bounds check
-    costs [bounds_check_cost] instructions per access (default 6,
-    matching the few-percent overhead of the authors' companion spatial
-    checker). *)
+    costs 6 instructions per access, matching the few-percent overhead
+    of the authors' companion spatial checker. *)

@@ -1,13 +1,9 @@
 open Vmm
 
-type config = {
-  quarantine_blocks : int;
-  access_check_cost : int;
-  dbt_factor : float;
-}
-
-let default_config =
-  { quarantine_blocks = 1000; access_check_cost = 60; dbt_factor = 12.0 }
+(* Instrumentation instructions per checked access, and the slowdown
+   of plain computation under dynamic binary translation. *)
+let access_check_cost = 60
+let dbt_factor = 12.0
 
 type block_state =
   | V_live
@@ -23,12 +19,11 @@ type block = {
 }
 
 type state = {
-  config : config;
+  quarantine_blocks : int;
   heap : Heap.Freelist_malloc.t;
   by_page : (int, block list ref) Hashtbl.t;
   quarantine : block Queue.t;
   mutable quarantined_bytes : int;
-  mutable next_id : int;
 }
 
 let index_block st block =
@@ -81,7 +76,7 @@ let malloc st machine ?(site = "<unknown>") size =
   base
 
 let drain_quarantine st =
-  while Queue.length st.quarantine > st.config.quarantine_blocks do
+  while Queue.length st.quarantine > st.quarantine_blocks do
     let victim = Queue.pop st.quarantine in
     st.quarantined_bytes <- st.quarantined_bytes - victim.size;
     victim.state <- V_evicted;
@@ -103,25 +98,23 @@ let free st machine ?(site = "<unknown>") addr =
   | None -> violation Shadow.Report.Invalid_free addr None
 
 let checked_access st machine addr =
-  charge machine st.config.access_check_cost;
+  charge machine access_check_cost;
   match find_block st addr with
   | Some { state = V_live; _ } -> ()
   | Some ({ state = V_quarantined | V_evicted; _ } as block) ->
     violation (Shadow.Report.Use_after_free Perm.Read) addr (Some block)
   | None -> violation (Shadow.Report.Wild_access Perm.Read) addr None
 
-let scheme ?(config = default_config) machine =
+let scheme ?(quarantine_blocks = 1000) machine =
   let st =
     {
-      config;
+      quarantine_blocks;
       heap = Heap.Freelist_malloc.create machine;
       by_page = Hashtbl.create 4096;
       quarantine = Queue.create ();
       quarantined_bytes = 0;
-      next_id = 0;
     }
   in
-  ignore st.next_id;
   let rec scheme =
     lazy
       {
@@ -142,7 +135,7 @@ let scheme ?(config = default_config) machine =
             Scheme.direct_pool (Lazy.force scheme));
         compute =
           (fun n ->
-            charge machine (int_of_float (float_of_int n *. config.dbt_factor)));
+            charge machine (int_of_float (float_of_int n *. dbt_factor)));
         extra_memory_bytes =
           (fun () ->
             (* Shadow validity bits (~1/8 of heap) plus the quarantine. *)

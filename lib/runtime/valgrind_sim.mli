@@ -7,15 +7,10 @@
     scheme (every access pays an instrumented check, and all computation
     runs under translation), and detection is only {e heuristic} — once a
     freed block leaves the quarantine and its memory is re-allocated, a
-    dangling use of the old pointer reads the new object silently. *)
+    dangling use of the old pointer reads the new object silently.
+    Each checked access costs 60 instructions and plain computation
+    runs 12x slower under translation. *)
 
-type config = {
-  quarantine_blocks : int;  (** freed blocks retained before real free *)
-  access_check_cost : int;  (** instrumentation instructions per access *)
-  dbt_factor : float;       (** translation slowdown on plain computation *)
-}
-
-val default_config : config
-(** 1000-block quarantine, 60 instructions per access check, 12x DBT. *)
-
-val scheme : ?config:config -> Vmm.Machine.t -> Scheme.t
+val scheme : ?quarantine_blocks:int -> Vmm.Machine.t -> Scheme.t
+(** [quarantine_blocks] (default 1000) freed blocks are retained before
+    the oldest is really freed. *)

@@ -19,7 +19,6 @@ type entry = {
 type t = {
   protect : addr:Addr.t -> pages:int -> (unit, Fault_plan.error) result;
   max_frees : int;
-  max_pages : int;
   quarantined : (int, Object_registry.obj) Hashtbl.t; (* page index -> obj *)
   mutable pending : entry list; (* newest first *)
   mutable pending_frees : int;
@@ -31,13 +30,14 @@ type t = {
   mutable failed_protects : int;
 }
 
-let create ?(max_frees = 64) ?(max_pages = 256) ~protect () =
+(* Quarantined pages that force retirement whatever the free count. *)
+let max_pages = 256
+
+let create ?(max_frees = 64) ~protect () =
   if max_frees <= 0 then invalid_arg "Epoch.create: max_frees <= 0";
-  if max_pages <= 0 then invalid_arg "Epoch.create: max_pages <= 0";
   {
     protect;
     max_frees;
-    max_pages;
     quarantined = Hashtbl.create 64;
     pending = [];
     pending_frees = 0;
@@ -62,7 +62,7 @@ let enqueue t (obj : Object_registry.obj) ~release =
   t.pending_pages <- t.pending_pages + obj.Object_registry.pages
 
 let should_retire t =
-  t.pending_frees >= t.max_frees || t.pending_pages >= t.max_pages
+  t.pending_frees >= t.max_frees || t.pending_pages >= max_pages
 
 let quarantined_obj t addr =
   Hashtbl.find_opt t.quarantined (Addr.page_index addr)
@@ -132,12 +132,3 @@ let retire t =
         t.retired_frees <- t.retired_frees + 1)
       !retired
   end
-
-(* Pool destroy: the pool is about to recycle every shadow range and
-   tear down the canonical arena, so pending protection work is moot.
-   No syscalls; just drop the bookkeeping. *)
-let abandon t =
-  t.pending <- [];
-  t.pending_frees <- 0;
-  t.pending_pages <- 0;
-  Hashtbl.reset t.quarantined

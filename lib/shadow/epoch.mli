@@ -27,16 +27,15 @@ type t
 
 val create :
   ?max_frees:int ->
-  ?max_pages:int ->
   protect:
     (addr:Vmm.Addr.t -> pages:int -> (unit, Vmm.Fault_plan.error) result) ->
   unit ->
   t
 (** An empty epoch.  It retires when {!should_retire} — at least
-    [max_frees] (default 64) pending frees or [max_pages] (default 256)
-    pending pages.  [protect] issues the ranged protection syscall; the
-    runtime layer passes one wrapped in [Runtime.Retry] so transient
-    faults are absorbed before the split fallback engages. *)
+    [max_frees] (default 64) pending frees or 256 pending pages.
+    [protect] issues the ranged protection syscall; the runtime layer
+    passes one wrapped in [Runtime.Retry] so transient faults are
+    absorbed before the split fallback engages. *)
 
 val enqueue : t -> Object_registry.obj -> release:(unit -> unit) -> unit
 (** Quarantine a validated free.  [release] finishes the free (canonical
@@ -49,12 +48,6 @@ val retire : t -> unit
 (** Protect every pending range with coalesced calls (split-and-retry
     per object on failure) and release the retired entries.  No-op on an
     empty epoch. *)
-
-val abandon : t -> unit
-(** Drop all pending work without syscalls — only sound at whole-machine
-    teardown, when the quarantined pages themselves are about to vanish.
-    Pool destroy must {!retire} instead: recycling is VA bookkeeping, so
-    abandoned pages would stay read-write with nobody watching them. *)
 
 val quarantined_obj : t -> Vmm.Addr.t -> Object_registry.obj option
 (** The quarantined object whose shadow pages contain [addr], if any —

@@ -24,7 +24,6 @@ type report = {
 type t = {
   pool : Shadow_pool.t;
   roots : Roots.t;
-  cost_per_word : int;
   va_pages_used : Telemetry.Metrics.gauge;
   va_pages_reclaimed : Telemetry.Metrics.gauge;
   gc_pinned_ranges : Telemetry.Metrics.gauge;
@@ -49,15 +48,16 @@ let register_metrics machine =
   ignore (Telemetry.Metrics.gauge reg "shadow.gc_pinned_ranges");
   ignore (Telemetry.Metrics.histogram reg "shadow.gc_pause_instructions")
 
-let create ?(cost_per_word = 2) ~roots pool =
-  if cost_per_word < 0 then invalid_arg "Gc.create: cost_per_word < 0";
+(* Instructions the mark phase charges per word it examines. *)
+let cost_per_word = 2
+
+let create ~roots pool =
   let machine = Shadow_pool.machine pool in
   let reg = metrics_registry machine in
   register_metrics machine;
   {
     pool;
     roots;
-    cost_per_word;
     va_pages_used = Telemetry.Metrics.gauge reg "shadow.va_pages_used";
     va_pages_reclaimed = Telemetry.Metrics.gauge reg "shadow.va_pages_reclaimed";
     gc_pinned_ranges = Telemetry.Metrics.gauge reg "shadow.gc_pinned_ranges";
@@ -139,7 +139,7 @@ let run t =
                   }))
   end;
   (* The scan is real work on the simulated machine: charge it. *)
-  let pause = !scanned * t.cost_per_word in
+  let pause = !scanned * cost_per_word in
   if pause > 0 then Stats.count_instructions machine.Machine.stats pause;
   let pinned, reclaimable =
     Array.to_list freed
@@ -194,8 +194,3 @@ let total_scanned_words t = t.total_scanned_words
 let last_pinned t = t.last_pinned
 let pool t = t.pool
 let roots t = t.roots
-
-let witness_label w =
-  match w.w_word_addr with
-  | Some a -> Printf.sprintf "%s@0x%x=0x%x" w.w_source a w.w_value
-  | None -> Printf.sprintf "%s=0x%x" w.w_source w.w_value

@@ -18,8 +18,8 @@
     guarantee is therefore never traded away by a GC cycle — exactly
     the property the soak bench's differential oracle enforces.
 
-    Scan cost is charged to the simulated machine ([cost_per_word]
-    instructions per word looked at), and every run updates the
+    Scan cost is charged to the simulated machine (2 instructions per
+    word looked at), and every run updates the
     endurance gauges ([shadow.va_pages_used],
     [shadow.va_pages_reclaimed], [shadow.gc_pinned_ranges]), observes
     the pause-duration histogram ([shadow.gc_pause_instructions]) and
@@ -48,9 +48,8 @@ type report = {
 
 type t
 
-val create : ?cost_per_word:int -> roots:Vmm.Roots.t -> Shadow_pool.t -> t
-(** A collector over one long-lived pool.  [cost_per_word] (default 2)
-    is the instructions charged per word the mark phase examines. *)
+val create : roots:Vmm.Roots.t -> Shadow_pool.t -> t
+(** A collector over one long-lived pool. *)
 
 val run : t -> report
 (** One full cycle: mark, pin, reclaim.  Cheap when the pool holds no
@@ -66,10 +65,6 @@ val last_pinned : t -> pinned list
 
 val pool : t -> Shadow_pool.t
 val roots : t -> Vmm.Roots.t
-
-val witness_label : witness -> string
-(** Human-readable witness, e.g. ["register[3]=0x51000"] or
-    ["heap:conn#12@0x42010=0x51000"]. *)
 
 val register_metrics : Vmm.Machine.t -> unit
 (** Ensure the endurance gauges and pause histogram exist (zeroed, with

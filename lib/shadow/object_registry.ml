@@ -18,12 +18,11 @@ type obj = {
 type t = {
   by_page : (int, obj) Hashtbl.t;
   mutable next_id : int;
-  mutable live : int;
   mutable freed_retained : int;
 }
 
 let create () =
-  { by_page = Hashtbl.create 4096; next_id = 0; live = 0; freed_retained = 0 }
+  { by_page = Hashtbl.create 4096; next_id = 0; freed_retained = 0 }
 
 let register t ~canonical ~shadow_base ~pages ~user_addr ~size ~alloc_site =
   let obj =
@@ -39,7 +38,6 @@ let register t ~canonical ~shadow_base ~pages ~user_addr ~size ~alloc_site =
     }
   in
   t.next_id <- t.next_id + 1;
-  t.live <- t.live + 1;
   for i = 0 to pages - 1 do
     Hashtbl.replace t.by_page (Addr.page_index shadow_base + i) obj
   done;
@@ -47,16 +45,9 @@ let register t ~canonical ~shadow_base ~pages ~user_addr ~size ~alloc_site =
 
 let find_by_addr t addr = Hashtbl.find_opt t.by_page (Addr.page_index addr)
 
-let find_live_by_user_addr t addr =
-  match find_by_addr t addr with
-  | Some obj when obj.user_addr = addr && obj.state = Live -> Some obj
-  | Some _ | None -> None
-
 let mark_freed t obj ~free_site =
   (match obj.state with
-   | Live ->
-     t.live <- t.live - 1;
-     t.freed_retained <- t.freed_retained + 1
+   | Live -> t.freed_retained <- t.freed_retained + 1
    | Freed _ -> ());
   obj.state <- Freed { free_site }
 
@@ -66,7 +57,7 @@ let forget_range t ~base ~pages =
     match Hashtbl.find_opt t.by_page page with
     | Some obj ->
       (match obj.state with
-       | Live -> t.live <- t.live - 1
+       | Live -> ()
        | Freed _ -> t.freed_retained <- t.freed_retained - 1);
       (* Remove every page of the object to keep counts consistent. *)
       for j = 0 to obj.pages - 1 do
@@ -75,7 +66,6 @@ let forget_range t ~base ~pages =
     | None -> ()
   done
 
-let live_count t = t.live
 let freed_retained_count t = t.freed_retained
 
 (* [by_page] holds one binding per page an object spans; visiting an

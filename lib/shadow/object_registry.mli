@@ -40,17 +40,12 @@ val register :
 val find_by_addr : t -> Vmm.Addr.t -> obj option
 (** Object whose shadow pages contain the address (live or freed). *)
 
-val find_live_by_user_addr : t -> Vmm.Addr.t -> obj option
-(** Live object whose user address is exactly this — free-argument
-    validation. *)
-
 val mark_freed : t -> obj -> free_site:string -> unit
 
 val forget_range : t -> base:Vmm.Addr.t -> pages:int -> unit
 (** Drop records covering a recycled virtual range (pool destroy): once
     a page is legitimately reused, old diagnostics for it are stale. *)
 
-val live_count : t -> int
 val freed_retained_count : t -> int
 (** Freed objects whose records (and protected pages) are still held. *)
 

@@ -19,8 +19,7 @@ type strategy =
   | Interval_reuse of { trigger_pages : int }
   | Conservative_gc of { trigger_pages : int; scan_cost_per_object : int }
       (** [scan_cost_per_object] is not read: the collector charges its
-          own scan cost per word examined ({!Gc.create}'s
-          [cost_per_word]). *)
+          own scan cost, 2 instructions per word examined ({!Gc}). *)
   | Manual
 
 type t

@@ -11,7 +11,6 @@ type t = {
   on_shadow_range : base:Addr.t -> pages:int -> unit;
   shadow_alias :
     (src:Addr.t -> pages:int -> (Addr.t, Fault_plan.error) result) option;
-  mutable shadow_pages_created : int;
   mutable unprotected_frees : int;
 }
 
@@ -27,7 +26,6 @@ let create ?(shadow_placer = fun _ -> None)
     shadow_unplace;
     on_shadow_range;
     shadow_alias;
-    shadow_pages_created = 0;
     unprotected_frees = 0;
   }
 
@@ -70,7 +68,6 @@ let try_malloc t ?(site = "<unknown>") size =
     t.allocator.dealloc canonical;
     Error e
   | Ok shadow_base ->
-    t.shadow_pages_created <- t.shadow_pages_created + pages;
     t.on_shadow_range ~base:shadow_base ~pages;
     let user = shadow_base + Addr.offset canonical + header_bytes in
     (* Record the canonical address in the extra word, through the shadow
@@ -173,7 +170,6 @@ let free_unprotected t ?(site = "<unknown>") user =
 
 let registry t = t.registry
 let machine t = t.machine
-let shadow_pages_created t = t.shadow_pages_created
 let unprotected_frees t = t.unprotected_frees
 
 let size_of t user =

@@ -96,9 +96,6 @@ val free_unprotected : t -> ?site:string -> Vmm.Addr.t -> Object_registry.obj
 val registry : t -> Object_registry.t
 val machine : t -> Vmm.Machine.t
 
-val shadow_pages_created : t -> int
-(** Total shadow pages ever created by this heap. *)
-
 val unprotected_frees : t -> int
 (** How many frees had to skip page protection ({!free_unprotected}). *)
 

@@ -62,17 +62,18 @@ type t = {
   recycler : Apa.Page_recycler.t option;
   slab : Slab.t option;
   shadow_ranges : ranges;
-  elided_live : (Addr.t, int) Hashtbl.t; (* addr -> size, statically-safe blocks *)
+  elided_live : (Addr.t, unit) Hashtbl.t; (* statically-safe blocks *)
   unmap : addr:Addr.t -> pages:int -> (unit, Fault_plan.error) result;
   mutable after_free_hook : (unit -> unit) option;
   mutable in_after_free_hook : bool;
-  mutable elided_allocs : int;
-  mutable elided_frees : int;
   mutable destroyed : bool;
 }
 
-let create ?(arena_pages = 16) ?elem_size ?(reuse_shadow_va = true) ?recycler
-    ?slab ?unmap ~registry machine =
+(* Pages per canonical small-object arena of the underlying pool. *)
+let arena_pages = 16
+
+let create ?elem_size ?(reuse_shadow_va = true) ?recycler ?slab ?unmap
+    ~registry machine =
   let reclaim =
     match recycler with
     | Some r -> Apa.Pool.Recycle r
@@ -119,8 +120,6 @@ let create ?(arena_pages = 16) ?elem_size ?(reuse_shadow_va = true) ?recycler
     unmap;
     after_free_hook = None;
     in_after_free_hook = false;
-    elided_allocs = 0;
-    elided_frees = 0;
     destroyed = false;
   }
 
@@ -217,25 +216,19 @@ let dealloc_raw t addr =
 let alloc_elided t size =
   check_usable t "alloc";
   let addr = Apa.Pool.alloc t.pool size in
-  Hashtbl.replace t.elided_live addr size;
-  t.elided_allocs <- t.elided_allocs + 1;
+  Hashtbl.replace t.elided_live addr ();
   Stats.count_alloc_op t.machine.Machine.stats;
   addr
 
 let free_elided t addr =
   check_usable t "free";
-  match Hashtbl.find_opt t.elided_live addr with
-  | Some _ ->
+  if Hashtbl.mem t.elided_live addr then begin
     Hashtbl.remove t.elided_live addr;
     Apa.Pool.dealloc t.pool addr;
-    t.elided_frees <- t.elided_frees + 1;
     Stats.count_free_op t.machine.Machine.stats;
     true
-  | None -> false
-
-let elided_allocs t = t.elided_allocs
-let elided_frees t = t.elided_frees
-let elided_live_blocks t = Hashtbl.length t.elided_live
+  end
+  else false
 
 let size_of t user = Shadow_heap.size_of t.heap user
 

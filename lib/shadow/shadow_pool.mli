@@ -17,7 +17,6 @@
 type t
 
 val create :
-  ?arena_pages:int ->
   ?elem_size:int ->
   ?reuse_shadow_va:bool ->
   ?recycler:Apa.Page_recycler.t ->
@@ -26,7 +25,8 @@ val create :
   registry:Object_registry.t ->
   Vmm.Machine.t ->
   t
-(** [poolinit].  Without a [recycler], destroy unmaps everything instead
+(** [poolinit].  The underlying pool carves small objects from 16-page
+    arenas.  Without a [recycler], destroy unmaps everything instead
     (the paper's "simple solution").  With a [slab], shadow aliases come
     from {!Slab.take} (vectored pre-aliasing, overriding recycled-VA
     placement) and {!destroy} flushes the cache — the slab must be
@@ -88,15 +88,6 @@ val free_elided : t -> Vmm.Addr.t -> bool
     nothing) otherwise, so the caller falls through to the protected
     {!free} path — a double free of an elided block thus still raises
     through the object registry. *)
-
-val elided_allocs : t -> int
-(** Allocations served by {!alloc_elided} over the pool's lifetime. *)
-
-val elided_frees : t -> int
-(** Frees served by {!free_elided} over the pool's lifetime. *)
-
-val elided_live_blocks : t -> int
-(** Elided blocks currently live. *)
 
 val destroy : t -> unit
 (** [pooldestroy]: recycle (or unmap) all canonical and shadow ranges and

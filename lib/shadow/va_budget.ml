@@ -18,20 +18,10 @@ let level_rank = function
   | L_tighten -> 2
   | L_degrade -> 3
 
-type config = {
-  budget_pages : int;
-  gc_watermark : float;
-  tighten_watermark : float;
-  degrade_watermark : float;
-}
-
-let default_watermarks ~budget_pages =
-  {
-    budget_pages;
-    gc_watermark = 0.50;
-    tighten_watermark = 0.75;
-    degrade_watermark = 0.90;
-  }
+(* Fractions of the budget at which each level begins. *)
+let gc_watermark = 0.50
+let tighten_watermark = 0.75
+let degrade_watermark = 0.90
 
 type transition = {
   from_level : level;
@@ -41,35 +31,17 @@ type transition = {
 
 type t = {
   machine : Machine.t;
-  config : config;
+  budget_pages : int;
   va_pages_used : Telemetry.Metrics.gauge;
   mutable level : level;
   mutable transitions_rev : transition list;
 }
 
-let check (c : config) =
-  if c.budget_pages <= 0 then invalid_arg "Va_budget: budget_pages <= 0";
-  let w name v =
-    if Float.is_nan v || v <= 0. || v > 1. then
-      invalid_arg (Printf.sprintf "Va_budget: %s outside (0, 1]" name)
-  in
-  w "gc_watermark" c.gc_watermark;
-  w "tighten_watermark" c.tighten_watermark;
-  w "degrade_watermark" c.degrade_watermark;
-  if c.gc_watermark > c.tighten_watermark
-     || c.tighten_watermark > c.degrade_watermark
-  then invalid_arg "Va_budget: watermarks must be non-decreasing (gc <= tighten <= degrade)"
-
-let create ?config ~budget_pages machine =
-  let config =
-    match config with
-    | Some c -> { c with budget_pages }
-    | None -> default_watermarks ~budget_pages
-  in
-  check config;
+let create ~budget_pages machine =
+  if budget_pages <= 0 then invalid_arg "Va_budget: budget_pages <= 0";
   {
     machine;
-    config;
+    budget_pages;
     va_pages_used =
       Telemetry.Metrics.gauge
         (Stats.registry machine.Machine.stats)
@@ -78,24 +50,19 @@ let create ?config ~budget_pages machine =
     transitions_rev = [];
   }
 
-let config t = t.config
-
 (* Per-machine accounting: total VA ever handed out, in pages.  This is
    deliberately monotone — address space is never returned to the bump
    pointer, only recycled — so pressure can only be relieved by reuse
    slowing the growth, never by the fraction dropping. *)
 let used_pages t = Machine.va_bytes_used t.machine / Addr.page_size
 
-(* Per-pool accounting: the shadow pages one pool currently holds. *)
-let pool_pages pool = Shadow_pool.shadow_pages_live pool
+let remaining_pages t = max 0 (t.budget_pages - used_pages t)
+let used_fraction t = float_of_int (used_pages t) /. float_of_int t.budget_pages
 
-let remaining_pages t = max 0 (t.config.budget_pages - used_pages t)
-let used_fraction t = float_of_int (used_pages t) /. float_of_int t.config.budget_pages
-
-let level_of_fraction (c : config) f =
-  if f >= c.degrade_watermark then L_degrade
-  else if f >= c.tighten_watermark then L_tighten
-  else if f >= c.gc_watermark then L_gc
+let level_of_fraction f =
+  if f >= degrade_watermark then L_degrade
+  else if f >= tighten_watermark then L_tighten
+  else if f >= gc_watermark then L_gc
   else L_ok
 
 let level t = t.level
@@ -103,7 +70,7 @@ let level t = t.level
 let poll t =
   let pages = used_pages t in
   Telemetry.Metrics.set_gauge t.va_pages_used (float_of_int pages);
-  let next = level_of_fraction t.config (used_fraction t) in
+  let next = level_of_fraction (used_fraction t) in
   if next <> t.level then begin
     t.transitions_rev <-
       { from_level = t.level; to_level = next; at_pages_used = pages }
@@ -114,7 +81,7 @@ let poll t =
           {
             level = level_label next;
             pages_used = pages;
-            budget_pages = t.config.budget_pages;
+            budget_pages = t.budget_pages;
           })
   end;
   next

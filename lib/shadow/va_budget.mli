@@ -11,9 +11,10 @@
     the [shadow.va_pages_used] gauge.
 
     Accounting is per-machine ({!used_pages}: total VA ever handed out,
-    the paper's exhaustion metric — deliberately monotone) with a
-    per-pool view ({!pool_pages}) for attribution.  Time-to-exhaustion
-    projections reuse the {!Exhaustion} arithmetic. *)
+    the paper's exhaustion metric — deliberately monotone).  The
+    watermarks sit at 50%, 75% and 90% of the budget.
+    Time-to-exhaustion projections reuse the {!Exhaustion}
+    arithmetic. *)
 
 type level =
   | L_ok  (** below every watermark *)
@@ -27,16 +28,6 @@ val level_label : level -> string
 val level_rank : level -> int
 (** 0–3, monotone in severity — for ordering assertions. *)
 
-type config = {
-  budget_pages : int;  (** the VA budget, in pages *)
-  gc_watermark : float;  (** fraction of budget that advises a GC *)
-  tighten_watermark : float;
-  degrade_watermark : float;
-}
-
-val default_watermarks : budget_pages:int -> config
-(** 0.50 / 0.75 / 0.90. *)
-
 type transition = {
   from_level : level;
   to_level : level;
@@ -45,19 +36,13 @@ type transition = {
 
 type t
 
-val create : ?config:config -> budget_pages:int -> Vmm.Machine.t -> t
-(** Raises [Invalid_argument] on a non-positive budget or watermarks
-    outside (0, 1] or out of order.  [budget_pages] overrides the one
-    in [config]. *)
-
-val config : t -> config
+val create : budget_pages:int -> Vmm.Machine.t -> t
+(** A budget of [budget_pages] pages.  Raises [Invalid_argument] on a
+    non-positive budget. *)
 
 val used_pages : t -> int
 (** Pages of VA the machine has ever handed out
     ({!Vmm.Machine.va_bytes_used}). *)
-
-val pool_pages : Shadow_pool.t -> int
-(** Shadow pages one pool currently holds — per-pool attribution. *)
 
 val remaining_pages : t -> int
 (** [max 0 (budget - used)]. *)

@@ -9,6 +9,10 @@ let addr_mask = (1 lsl tag_shift) - 1
 let wide_bits = 15
 let wide_mask = (1 lsl wide_bits) - 1
 
+(* Instructions per software tag check: mask, shift, tag-byte load,
+   compare. *)
+let check_cost = 4
+
 type chunk = {
   id : int;
   base : Vmm.Addr.t;
@@ -36,7 +40,6 @@ type t = {
   machine : Vmm.Machine.t;
   tag_bits : int;
   tag_mask : int;
-  check_cost : int;
   entry_bytes : int;  (* modeled: bytes of tag storage per granule *)
   table : (int, entry) Hashtbl.t;  (* granule index -> entry *)
   mutable next_id : int;
@@ -48,14 +51,13 @@ type t = {
   mutable live : int;
 }
 
-let create ?(tag_bits = 8) ?(check_cost = 4) machine =
+let create ?(tag_bits = 8) machine =
   if tag_bits < 1 || tag_bits > wide_bits then
     invalid_arg "Tag_table.create: tag_bits must be in 1..15";
   {
     machine;
     tag_bits;
     tag_mask = (1 lsl tag_bits) - 1;
-    check_cost;
     entry_bytes = (tag_bits + 7) / 8;
     table = Hashtbl.create 1024;
     next_id = 0;
@@ -87,7 +89,7 @@ let ensure_entry t idx =
 
 let charge_check t =
   t.tag_checks <- t.tag_checks + 1;
-  Vmm.Stats.count_instructions t.machine.Vmm.Machine.stats t.check_cost
+  Vmm.Stats.count_instructions t.machine.Vmm.Machine.stats check_cost
 
 let object_info t ~addr (c : chunk) =
   ignore t;

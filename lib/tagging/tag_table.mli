@@ -22,8 +22,8 @@
     bound asymmetries against shadow paging instead of merely observing
     them.
 
-    Cost model: each check charges [check_cost] instructions (mask,
-    shift, tag-byte load, compare).  The modeled table overhead is the
+    Cost model: each check charges 4 instructions (mask, shift,
+    tag-byte load, compare).  The modeled table overhead is the
     hardware scheme's — [ceil (tag_bits/8)] bytes per granule ever
     touched; the full-generation and diagnostic storage is simulator
     bookkeeping, outside the cycle model, exactly like
@@ -45,10 +45,9 @@ type stats = {
   live_chunks : int;     (** registered chunks not yet freed *)
 }
 
-val create : ?tag_bits:int -> ?check_cost:int -> Vmm.Machine.t -> t
+val create : ?tag_bits:int -> Vmm.Machine.t -> t
 (** Fresh table over a machine.  [tag_bits] (default 8, max 15) is the
-    width of the hardware-checked tag; [check_cost] (default 4) the
-    instructions charged per check.  Granules are 16 bytes — the
+    width of the hardware-checked tag.  Granules are 16 bytes — the
     allocator's minimum alignment, so no two blocks share a granule. *)
 
 val tag_shift : int

@@ -1,5 +1,5 @@
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   mutable period : int;
   ring : Event.t Ring.t;
   mutable clock : unit -> float;
@@ -24,7 +24,6 @@ let create ?(capacity = 65536) ?(sample_every = 1) () =
   make ~enabled:true ~capacity ~sample_every
 
 let enabled t = t.enabled
-let set_enabled t b = t.enabled <- b
 let set_clock t f = t.clock <- f
 
 let record t kind =

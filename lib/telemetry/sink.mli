@@ -21,7 +21,6 @@ val create : ?capacity:int -> ?sample_every:int -> unit -> t
     [sample_every] is the sampling period (default 1 = record all). *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val set_clock : t -> (unit -> float) -> unit
 (** Installed by [Vmm.Machine.create]: returns the machine's simulated

@@ -4,7 +4,6 @@ type t = {
   sets : slot array array;
   n_sets : int;
   line_shift : int;
-  line_bytes : int;
   mutable clock : int;
 }
 
@@ -20,7 +19,6 @@ let create ?(sets = 256) ?(ways = 4) ?(line_bytes = 64) () =
     sets = Array.init sets (fun _ -> Array.init ways make_slot);
     n_sets = sets;
     line_shift = log2 line_bytes;
-    line_bytes;
     clock = 0;
   }
 
@@ -46,5 +44,3 @@ let access t stats ~phys_addr =
 
 let flush t =
   Array.iter (fun set -> Array.iter (fun s -> s.line <- invalid_line) set) t.sets
-
-let capacity_bytes t = t.n_sets * Array.length t.sets.(0) * t.line_bytes

@@ -23,4 +23,3 @@ val access : t -> Stats.t -> phys_addr:int -> unit
     cache hit or miss and fills on miss. *)
 
 val flush : t -> unit
-val capacity_bytes : t -> int

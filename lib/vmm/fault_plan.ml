@@ -39,13 +39,6 @@ let call_index = function
   | Mprotect -> 3
   | Munmap -> 4
 
-let call_label = function
-  | Mmap -> "mmap"
-  | Mmap_fixed -> "mmap_fixed"
-  | Mremap -> "mremap"
-  | Mprotect -> "mprotect"
-  | Munmap -> "munmap"
-
 let errno_label = function
   | Enomem -> "ENOMEM"
   | Eagain -> "EAGAIN"

@@ -73,7 +73,6 @@ val injected : t -> int
 val attempts : t -> call -> int
 (** Calls of this kind seen so far (including injected ones). *)
 
-val call_label : call -> string
 val errno_label : errno -> string
 val error_label : error -> string
 val is_transient : error -> bool

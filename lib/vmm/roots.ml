@@ -20,16 +20,16 @@ type t = {
   globals : (int, int) Hashtbl.t;
 }
 
-let create ?(registers = 16) () =
-  if registers < 1 then invalid_arg "Roots.create: registers < 1";
+(* General-purpose registers of the modeled machine. *)
+let registers = 16
+
+let create () =
   {
     registers = Array.make registers 0;
     stack = Array.make 64 0;
     stack_depth = 0;
     globals = Hashtbl.create 16;
   }
-
-let register_count t = Array.length t.registers
 
 let set_register t i v =
   if i < 0 || i >= Array.length t.registers then
@@ -46,13 +46,6 @@ let push_stack t v =
   end;
   t.stack.(t.stack_depth) <- v;
   t.stack_depth <- t.stack_depth + 1
-
-let pop_stack t =
-  if t.stack_depth = 0 then None
-  else begin
-    t.stack_depth <- t.stack_depth - 1;
-    Some t.stack.(t.stack_depth)
-  end
 
 let stack_depth t = t.stack_depth
 

@@ -26,11 +26,9 @@ val source_label : source -> string
 
 type t
 
-val create : ?registers:int -> unit -> t
-(** An empty root set with [registers] machine registers (default 16),
-    an empty stack, and no globals. *)
-
-val register_count : t -> int
+val create : unit -> t
+(** An empty root set with 16 machine registers, an empty stack, and no
+    globals. *)
 
 val set_register : t -> int -> int -> unit
 (** [set_register t i v] — [v = 0] empties the register.  Raises
@@ -39,7 +37,6 @@ val set_register : t -> int -> int -> unit
 val clear_register : t -> int -> unit
 
 val push_stack : t -> int -> unit
-val pop_stack : t -> int option
 val stack_depth : t -> int
 
 val set_global : t -> slot:int -> int -> unit

@@ -26,5 +26,3 @@ type server = {
   s_default_connections : int;
   handler : int -> Runtime.Scheme.t -> unit;
 }
-
-let no_paper_numbers = { loc = None; ratio1 = None; valgrind_ratio = None }

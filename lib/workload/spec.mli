@@ -36,5 +36,3 @@ type server = {
       (** per-connection handler, given the connection index and the
           child's fresh scheme *)
 }
-
-val no_paper_numbers : paper_numbers

@@ -18,7 +18,7 @@ type gen_obj = {
   mutable written : int list; (* offsets holding defined values *)
 }
 
-let generate ?(allow_pools = true) ~seed ~length () =
+let generate ~seed ~length () =
   let rng = Prng.create ~seed in
   let events = ref [] in
   let emit e = events := e :: !events in
@@ -78,7 +78,7 @@ let generate ?(allow_pools = true) ~seed ~length () =
     | None -> alloc ()
   in
   let open_pool () =
-    if allow_pools && List.length !pool_stack < 2 then begin
+    if List.length !pool_stack < 2 then begin
       let p = !next_pool in
       incr next_pool;
       pool_stack := p :: !pool_stack;

@@ -25,8 +25,7 @@ type event =
 
 type t = event list
 
-val generate :
-  ?allow_pools:bool -> seed:int -> length:int -> unit -> t
+val generate : seed:int -> length:int -> unit -> t
 (** A random, temporally-correct trace: reads/writes target live
     objects, frees are unique, pool scopes nest, and objects allocated
     inside a pool are not touched after its [Pool_end]. *)

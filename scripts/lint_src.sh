@@ -1,6 +1,7 @@
 #!/bin/sh
 # Source-hygiene gate for the core libraries: no new bare `failwith` or
-# `assert false` in lib/vmm, lib/shadow or lib/minic.  An occurrence is
+# `assert false` in lib/vmm, lib/shadow or lib/minic, and no
+# environment-variable reads in lib, bin or bench.  An occurrence is
 # allowed only when it names the invariant it guards within three lines
 # (the convention every existing call site follows); anything else
 # should be a typed error the caller can handle.  Run by `make lint-src`
@@ -62,6 +63,16 @@ second_engine=$( {
 if [ -n "$second_engine" ]; then
   echo "lint-src: second points-to engine (Points_to/Pt_query) reintroduced:" >&2
   echo "$second_engine" >&2
+  fail=1
+fi
+
+# Settings arrive as typed arguments (CLI flags, optional parameters),
+# never from the environment: a variable read deep in the code is a
+# configuration no test or golden sees.
+env_reads=$(grep -rnE 'Sys\.getenv' lib bin bench --include='*.ml' || true)
+if [ -n "$env_reads" ]; then
+  echo "lint-src: environment variable read (pass a typed argument instead):" >&2
+  echo "$env_reads" >&2
   fail=1
 fi
 

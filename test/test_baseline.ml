@@ -139,8 +139,8 @@ let test_spatial_check_cost_charged () =
 
 (* ---- Valgrind model ---- *)
 
-let valgrind ?config () =
-  Runtime.Valgrind_sim.scheme ?config (Machine.create ())
+let valgrind ?quarantine_blocks () =
+  Runtime.Valgrind_sim.scheme ?quarantine_blocks (Machine.create ())
 
 let test_valgrind_roundtrip () =
   let s = valgrind () in
@@ -158,11 +158,7 @@ let test_valgrind_detects_immediate_uaf () =
 let test_valgrind_misses_after_reuse () =
   (* The heuristic gap: a tiny quarantine, enough churn to recycle the
      block, and the stale read goes through silently. *)
-  let config =
-    { Runtime.Valgrind_sim.default_config with
-      Runtime.Valgrind_sim.quarantine_blocks = 2 }
-  in
-  let s = valgrind ~config () in
+  let s = valgrind ~quarantine_blocks:2 () in
   let p = s.Runtime.Scheme.malloc 48 in
   s.Runtime.Scheme.store p ~width:8 1234;
   s.Runtime.Scheme.free p;
@@ -257,6 +253,65 @@ let test_capability_invalid_free () =
       s.Runtime.Scheme.free (p + 8);
       0)
 
+(* ---- per-operation check costs ---- *)
+
+(* The exact [vmm.instructions] each software check charges: one row
+   per scheme and operation, measured as the instruction delta of that
+   one operation on a fresh machine. *)
+let instructions (s : Runtime.Scheme.t) =
+  (Stats.snapshot s.Runtime.Scheme.machine.Machine.stats).Stats.instructions
+
+let charged s op =
+  let before = instructions s in
+  op ();
+  instructions s - before
+
+let fresh spec = Runtime.Scheme_spec.build spec (Machine.create ())
+
+let epoch_drain s =
+  match Runtime.Schemes.introspect s with
+  | Runtime.Schemes.Shadow_pool_epoch { drain; _ } -> drain ()
+  | _ -> Alcotest.fail "ours-epoch carries no epoch introspection"
+
+let check_cost_rows =
+  let open Runtime.Scheme_spec in
+  let load s p () = ignore (s.Runtime.Scheme.load p ~width:8) in
+  let store s p () = s.Runtime.Scheme.store p ~width:8 1 in
+  let free s p () = s.Runtime.Scheme.free p in
+  (* [op] on a fresh scheme holding one live 48-byte object. *)
+  let on_live spec op () =
+    let s = fresh spec in
+    let p = s.Runtime.Scheme.malloc 48 in
+    charged s (op s p)
+  in
+  (* The same, with one more object's free pending in the epoch,
+     optionally drained before [op]. *)
+  let on_epoch ~drain op () =
+    let s = fresh ours_epoch in
+    let p = s.Runtime.Scheme.malloc 48 in
+    s.Runtime.Scheme.free (s.Runtime.Scheme.malloc 48);
+    if drain then epoch_drain s;
+    charged s (op s p)
+  in
+  [
+    ("ours-bounds load", 6, on_live ours_bounds load);
+    ("tagged load", 4, on_live tagged load);
+    ("ours-epoch load, free pending", 2, on_epoch ~drain:false load);
+    ("ours-epoch load, drained", 0, on_epoch ~drain:true load);
+    ("capability load", 10, on_live capability load);
+    ("capability store", 10, on_live capability store);
+    ("capability free", 15, on_live capability free);
+    ( "capability malloc", 15,
+      fun () ->
+        let s = fresh capability in
+        charged s (fun () -> ignore (s.Runtime.Scheme.malloc 48)) );
+  ]
+
+let test_check_costs () =
+  List.iter
+    (fun (name, want, run) -> check_int name want (run ()))
+    check_cost_rows
+
 (* All guaranteed-detection schemes agree on random traces. *)
 let prop_guaranteed_schemes_agree =
   QCheck.Test.make ~name:"baselines: guaranteed schemes all catch random UAFs"
@@ -330,6 +385,8 @@ let () =
             test_capability_memory_overhead;
           Alcotest.test_case "invalid free" `Quick test_capability_invalid_free;
         ] );
+      ( "check costs",
+        [ Alcotest.test_case "exact per-op charges" `Quick test_check_costs ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_guaranteed_schemes_agree ] );
     ]

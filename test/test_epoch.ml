@@ -124,7 +124,7 @@ let test_in_window_double_free () =
 let test_at_retirement_mmu () =
   let m = Machine.create () in
   let scheme = Runtime.Schemes.shadow_pool_epoch
-      ~config:{ Runtime.Schemes.default_epoch_config with max_frees = 2 } m in
+      ~config:{ Runtime.Schemes.max_frees = 2 } m in
   let p = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   let q = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   scheme.Runtime.Scheme.free ~site:"q.c:2" p;
@@ -163,7 +163,7 @@ let test_post_retirement_mmu () =
 let test_retirement_coalesces () =
   let m = Machine.create () in
   let scheme = Runtime.Schemes.shadow_pool_epoch
-      ~config:{ Runtime.Schemes.default_epoch_config with max_frees = 8 } m in
+      ~config:{ Runtime.Schemes.max_frees = 8 } m in
   let ptrs =
     List.init 8 (fun i ->
         let a = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
@@ -189,7 +189,7 @@ let make_recoverable ?max_frees () =
   let config =
     match max_frees with
     | None -> Runtime.Schemes.default_epoch_config
-    | Some max_frees -> { Runtime.Schemes.default_epoch_config with max_frees }
+    | Some max_frees -> { Runtime.Schemes.max_frees }
   in
   let scheme =
     Runtime.Schemes.recoverable
@@ -273,7 +273,7 @@ let test_split_retry_recovers () =
   in
   let m = Machine.create ~fault_plan:plan () in
   let scheme = Runtime.Schemes.shadow_pool_epoch
-      ~config:{ Runtime.Schemes.default_epoch_config with max_frees = 2 } m in
+      ~config:{ Runtime.Schemes.max_frees = 2 } m in
   let p = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   let q = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   scheme.Runtime.Scheme.free ~site:"q.c:2" p;
@@ -304,7 +304,7 @@ let test_split_retry_keeps_quarantine () =
   in
   let m = Machine.create ~fault_plan:plan () in
   let scheme = Runtime.Schemes.shadow_pool_epoch
-      ~config:{ Runtime.Schemes.default_epoch_config with max_frees = 2 } m in
+      ~config:{ Runtime.Schemes.max_frees = 2 } m in
   let p = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   let q = scheme.Runtime.Scheme.malloc ~site:"q.c:1" 48 in
   scheme.Runtime.Scheme.free ~site:"q.c:2" p;

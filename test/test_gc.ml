@@ -217,21 +217,7 @@ let test_va_budget_projection () =
      | _ -> false);
   ignore (Kernel.mmap m ~pages:900 : Addr.t);
   check_bool "already exhausted projects zero" true
-    (Shadow.Va_budget.seconds_until_exhaustion b ~pages_per_second:5.0 = Some 0.);
-  check_bool "invalid watermarks rejected" true
-    (match
-       Shadow.Va_budget.create
-         ~config:
-           {
-             Shadow.Va_budget.budget_pages = 10;
-             gc_watermark = 0.9;
-             tighten_watermark = 0.5;
-             degrade_watermark = 0.95;
-           }
-         ~budget_pages:10 m
-     with
-     | exception Invalid_argument _ -> true
-     | _ -> false)
+    (Shadow.Va_budget.seconds_until_exhaustion b ~pages_per_second:5.0 = Some 0.)
 
 (* ---- the after-free hook: eager and epoch paths ---- *)
 
@@ -259,7 +245,7 @@ let test_hook_fires_on_eager_free () =
 let test_hook_fires_on_epoch_retirement () =
   let m = Machine.create () in
   let scheme = Runtime.Schemes.shadow_pool_epoch
-      ~config:{ Runtime.Schemes.default_epoch_config with max_frees = 4 } m in
+      ~config:{ Runtime.Schemes.max_frees = 4 } m in
   let pool =
     match Runtime.Schemes.introspect scheme with
     | Runtime.Schemes.Shadow_pool_epoch { global; _ } -> global

@@ -507,7 +507,7 @@ let test_reuse_policy_zero_trigger () =
 let test_reuse_policy_gc_zero_live () =
   let m, pool = make_pool_with_recycler () in
   let roots = Roots.create () in
-  let gc = Shadow.Gc.create ~cost_per_word:2 ~roots pool in
+  let gc = Shadow.Gc.create ~roots pool in
   let policy =
     Shadow.Reuse_policy.create ~gc
       (Shadow.Reuse_policy.Conservative_gc

@@ -264,7 +264,7 @@ let test_spec_round_trip () =
   check_bool "unknown name rejected" true (Spec.of_string "no-such" = None);
   check_bool "recover wrapper parses recursively" true
     (Spec.of_string "tagged+recover"
-    = Some (Spec.Recover (Spec.Tagged Runtime.Schemes.default_tagged_config)))
+    = Some (Spec.Recover Spec.Tagged))
 
 (* ---- the backend-stepping governor ladder ---- *)
 
