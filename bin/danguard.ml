@@ -48,18 +48,27 @@ let config_arg =
     & opt scheme_conv Harness.Experiment.ours
     & info [ "s"; "scheme" ] ~docv:"SCHEME" ~doc)
 
-(* Sizes and counts (scales, divisors, connections, shards): anything
-   below 1 is a usage error at parse time, so no workload ever runs at
-   a zero or negative size. *)
-let positive =
+(* Integers outside [lo, hi] are a usage error at parse time. *)
+let int_within ?(hi = max_int) lo ~expected =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
+    | Some n when n >= lo && n <= hi -> Ok n
     | Some _ | None ->
-      Error
-        (`Msg (Printf.sprintf "invalid value %S, expected a positive integer" s))
+      Error (`Msg (Printf.sprintf "invalid value %S, expected %s" s expected))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+(* Sizes and counts (scales, divisors, connections, shards): anything
+   below 1 is rejected, so no workload ever runs at a zero or negative
+   size. *)
+let positive = int_within 1 ~expected:"a positive integer"
+
+(* Probe intervals: 0 means no probes, and a negative one would silently
+   mean the same, so a gate over seeded probes would pass vacuously. *)
+let probe_every_arg ~default ~doc =
+  Arg.(value
+       & opt (int_within 0 ~expected:"a non-negative integer") default
+       & info [ "probe-every" ] ~docv:"K" ~doc)
 
 let scale_divisor_arg =
   let doc = "Divide workload sizes by this factor (quick runs)." in
@@ -106,41 +115,40 @@ let policy_arg =
 
 (* ---- table ---- *)
 
+module type TABLE = sig
+  type row
+
+  val rows : ?scale_divisor:int -> unit -> row list
+  val render : row list -> string
+  val to_json : row list -> J.t
+end
+
 let table_cmd =
   let which =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"TABLE"
            ~doc:"Table number (1, 2 or 3).")
   in
+  let tables =
+    [ (1, (module Harness.Table1 : TABLE)); (2, (module Harness.Table2));
+      (3, (module Harness.Table3)) ]
+  in
   let run which divisor json =
-    let envelope n rows_json =
-      J.to_string
-        (J.Obj
-           [
-             ("table", J.Int n);
-             ("scale_divisor", J.Int divisor);
-             ("rows", rows_json);
-           ])
-    in
-    match which with
-    | 1 ->
-      let rows = Harness.Table1.rows ~scale_divisor:divisor () in
+    match List.assoc_opt which tables with
+    | None ->
+      `Error (false, Printf.sprintf "no table %d (expected 1, 2 or 3)" which)
+    | Some (module T) ->
+      let rows = T.rows ~scale_divisor:divisor () in
       print_endline
-        (if json then envelope 1 (Harness.Table1.to_json rows)
-         else Harness.Table1.render rows);
+        (if json then
+           J.to_string
+             (J.Obj
+                [
+                  ("table", J.Int which);
+                  ("scale_divisor", J.Int divisor);
+                  ("rows", T.to_json rows);
+                ])
+         else T.render rows);
       `Ok ()
-    | 2 ->
-      let rows = Harness.Table2.rows ~scale_divisor:divisor () in
-      print_endline
-        (if json then envelope 2 (Harness.Table2.to_json rows)
-         else Harness.Table2.render rows);
-      `Ok ()
-    | 3 ->
-      let rows = Harness.Table3.rows ~scale_divisor:divisor () in
-      print_endline
-        (if json then envelope 3 (Harness.Table3.to_json rows)
-         else Harness.Table3.render rows);
-      `Ok ()
-    | n -> `Error (false, Printf.sprintf "no table %d (expected 1, 2 or 3)" n)
   in
   cmd "table" ~doc:"Regenerate a table from the paper's evaluation."
     Term.(ret (const run $ which $ scale_divisor_arg $ json_arg))
@@ -231,8 +239,11 @@ let exhaustion_cmd =
          & info [ "allocs-per-sec" ] ~docv:"R" ~doc:"Allocation rate.")
   in
   let va_bits =
-    Arg.(value & opt int 47 & info [ "va-bits" ] ~docv:"B"
-           ~doc:"User address-space bits.")
+    Arg.(value
+         & opt (int_within 12 ~hi:64 ~expected:"an integer from 12 to 64") 47
+         & info [ "va-bits" ] ~docv:"B"
+             ~doc:"User address-space bits (at least one 4K page, at most \
+                   64).")
   in
   let run rate bits =
     match
@@ -352,13 +363,46 @@ let list_cmd =
   cmd "list" ~doc:"List all workloads."
     Term.(const run $ const ())
 
+(* ---- MiniC front end: compile, lint and pools ---- *)
+
+let minic_file =
+  Arg.(required & pos 0 (some non_dir_file) None
+       & info [] ~docv:"FILE.mc" ~doc:"MiniC source file.")
+
+(* Read and parse [file] and run [pass] over the program.  Malformed
+   input comes back as [Error (line, message)], the line known only for
+   lex and parse errors. *)
+let load_minic file pass =
+  let source = In_channel.with_open_text file In_channel.input_all in
+  match pass (Minic.Parser.parse source) with
+  | result -> Ok result
+  | exception
+      ( Minic.Lexer.Lex_error { line; message }
+      | Minic.Parser.Parse_error { line; message } ) ->
+    Error (Some line, message)
+  | exception
+      ( Minic.Typecheck.Type_error message
+      | Minic.Ast.Semantic_error message
+      | Minic.Pool_transform.Transform_error message ) ->
+    Error (None, message)
+
+(* The static-analysis commands print malformed input as
+   [FILE[:LINE]: error: MESSAGE] and exit 2. *)
+let analyze_or_exit file pass =
+  match load_minic file pass with
+  | Ok result -> result
+  | Error (line, message) ->
+    let where =
+      match line with
+      | Some line -> Printf.sprintf "%s:%d" file line
+      | None -> file
+    in
+    Printf.eprintf "%s: error: %s\n" where message;
+    Stdlib.exit 2
+
 (* ---- compile ---- *)
 
 let compile_cmd =
-  let file =
-    Arg.(required & pos 0 (some non_dir_file) None
-         & info [] ~docv:"FILE.mc" ~doc:"MiniC source file.")
-  in
   let emit =
     Arg.(value & flag
          & info [ "emit" ] ~doc:"Print the pool-transformed program.")
@@ -367,62 +411,51 @@ let compile_cmd =
     Arg.(value & flag & info [ "run" ] ~doc:"Run the transformed program.")
   in
   let run file emit execute config =
-    let source = In_channel.with_open_text file In_channel.input_all in
-    match Minic.Parser.parse source with
-    | exception Minic.Parser.Parse_error { line; message } ->
+    match load_minic file Minic.Pool_transform.transform with
+    | Error (Some line, message) ->
       `Error (false, Printf.sprintf "%s:%d: %s" file line message)
-    | exception Minic.Lexer.Lex_error { line; message } ->
-      `Error (false, Printf.sprintf "%s:%d: %s" file line message)
-    | program ->
-      (match Minic.Pool_transform.transform program with
-       | exception Minic.Typecheck.Type_error msg -> `Error (false, msg)
-       | exception Minic.Pool_transform.Transform_error msg ->
-         `Error (false, msg)
-       | transformed, summary ->
-         Printf.printf "pools inferred (%d sites, %d frees rewritten):\n"
-           summary.Minic.Pool_transform.sites_rewritten
-           summary.Minic.Pool_transform.frees_rewritten;
-         List.iter
-           (fun (d : Minic.Pool_transform.pool_desc) ->
-             Printf.printf "  %-10s owner=%-12s struct=%-8s %s\n"
-               d.Minic.Pool_transform.pool_var d.Minic.Pool_transform.owner
-               (Option.value ~default:"?" d.Minic.Pool_transform.struct_name)
-               (if d.Minic.Pool_transform.global then "(global, long-lived)"
-                else ""))
-           summary.Minic.Pool_transform.pools;
-         if emit then begin
-           print_endline "";
-           print_endline (Minic.Pretty.program_to_string transformed)
-         end;
-         if not execute then `Ok ()
-         else
-           let scheme = Harness.Experiment.make_scheme config () in
-           match Minic.Interp.run transformed scheme with
-           | outcome ->
-             List.iter (Printf.printf "print: %d\n") outcome.Minic.Interp.prints;
-             Printf.printf "steps: %d, cycles: %sM\n" outcome.Minic.Interp.steps
-               (Harness.Table.fmt_cycles
-                  (Runtime.Scheme.cycles scheme));
-             `Ok ()
-           | exception Shadow.Report.Violation r ->
-             Printf.printf "TEMPORAL ERROR DETECTED: %s\n"
-               (Shadow.Report.to_string r);
-             `Ok ()
-           | exception
-               (Minic.Interp.Runtime_error msg
-               | Minic.Interp.Null_dereference msg) ->
-             `Error (false, Printf.sprintf "%s: runtime error: %s" file msg))
+    | Error (None, message) -> `Error (false, message)
+    | Ok (transformed, summary) ->
+      Printf.printf "pools inferred (%d sites, %d frees rewritten):\n"
+        summary.Minic.Pool_transform.sites_rewritten
+        summary.Minic.Pool_transform.frees_rewritten;
+      List.iter
+        (fun (d : Minic.Pool_transform.pool_desc) ->
+          Printf.printf "  %-10s owner=%-12s struct=%-8s %s\n"
+            d.Minic.Pool_transform.pool_var d.Minic.Pool_transform.owner
+            (Option.value ~default:"?" d.Minic.Pool_transform.struct_name)
+            (if d.Minic.Pool_transform.global then "(global, long-lived)"
+             else ""))
+        summary.Minic.Pool_transform.pools;
+      if emit then begin
+        print_endline "";
+        print_endline (Minic.Pretty.program_to_string transformed)
+      end;
+      if not execute then `Ok ()
+      else
+        let scheme = Harness.Experiment.make_scheme config () in
+        match Minic.Interp.run transformed scheme with
+        | outcome ->
+          List.iter (Printf.printf "print: %d\n") outcome.Minic.Interp.prints;
+          Printf.printf "steps: %d, cycles: %sM\n" outcome.Minic.Interp.steps
+            (Harness.Table.fmt_cycles
+               (Runtime.Scheme.cycles scheme));
+          `Ok ()
+        | exception Shadow.Report.Violation r ->
+          Printf.printf "TEMPORAL ERROR DETECTED: %s\n"
+            (Shadow.Report.to_string r);
+          `Ok ()
+        | exception
+            (Minic.Interp.Runtime_error msg
+            | Minic.Interp.Null_dereference msg) ->
+          `Error (false, Printf.sprintf "%s: runtime error: %s" file msg)
   in
   cmd "compile" ~doc:"Parse, pool-transform and optionally run a MiniC program."
-    Term.(ret (const run $ file $ emit $ execute $ config_arg))
+    Term.(ret (const run $ minic_file $ emit $ execute $ config_arg))
 
 (* ---- lint ---- *)
 
 let lint_cmd =
-  let file =
-    Arg.(required & pos 0 (some non_dir_file) None
-         & info [] ~docv:"FILE.mc" ~doc:"MiniC source file.")
-  in
   let sarif =
     Arg.(
       value & flag
@@ -430,71 +463,33 @@ let lint_cmd =
           ~doc:"Emit a SARIF 2.1.0 document (one result per flagged \
                 finding); takes precedence over $(b,--json).")
   in
-  (* Exit codes are part of the contract (pinned by make lint-smoke):
+  (* Exit codes are part of the contract (pinned by test/cli.t):
      0 clean / may-only, 2 malformed input, 3 at least one Must-UAF. *)
   let run file json sarif =
-    let fail msg =
-      prerr_endline msg;
-      Stdlib.exit 2
+    let d =
+      Minic.Diagnostics.make ~file (analyze_or_exit file Minic.Dangling.analyze)
     in
-    let source = In_channel.with_open_text file In_channel.input_all in
-    match Minic.Parser.parse source with
-    | exception Minic.Parser.Parse_error { line; message } ->
-      fail (Printf.sprintf "%s:%d: error: %s" file line message)
-    | exception Minic.Lexer.Lex_error { line; message } ->
-      fail (Printf.sprintf "%s:%d: error: %s" file line message)
-    | program ->
-      (match Minic.Dangling.analyze program with
-       | exception Minic.Typecheck.Type_error msg ->
-         fail (Printf.sprintf "%s: error: %s" file msg)
-       | exception Minic.Ast.Semantic_error msg ->
-         fail (Printf.sprintf "%s: error: %s" file msg)
-       | result ->
-         let d = Minic.Diagnostics.make ~file result in
-         if sarif then
-           print_endline (J.to_string_pretty (Minic.Diagnostics.to_sarif d))
-         else if json then
-           print_endline (J.to_string_pretty (Minic.Diagnostics.to_json d))
-         else print_string (Minic.Diagnostics.render d);
-         Stdlib.exit (Minic.Diagnostics.exit_code d))
+    if sarif then
+      print_endline (J.to_string_pretty (Minic.Diagnostics.to_sarif d))
+    else if json then
+      print_endline (J.to_string_pretty (Minic.Diagnostics.to_json d))
+    else print_string (Minic.Diagnostics.render d);
+    Stdlib.exit (Minic.Diagnostics.exit_code d)
   in
   cmd "lint" ~doc:"Static dangling-pointer analysis of a MiniC program: every \
              free and dereference gets a Safe / may-UAF / must-UAF verdict \
              and every malloc site a protection-elision verdict.  Exits 3 \
              if a must-UAF is found, 2 on malformed input."
-    Term.(const run $ file $ json_arg $ sarif)
+    Term.(const run $ minic_file $ json_arg $ sarif)
 
 (* ---- pools ---- *)
 
 let pools_cmd =
-  let file =
-    Arg.(required & pos 0 (some non_dir_file) None
-         & info [] ~docv:"FILE.mc" ~doc:"MiniC source file.")
-  in
   let run file json =
-    let fail msg =
-      prerr_endline msg;
-      Stdlib.exit 2
-    in
-    let source = In_channel.with_open_text file In_channel.input_all in
-    match Minic.Parser.parse source with
-    | exception Minic.Parser.Parse_error { line; message } ->
-      fail (Printf.sprintf "%s:%d: error: %s" file line message)
-    | exception Minic.Lexer.Lex_error { line; message } ->
-      fail (Printf.sprintf "%s:%d: error: %s" file line message)
-    | program ->
-      (match Minic.Poolify.analyze program with
-       | exception Minic.Typecheck.Type_error msg ->
-         fail (Printf.sprintf "%s: error: %s" file msg)
-       | exception Minic.Ast.Semantic_error msg ->
-         fail (Printf.sprintf "%s: error: %s" file msg)
-       | exception Minic.Pool_transform.Transform_error msg ->
-         fail (Printf.sprintf "%s: error: %s" file msg)
-       | result ->
-         if json then
-           print_endline
-             (J.to_string_pretty (Minic.Poolify.to_json ~file result))
-         else print_string (Minic.Poolify.render ~file result))
+    let result = analyze_or_exit file Minic.Poolify.analyze in
+    if json then
+      print_endline (J.to_string_pretty (Minic.Poolify.to_json ~file result))
+    else print_string (Minic.Poolify.render ~file result)
   in
   cmd "pools"
     ~doc:"Static pool inference over the field-sensitive DSA partition: \
@@ -502,7 +497,7 @@ let pools_cmd =
           scope owns the pool's create/destroy, type homogeneity, and a \
           per-site dangling-risk score.  Output is canonically ordered \
           (byte-identical across runs).  Exits 2 on malformed input."
-    Term.(const run $ file $ json_arg)
+    Term.(const run $ minic_file $ json_arg)
 
 (* ---- trace ---- *)
 
@@ -687,10 +682,8 @@ let farm_cmd =
   let module Farm = Danguard_farm.Farm in
   let module Scheduler = Danguard_farm.Scheduler in
   let probe_every =
-    Arg.(value & opt int 0
-         & info [ "probe-every" ] ~docv:"K"
-             ~doc:"Append a dangling-use probe to every K-th connection \
-                   (0 = none).")
+    probe_every_arg ~default:0
+      ~doc:"Append a dangling-use probe to every K-th connection (0 = none)."
   in
   let trace_file =
     Arg.(value & opt (some string) None
@@ -802,10 +795,8 @@ let report_cmd =
   let module Farm = Danguard_farm.Farm in
   let module Scheduler = Danguard_farm.Scheduler in
   let probe_every =
-    Arg.(value & opt int 4
-         & info [ "probe-every" ] ~docv:"K"
-             ~doc:"Seed a dangling-use probe on every K-th connection \
-                   (0 = none).")
+    probe_every_arg ~default:4
+      ~doc:"Seed a dangling-use probe on every K-th connection (0 = none)."
   in
   let probe_sites =
     Arg.(value & opt int 4
@@ -1017,7 +1008,7 @@ let soak_cmd =
           Printf.printf "  projected exhaustion in %.0f simulated hours\n" h
         | false, None -> print_endline "  flat: never exhausts at this rate"
       end;
-      (* The endurance gates (CI calls this via make soak-smoke): the
+      (* The endurance gates (pinned by test/cli.t): the
          detection guarantee must be perfect, and with the GC armed the
          budget must hold and the steady state must be much flatter
          than the warm-up day. *)

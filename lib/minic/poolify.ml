@@ -26,7 +26,7 @@
    Everything is emitted in a canonical order (pools by id = heap-class
    order, sites by ordinal), so two runs over one program render
    byte-identical output — the determinism gate in the pool_inference
-   bench section and `make pools-smoke` diffs exactly this. *)
+   bench section and test/cli.t diff exactly this. *)
 
 type pool = {
   id : int;

@@ -17,7 +17,7 @@
     Output (both {!to_json} and {!render}) is canonically ordered —
     pools by id, sites by ordinal — so repeated runs over one program
     are byte-identical; the pool_inference bench section and
-    [make pools-smoke] gate on exactly this. *)
+    [test/cli.t] gate on exactly this. *)
 
 type pool = {
   id : int;                  (** index in heap-class order *)

@@ -3,7 +3,12 @@ let check ~va_bytes ~page_bytes ~pages_per_second =
     invalid_arg "Exhaustion: va_bytes < 0";
   if page_bytes <= 0 then invalid_arg "Exhaustion: page_bytes <= 0";
   if not (pages_per_second > 0.) (* also rejects nan *) then
-    invalid_arg "Exhaustion: pages_per_second <= 0"
+    invalid_arg "Exhaustion: pages_per_second <= 0";
+  (* the checks above leave +infinity as the only non-finite input *)
+  if not (Float.is_finite va_bytes) then
+    invalid_arg "Exhaustion: va_bytes is infinite";
+  if not (Float.is_finite pages_per_second) then
+    invalid_arg "Exhaustion: pages_per_second is infinite"
 
 let seconds_until_exhaustion ~va_bytes ~page_bytes ~pages_per_second =
   check ~va_bytes ~page_bytes ~pages_per_second;

@@ -12,7 +12,9 @@ val seconds_until_exhaustion :
     when [va_bytes < 0.], [page_bytes <= 0], or
     [pages_per_second <= 0.] (a non-allocating program never exhausts
     anything; [infinity] here used to silently poison downstream
-    budget arithmetic).  NaN inputs are likewise rejected. *)
+    budget arithmetic).  NaN and infinite inputs are likewise rejected:
+    an infinite rate would give a zero duration, an infinite address
+    space an infinite one. *)
 
 val hours_until_exhaustion :
   va_bytes:float -> page_bytes:int -> pages_per_second:float -> float

@@ -230,8 +230,6 @@ let free_elided t addr =
   end
   else false
 
-let size_of t user = Shadow_heap.size_of t.heap user
-
 let destroy t =
   check_usable t "destroy";
   t.destroyed <- true;
@@ -338,7 +336,6 @@ let reclaim_freed_shadow t =
 let machine t = t.machine
 let registry t = t.registry
 let is_destroyed t = t.destroyed
-let live_blocks t = Apa.Pool.live_blocks t.pool
 
 let shadow_pages_live t = t.shadow_ranges.held_pages
 let freed_shadow_pages t = t.shadow_ranges.freed_pages

@@ -37,7 +37,6 @@ val create :
 
 val alloc : t -> ?site:string -> int -> Vmm.Addr.t
 val free : t -> ?site:string -> Vmm.Addr.t -> unit
-val size_of : t -> Vmm.Addr.t -> int
 
 val try_alloc :
   t -> ?site:string -> int -> (Vmm.Addr.t, Vmm.Fault_plan.error) result
@@ -136,7 +135,6 @@ val registry : t -> Object_registry.t
     enumeration a conservative {!Gc} scans heap words through. *)
 
 val is_destroyed : t -> bool
-val live_blocks : t -> int
 val shadow_pages_live : t -> int
 (** Shadow pages currently held (live + freed-retained).  O(1): a
     running count, not a traversal of the pool's ranges. *)

@@ -131,22 +131,3 @@ let to_json t =
             | Hist h -> hist_summary h
             | _ -> assert false)) );
     ]
-
-let pp ppf t =
-  Format.pp_open_vbox ppf 0;
-  List.iteri
-    (fun i name ->
-      if i > 0 then Format.pp_print_cut ppf ();
-      match Hashtbl.find_opt t.tbl name with
-      | Some (Counter c) -> Format.fprintf ppf "%s: %d" name c.c_value
-      | Some (Gauge g) -> Format.fprintf ppf "%s: %g" name g.g_value
-      | Some (Hist h) ->
-        Format.fprintf ppf "%s: count=%d mean=%.1f p50=%.1f p90=%.1f p99=%.1f max=%.1f"
-          name (Histogram.count h) (Histogram.mean h)
-          (Histogram.percentile h 0.50)
-          (Histogram.percentile h 0.90)
-          (Histogram.percentile h 0.99)
-          (Histogram.max_value h)
-      | None -> ())
-    (names t);
-  Format.pp_close_box ppf ()

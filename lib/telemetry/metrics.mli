@@ -50,6 +50,3 @@ val merge : into:t -> t -> unit
 val to_json : t -> Json.t
 (** [{"counters": {...}, "gauges": {...}, "histograms": {name:
     {count, mean, p50, p90, p99, max}}}]. *)
-
-val pp : Format.formatter -> t -> unit
-(** One metric per line, for humans. *)

@@ -41,6 +41,3 @@ let access t stats ~phys_addr =
     Array.iter (fun s -> if s.stamp < !victim.stamp then victim := s) set;
     !victim.line <- line;
     !victim.stamp <- t.clock
-
-let flush t =
-  Array.iter (fun set -> Array.iter (fun s -> s.line <- invalid_line) set) t.sets

@@ -21,5 +21,3 @@ val create : ?sets:int -> ?ways:int -> ?line_bytes:int -> unit -> t
 val access : t -> Stats.t -> phys_addr:int -> unit
 (** Look up the line containing the physical byte address; counts a
     cache hit or miss and fills on miss. *)
-
-val flush : t -> unit

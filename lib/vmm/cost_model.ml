@@ -43,7 +43,3 @@ let cycles t (s : Stats.snapshot) =
   +. (f s.tlb_shootdowns *. t.shootdown_cost)
   +. (f (Stats.total_syscalls s) *. t.syscall_cost)
   +. (f s.faults *. t.fault_cost)
-
-let pp ppf t =
-  Format.fprintf ppf "%s (quality %.2f, syscall %.0fcy, tlb miss %.0fcy)"
-    t.name t.code_quality t.syscall_cost t.tlb_miss_penalty

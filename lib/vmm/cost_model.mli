@@ -54,5 +54,3 @@ val with_shootdown_cost : t -> float -> t
 
 val cycles : t -> Stats.snapshot -> float
 (** Total simulated cycles for a snapshot (typically a {!Stats.diff}). *)
-
-val pp : Format.formatter -> t -> unit

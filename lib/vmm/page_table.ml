@@ -127,18 +127,4 @@ let set_perm_range t ~page ~pages perm =
 let is_mapped t ~page = Pte.is_present (pte t ~page)
 let mapped_pages t = t.mapped
 
-let iter t f =
-  Array.iteri
-    (fun d chunk ->
-      match chunk with
-      | None -> ()
-      | Some c ->
-        Array.iteri
-          (fun i e ->
-            if Pte.is_present e then
-              f ((d lsl chunk_shift) lor i)
-                { frame = Pte.frame e; perm = Pte.perm e })
-          c)
-    t.dir
-
 let walk_count t = t.walks

@@ -40,8 +40,6 @@ val is_mapped : t -> page:int -> bool
 val mapped_pages : t -> int
 (** Number of live virtual-page mappings (virtual memory footprint). *)
 
-val iter : t -> (int -> entry -> unit) -> unit
-
 val walk_count : t -> int
 (** Diagnostic: total table walks ({!pte}/{!lookup} calls) performed.
     The fast-path tests use this to prove that TLB hits skip the page

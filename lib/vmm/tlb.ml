@@ -98,5 +98,3 @@ let invalidate_range t ~page ~pages =
 let flush t stats =
   Array.iter (fun set -> Array.iter (fun s -> s.page <- invalid_page) set) t.sets;
   Stats.count_tlb_flush stats
-
-let capacity t = t.n_sets * Array.length t.sets.(0)

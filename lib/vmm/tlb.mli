@@ -39,5 +39,3 @@ val invalidate_range : t -> page:int -> pages:int -> unit
 
 val flush : t -> Stats.t -> unit
 (** Full flush (e.g. on simulated [fork]/context switch). *)
-
-val capacity : t -> int

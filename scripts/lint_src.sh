@@ -4,8 +4,8 @@
 # environment-variable reads in lib, bin or bench.  An occurrence is
 # allowed only when it names the invariant it guards within three lines
 # (the convention every existing call site follows); anything else
-# should be a typed error the caller can handle.  Run by `make lint-src`
-# and CI; exits 1 listing every offender.
+# should be a typed error the caller can handle.  `dune runtest` runs it
+# (see scripts/dune); exits 1 listing every offender, silent when clean.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -76,7 +76,4 @@ if [ -n "$env_reads" ]; then
   fail=1
 fi
 
-if [ "$fail" -eq 0 ]; then
-  echo "lint-src: core libraries clean"
-fi
 exit "$fail"

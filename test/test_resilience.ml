@@ -477,7 +477,13 @@ let test_exhaustion_guards () =
         ~page_bytes:4096 ~pages_per_second:1e6);
   expect_invalid "zero page size" (fun () ->
       Shadow.Exhaustion.hours_until_exhaustion ~va_bytes:1e6 ~page_bytes:0
-        ~pages_per_second:1e6)
+        ~pages_per_second:1e6);
+  expect_invalid "infinite rate" (fun () ->
+      Shadow.Exhaustion.hours_until_exhaustion ~va_bytes:1e6 ~page_bytes:4096
+        ~pages_per_second:Float.infinity);
+  expect_invalid "infinite va" (fun () ->
+      Shadow.Exhaustion.hours_until_exhaustion ~va_bytes:Float.infinity
+        ~page_bytes:4096 ~pages_per_second:1e6)
 
 (* ---- reuse-policy edge cases (satellite) ---- *)
 
