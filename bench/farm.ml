@@ -68,7 +68,7 @@ let latency_json (r : F.result) =
 
 let run ~smoke () =
   print_endline "\n== Farm scaling (domain-sharded ghttpd, simulated cycles) ==";
-  let results = sweep ~smoke ~name:"eager" Harness.Experiment.ours in
+  let results = sweep ~smoke ~name:"eager" Runtime.Scheme_spec.ours in
   let base = List.hd results in
   (* sharding must pay: at least 2x simulated throughput at 4 shards *)
   let t4 = (List.find (fun (r : F.result) -> r.F.shards = 4) results).F.throughput in
@@ -95,7 +95,7 @@ let run ~smoke () =
   (* The same farm under the epoch-batched scheme: batching never costs
      a detection, and it must do strictly fewer syscalls. *)
   print_endline "  -- epoch-batched scheme (shadow-pool+epoch) --";
-  let epoch = sweep ~smoke ~name:"epoch" Harness.Experiment.ours_epoch in
+  let epoch = sweep ~smoke ~name:"epoch" Runtime.Scheme_spec.ours_epoch in
   let ebase = List.hd epoch in
   Gate.require
     (ebase.F.totals.F.detections = base.F.totals.F.detections)

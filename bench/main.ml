@@ -75,7 +75,7 @@ let cost_row ~table ~workload ~scale ~cycles (stats : Vmm.Stats.snapshot) =
     [
       ("table", J.Int table);
       ("workload", J.String workload);
-      ("config", J.String (Harness.Experiment.config_label Harness.Experiment.ours));
+      ("config", J.String (Runtime.Scheme_spec.label Runtime.Scheme_spec.ours));
       ("scale", J.Int scale);
       ("cycles", J.Float cycles);
       ("syscalls", J.Int (Vmm.Stats.total_syscalls stats));
@@ -85,7 +85,7 @@ let cost_row ~table ~workload ~scale ~cycles (stats : Vmm.Stats.snapshot) =
 let cost_rows ~scale_divisor () =
   let batch_row table (b : Workload.Spec.batch) =
     let scale = max 1 (b.Workload.Spec.default_scale / scale_divisor) in
-    let r = Harness.Experiment.run_batch ~scale b Harness.Experiment.ours in
+    let r = Harness.Experiment.run_batch ~scale b Runtime.Scheme_spec.ours in
     cost_row ~table ~workload:b.Workload.Spec.name ~scale
       ~cycles:r.Harness.Experiment.cycles r.Harness.Experiment.stats
   in
@@ -94,7 +94,7 @@ let cost_rows ~scale_divisor () =
       max 2 (s.Workload.Spec.s_default_connections / scale_divisor)
     in
     let r =
-      Harness.Experiment.run_server ~connections s Harness.Experiment.ours
+      Harness.Experiment.run_server ~connections s Runtime.Scheme_spec.ours
     in
     cost_row ~table:1 ~workload:s.Workload.Spec.s_name ~scale:connections
       ~cycles:r.Runtime.Process.total_cycles r.Runtime.Process.total_stats
@@ -171,7 +171,7 @@ let run_detection () =
   print_endline (Harness.Detection_matrix.render cells);
   let guaranteed =
     Harness.Detection_matrix.guaranteed_configs cells
-    |> List.map Harness.Experiment.config_label
+    |> List.map Runtime.Scheme_spec.label
     |> String.concat ", "
   in
   Printf.printf "schemes detecting every scenario: %s\n" guaranteed;
@@ -269,7 +269,7 @@ let ablation_syscall_cost () =
     | None -> failwith "health missing"
   in
   let base =
-    (Harness.Experiment.run_batch ~scale:20 b Harness.Experiment.llvm_base)
+    (Harness.Experiment.run_batch ~scale:20 b Runtime.Scheme_spec.llvm_base)
       .Harness.Experiment.cycles
   in
   List.iter
@@ -301,15 +301,12 @@ let ablation_cache_behaviour () =
       let s = r.Harness.Experiment.stats in
       let accesses = s.Vmm.Stats.loads + s.Vmm.Stats.stores in
       Printf.printf "  %-16s cache misses %6d (%.2f%% of %d accesses)\n"
-        (Harness.Experiment.config_label config)
+        (Runtime.Scheme_spec.label config)
         s.Vmm.Stats.cache_misses
         (100. *. float_of_int s.Vmm.Stats.cache_misses
          /. float_of_int (max 1 accesses))
         accesses)
-    [
-      Harness.Experiment.native; Harness.Experiment.ours;
-      Harness.Experiment.efence;
-    ]
+    Runtime.Scheme_spec.[ native; ours; efence ]
 
 (* 7e. Allocator-agnosticism: identical detection over two allocators. *)
 let ablation_allocator_agnostic () =

@@ -188,8 +188,8 @@ let run ~smoke () =
       Harness.Experiment.run_server ~connections:(if smoke then 8 else 24)
         Workload.Servers.ghttpd config
     in
-    let shadow = run Harness.Experiment.ours in
-    let tagged = run Harness.Experiment.tagged in
+    let shadow = run Runtime.Scheme_spec.ours in
+    let tagged = run Runtime.Scheme_spec.tagged in
     Printf.printf
       "  ghttpd shadow: %6d VA bytes/conn | tagged: %6d VA bytes/conn\n"
       shadow.Runtime.Process.max_va_bytes_per_connection
@@ -241,7 +241,7 @@ let run ~smoke () =
   Gate.require wrap_passed
     "tag_backend: wrap demo masked pass not observed at the access site";
   print_endline "  -- tagged backend farm (ghttpd, 1/2/4/8 shards) --";
-  let farm = Farm.sweep ~smoke ~name:"tagged" Harness.Experiment.tagged in
+  let farm = Farm.sweep ~smoke ~name:"tagged" Runtime.Scheme_spec.tagged in
   J.Obj
     [
       ("ops", J.Int ops);

@@ -45,7 +45,7 @@ let config_arg =
   in
   Arg.(
     value
-    & opt scheme_conv Harness.Experiment.ours
+    & opt scheme_conv Runtime.Scheme_spec.ours
     & info [ "s"; "scheme" ] ~docv:"SCHEME" ~doc)
 
 (* Integers outside [lo, hi] are a usage error at parse time. *)
@@ -179,7 +179,7 @@ let detect_cmd =
         match c.Harness.Detection_matrix.outcome with
         | Workload.Fault_injection.Detected r ->
           Printf.printf "%-24s %-22s %s\n"
-            (Harness.Experiment.config_label c.Harness.Detection_matrix.config)
+            (Runtime.Scheme_spec.label c.Harness.Detection_matrix.config)
             c.Harness.Detection_matrix.scenario
             (Shadow.Report.to_string r)
         | Workload.Fault_injection.Silent _
@@ -271,7 +271,7 @@ let run_cmd =
              ~doc:"Workload name (see $(b,danguard list)).")
   in
   let run name config scale json =
-    let label = Harness.Experiment.config_label config in
+    let label = Runtime.Scheme_spec.label config in
     match Workload.Catalog.find_batch name with
     | Some batch ->
       let r = Harness.Experiment.run_batch ?scale batch config in
@@ -513,7 +513,7 @@ let trace_cmd =
              ~doc:"Scale for --record (default: the workload's).")
   in
   let gen_length =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "generate" ] ~docv:"N"
              ~doc:"Generate a random N-event trace to stdout instead of \
                    replaying one.")
@@ -538,18 +538,19 @@ let trace_cmd =
                    in Perfetto/about:tracing), jsonl, or text.")
   in
   let sample =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive 1
          & info [ "sample" ] ~docv:"N"
              ~doc:"Record every N-th samplable event (violations and pool \
                    lifecycle are always kept).")
   in
   let capacity =
-    Arg.(value & opt int 65536
+    Arg.(value & opt positive 65536
          & info [ "capacity" ] ~docv:"N"
              ~doc:"Ring-buffer capacity; oldest events are evicted beyond \
                    this.")
   in
-  let trace_workload batch record_scale config ~out ~format ~sample ~capacity =
+  let trace_workload batch record_scale config ~out ~oc ~format ~sample
+      ~capacity =
     let sink = Telemetry.Sink.create ~capacity ~sample_every:sample () in
     let scheme =
       Harness.Experiment.make_scheme config
@@ -566,13 +567,13 @@ let trace_cmd =
       | `Jsonl -> Telemetry.Export.to_jsonl events
       | `Text -> Telemetry.Export.to_text events
     in
-    Out_channel.with_open_text out (fun oc ->
-        Out_channel.output_string oc body);
+    output_string oc body;
+    close_out oc;
     Printf.printf
       "%s under %s: wrote %d events to %s (%d recorded, %d evicted by ring, \
        sample 1/%d)\n"
       batch.Workload.Spec.name
-      (Harness.Experiment.config_label config)
+      (Runtime.Scheme_spec.label config)
       (List.length events) out
       (Telemetry.Sink.recorded sink)
       (Telemetry.Sink.dropped sink)
@@ -602,12 +603,16 @@ let trace_cmd =
       `Ok ()
     | None, None, Some target ->
       (match Workload.Catalog.find_batch target with
-       | _ when sample < 1 -> `Error (false, "--sample must be at least 1")
-       | _ when capacity < 1 -> `Error (false, "--capacity must be at least 1")
        | Some batch ->
-         trace_workload batch record_scale config ~out ~format ~sample
-           ~capacity;
-         `Ok ()
+         (* The output file opens before the run, so an unwritable path
+            is a clean error up front, not an exception after the whole
+            simulation. *)
+         (match open_out out with
+          | exception Sys_error msg -> `Error (false, msg)
+          | oc ->
+            trace_workload batch record_scale config ~out ~oc ~format ~sample
+              ~capacity;
+            `Ok ())
        | None ->
          if (not (Sys.file_exists target)) || Sys.is_directory target then
            `Error
@@ -624,7 +629,7 @@ let trace_cmd =
               Printf.printf
                 "replayed %d events under %s: %d reads, %d violations, %sM cycles\n"
                 (Workload.Trace.length trace)
-                (Harness.Experiment.config_label config)
+                (Runtime.Scheme_spec.label config)
                 (List.length result.Workload.Trace.reads)
                 result.Workload.Trace.violations
                 (Harness.Table.fmt_cycles (Runtime.Scheme.cycles scheme));
@@ -696,88 +701,92 @@ let farm_cmd =
     match Workload.Catalog.find_server name with
     | None -> `Error (false, "unknown server " ^ name)
     | Some server ->
-      let trace_capacity = if trace_file = None then 0 else 65536 in
-      let r =
-        Farm.run_server ~policy ~seed ~probe_every ~trace_capacity ~config
-          ?connections ~shards server
-      in
-      (match trace_file with
-       | None -> ()
-       | Some path ->
-         (* pid 0 renders oddly in trace viewers; lanes are 1-based *)
-         let groups =
-           List.map
-             (fun (shard, events) -> (shard + 1, 1, events))
-             r.Farm.traces
-         in
-         Out_channel.with_open_text path (fun oc ->
-             Out_channel.output_string oc
-               (Telemetry.Export.to_chrome_string_grouped
-                  ~name_of_pid:(fun pid -> Printf.sprintf "shard %d" (pid - 1))
-                  groups)));
-      let label = Harness.Experiment.config_label config in
-      if json then
-        print_endline
-          (J.to_string
-             (J.Obj
-                [
-                  ("server", J.String name);
-                  ("scheme", J.String label);
-                  ("shards", J.Int r.Farm.shards);
-                  ("policy", J.String (Scheduler.policy_label r.Farm.policy));
-                  ("seed", J.Int r.Farm.seed);
-                  ("connections", J.Int r.Farm.totals.Farm.connections);
-                  ("detections", J.Int r.Farm.totals.Farm.detections);
-                  ("syscalls", J.Int r.Farm.totals.Farm.syscalls);
-                  ("max_va_bytes", J.Int r.Farm.totals.Farm.max_va_bytes);
-                  ("makespan_cycles", J.Float r.Farm.makespan_cycles);
-                  ("throughput_conn_per_mcycle", J.Float r.Farm.throughput);
-                  ("latency_p50", J.Float r.Farm.latency.Harness.Latency.q50);
-                  ("latency_p95", J.Float r.Farm.latency.Harness.Latency.q95);
-                  ("latency_p99", J.Float r.Farm.latency.Harness.Latency.q99);
-                  ( "per_shard",
-                    J.List
-                      (List.map
-                         (fun (sh : Farm.shard_report) ->
-                           J.Obj
-                             [
-                               ("shard", J.Int sh.Farm.shard);
-                               ("served", J.Int sh.Farm.served);
-                               ("busy_cycles", J.Float sh.Farm.busy_cycles);
-                               ("detections", J.Int sh.Farm.shard_detections);
-                             ])
-                         r.Farm.per_shard) );
-                  ("stats", Vmm.Stats.snapshot_to_json r.Farm.totals.Farm.stats);
-                  ( "syscalls_per_op",
-                    match Vmm.Stats.syscalls_per_op r.Farm.totals.Farm.stats with
-                    | Some v -> J.Float v
-                    | None -> J.Null );
-                ]))
-      else begin
-        Printf.printf
-          "%s under %s: %d connections over %d shards (%s, seed 0x%x)\n"
-          name label r.Farm.totals.Farm.connections r.Farm.shards
-          (Scheduler.policy_label r.Farm.policy)
-          r.Farm.seed;
-        List.iter
-          (fun (sh : Farm.shard_report) ->
-            Printf.printf
-              "  shard %d: %3d connections, %sM cycles, %d detections\n"
-              sh.Farm.shard sh.Farm.served
-              (Harness.Table.fmt_cycles sh.Farm.busy_cycles)
-              sh.Farm.shard_detections)
-          r.Farm.per_shard;
-        Printf.printf
-          "  makespan %sM cycles, throughput %.3f conn/Mcycle\n"
-          (Harness.Table.fmt_cycles r.Farm.makespan_cycles)
-          r.Farm.throughput;
-        Printf.printf
-          "  detections %d, syscalls %d, latency p50 %sM p99 %sM cycles\n"
-          r.Farm.totals.Farm.detections r.Farm.totals.Farm.syscalls
-          (Harness.Table.fmt_cycles r.Farm.latency.Harness.Latency.q50)
-          (Harness.Table.fmt_cycles r.Farm.latency.Harness.Latency.q99)
-      end;
-      `Ok ()
+      (* Opened before the run, as in [trace]. *)
+      match Option.map open_out trace_file with
+      | exception Sys_error msg -> `Error (false, msg)
+      | trace_oc ->
+        let trace_capacity = if trace_file = None then 0 else 65536 in
+        let r =
+          Farm.run_server ~policy ~seed ~probe_every ~trace_capacity ~config
+            ?connections ~shards server
+        in
+        (match trace_oc with
+         | None -> ()
+         | Some oc ->
+           (* pid 0 renders oddly in trace viewers; lanes are 1-based *)
+           let groups =
+             List.map
+               (fun (shard, events) -> (shard + 1, 1, events))
+               r.Farm.traces
+           in
+           output_string oc
+             (Telemetry.Export.to_chrome_string_grouped
+                ~name_of_pid:(fun pid -> Printf.sprintf "shard %d" (pid - 1))
+                groups);
+           close_out oc);
+        let label = Runtime.Scheme_spec.label config in
+        if json then
+          print_endline
+            (J.to_string
+               (J.Obj
+                  [
+                    ("server", J.String name);
+                    ("scheme", J.String label);
+                    ("shards", J.Int r.Farm.shards);
+                    ("policy", J.String (Scheduler.policy_label r.Farm.policy));
+                    ("seed", J.Int r.Farm.seed);
+                    ("connections", J.Int r.Farm.totals.Farm.connections);
+                    ("detections", J.Int r.Farm.totals.Farm.detections);
+                    ("syscalls", J.Int r.Farm.totals.Farm.syscalls);
+                    ("max_va_bytes", J.Int r.Farm.totals.Farm.max_va_bytes);
+                    ("makespan_cycles", J.Float r.Farm.makespan_cycles);
+                    ("throughput_conn_per_mcycle", J.Float r.Farm.throughput);
+                    ("latency_p50", J.Float r.Farm.latency.Harness.Latency.q50);
+                    ("latency_p95", J.Float r.Farm.latency.Harness.Latency.q95);
+                    ("latency_p99", J.Float r.Farm.latency.Harness.Latency.q99);
+                    ( "per_shard",
+                      J.List
+                        (List.map
+                           (fun (sh : Farm.shard_report) ->
+                             J.Obj
+                               [
+                                 ("shard", J.Int sh.Farm.shard);
+                                 ("served", J.Int sh.Farm.served);
+                                 ("busy_cycles", J.Float sh.Farm.busy_cycles);
+                                 ("detections", J.Int sh.Farm.shard_detections);
+                               ])
+                           r.Farm.per_shard) );
+                    ("stats", Vmm.Stats.snapshot_to_json r.Farm.totals.Farm.stats);
+                    ( "syscalls_per_op",
+                      match Vmm.Stats.syscalls_per_op r.Farm.totals.Farm.stats with
+                      | Some v -> J.Float v
+                      | None -> J.Null );
+                  ]))
+        else begin
+          Printf.printf
+            "%s under %s: %d connections over %d shards (%s, seed 0x%x)\n"
+            name label r.Farm.totals.Farm.connections r.Farm.shards
+            (Scheduler.policy_label r.Farm.policy)
+            r.Farm.seed;
+          List.iter
+            (fun (sh : Farm.shard_report) ->
+              Printf.printf
+                "  shard %d: %3d connections, %sM cycles, %d detections\n"
+                sh.Farm.shard sh.Farm.served
+                (Harness.Table.fmt_cycles sh.Farm.busy_cycles)
+                sh.Farm.shard_detections)
+            r.Farm.per_shard;
+          Printf.printf
+            "  makespan %sM cycles, throughput %.3f conn/Mcycle\n"
+            (Harness.Table.fmt_cycles r.Farm.makespan_cycles)
+            r.Farm.throughput;
+          Printf.printf
+            "  detections %d, syscalls %d, latency p50 %sM p99 %sM cycles\n"
+            r.Farm.totals.Farm.detections r.Farm.totals.Farm.syscalls
+            (Harness.Table.fmt_cycles r.Farm.latency.Harness.Latency.q50)
+            (Harness.Table.fmt_cycles r.Farm.latency.Harness.Latency.q99)
+        end;
+        `Ok ()
   in
   cmd "farm"
     ~doc:"Serve one of the paper's daemons across N shard domains and \
@@ -799,7 +808,7 @@ let report_cmd =
       ~doc:"Seed a dangling-use probe on every K-th connection (0 = none)."
   in
   let probe_sites =
-    Arg.(value & opt int 4
+    Arg.(value & opt positive 4
          & info [ "sites" ] ~docv:"S"
              ~doc:"Spread the probes over S distinct injection sites, \
                    each its own bug flavour.")
@@ -813,8 +822,6 @@ let report_cmd =
   in
   let run name shards connections probe_every probe_sites policy config seed
       json prometheus =
-    if probe_sites < 1 then `Error (false, "--sites must be at least 1")
-    else
       match Workload.Catalog.find_server name with
       | None -> `Error (false, "unknown server " ^ name)
       | Some server ->
@@ -823,7 +830,7 @@ let report_cmd =
             ~recover:true ~config ?connections ~shards server
         in
         let served = r.Farm.totals.Farm.connections in
-        let label = Harness.Experiment.config_label config in
+        let label = Runtime.Scheme_spec.label config in
         let gauge name =
           int_of_float
             (Telemetry.Metrics.gauge_value
@@ -895,7 +902,8 @@ let report_cmd =
 
 let soak_cmd =
   let days =
-    Arg.(value & opt int 3 & info [ "days" ] ~docv:"D" ~doc:"Simulated days.")
+    Arg.(value & opt positive 3
+         & info [ "days" ] ~docv:"D" ~doc:"Simulated days.")
   in
   let connections =
     Arg.(value & opt positive 120
@@ -907,7 +915,7 @@ let soak_cmd =
              ~doc:"Server daemon model (see $(b,danguard list)).")
   in
   let budget =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "budget-pages" ] ~docv:"P"
              ~doc:"VA budget in pages (default: days x connections).")
   in

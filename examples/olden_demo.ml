@@ -27,26 +27,19 @@ let () =
     let r = Harness.Experiment.run_batch ~scale batch config in
     (r.Harness.Experiment.cycles, r.Harness.Experiment.stats)
   in
-  let base_cycles, _ = measure Harness.Experiment.llvm_base in
+  let base_cycles, _ = measure Runtime.Scheme_spec.llvm_base in
   List.iter
     (fun config ->
       let cycles, stats = measure config in
       Printf.printf
         "%-24s %9sM cycles  (%.2fx)   syscalls %6d   TLB misses %7d\n"
-        (Harness.Experiment.config_label config)
+        (Runtime.Scheme_spec.label config)
         (Harness.Table.fmt_cycles cycles)
         (cycles /. base_cycles)
         (Vmm.Stats.total_syscalls stats)
         stats.Vmm.Stats.tlb_misses)
-    [
-      Harness.Experiment.native;
-      Harness.Experiment.llvm_base;
-      Harness.Experiment.pa;
-      Harness.Experiment.pa_dummy;
-      Harness.Experiment.ours;
-      Harness.Experiment.ours_basic;
-      Harness.Experiment.valgrind;
-    ];
+    Runtime.Scheme_spec.
+      [ native; llvm_base; pa; pa_dummy; ours; ours_basic; valgrind ];
   print_endline
     "\nreading the decomposition (paper §4.4): the PA+dummy column isolates\n\
      the syscall-per-allocation cost; the remaining gap to 'our-approach'\n\

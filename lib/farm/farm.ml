@@ -316,7 +316,7 @@ let check_recovered ~probe_sites ~probe_every r =
     ]
 
 let run_server ?policy ?seed ?probe_every ?probe_sites ?recover ?trace_capacity
-    ?(config = Harness.Experiment.ours) ?connections ~shards
+    ?(config = Runtime.Scheme_spec.ours) ?connections ~shards
     (server : Workload.Spec.server) =
   let connections =
     Option.value connections ~default:server.Workload.Spec.s_default_connections

@@ -47,9 +47,6 @@ type sink
 val create_sink : unit -> sink
 val record : sink -> report -> unit
 
-val sink_reports : sink -> report list
-(** In recording order. *)
-
 val sink_count : sink -> int
 
 (** {1 Fleet merge} *)

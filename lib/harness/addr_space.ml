@@ -21,7 +21,7 @@ let measure ?connections (server : Workload.Spec.server) =
   let recycled = ref 0 in
   let max_va = ref 0 in
   for i = 0 to connections - 1 do
-    let scheme = Experiment.make_scheme Experiment.ours () in
+    let scheme = Experiment.make_scheme Runtime.Scheme_spec.ours () in
     server.Workload.Spec.handler i scheme;
     (match Runtime.Schemes.introspect scheme with
      | Runtime.Schemes.Shadow_pool { global; recycler } ->
@@ -29,8 +29,8 @@ let measure ?connections (server : Workload.Spec.server) =
        recycled := !recycled + Apa.Page_recycler.total_recycled_pages recycler
      | _ ->
        invalid_arg
-         "Addr_space.measure: invariant broken: Experiment.ours must build \
-          a shadow pool (the study reads its global pool and recycler)");
+         "Addr_space.measure: invariant broken: Scheme_spec.ours must build a \
+          shadow pool (the study reads its global pool and recycler)");
     let va = Vmm.Machine.va_bytes_used scheme.Runtime.Scheme.machine in
     if va > !max_va then max_va := va
   done;

@@ -1,18 +1,11 @@
 type cell = {
-  config : Experiment.config;
+  config : Runtime.Scheme_spec.t;
   scenario : string;
   outcome : Workload.Fault_injection.outcome;
 }
 
 let configs =
-  [
-    Experiment.native;
-    Experiment.ours;
-    Experiment.ours_basic;
-    Experiment.efence;
-    Experiment.valgrind;
-    Experiment.capability;
-  ]
+  Runtime.Scheme_spec.[ native; ours; ours_basic; efence; valgrind; capability ]
 
 let run () =
   List.concat_map
@@ -29,10 +22,7 @@ let run () =
     configs
 
 let spatial_configs =
-  [
-    Experiment.native; Experiment.ours; Experiment.ours_bounds;
-    Experiment.efence; Experiment.valgrind;
-  ]
+  Runtime.Scheme_spec.[ native; ours; ours_bounds; efence; valgrind ]
 
 let run_spatial () =
   List.concat_map
@@ -69,7 +59,7 @@ let render cells =
   let rows =
     List.map
       (fun config ->
-        Experiment.config_label config
+        Runtime.Scheme_spec.label config
         :: List.map
              (fun s ->
                match

@@ -7,18 +7,15 @@
     re-allocated. *)
 
 type cell = {
-  config : Experiment.config;
+  config : Runtime.Scheme_spec.t;
   scenario : string;
   outcome : Workload.Fault_injection.outcome;
 }
 
-val configs : Experiment.config list
+val configs : Runtime.Scheme_spec.t list
 (** Native, Ours, Ours_basic, Efence, Valgrind, Capability. *)
 
 val run : unit -> cell list
-
-val spatial_configs : Experiment.config list
-(** Native, Ours, Ours_spatial, Efence, Valgrind. *)
 
 val run_spatial : unit -> cell list
 (** Buffer-overflow scenarios: only the combined spatial+temporal
@@ -27,5 +24,5 @@ val run_spatial : unit -> cell list
 
 val render : cell list -> string
 
-val guaranteed_configs : cell list -> Experiment.config list
+val guaranteed_configs : cell list -> Runtime.Scheme_spec.t list
 (** Configurations that detected every injected scenario. *)

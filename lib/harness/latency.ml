@@ -1,5 +1,5 @@
 type distribution = {
-  config : Experiment.config;
+  config : Runtime.Scheme_spec.t;
   p50 : float;
   p95 : float;
   p99 : float;
@@ -61,19 +61,19 @@ let measure ?(connections = 120) config =
 let study ?connections () =
   List.map
     (fun config -> measure ?connections config)
-    [ Experiment.native; Experiment.llvm_base; Experiment.ours ]
+    Runtime.Scheme_spec.[ native; llvm_base; ours ]
 
 let render dists =
   let base =
     match
-      List.find_opt (fun d -> d.config = Experiment.llvm_base) dists
+      List.find_opt (fun d -> d.config = Runtime.Scheme_spec.llvm_base) dists
     with
     | Some d -> d
     | None -> List.hd dists
   in
   let cells d =
     [
-      Experiment.config_label d.config;
+      Runtime.Scheme_spec.label d.config;
       Table.fmt_cycles d.p50;
       Table.fmt_cycles d.p95;
       Table.fmt_cycles d.p99;

@@ -9,7 +9,7 @@
     which is exactly why the paper targets servers. *)
 
 type distribution = {
-  config : Experiment.config;
+  config : Runtime.Scheme_spec.t;
   p50 : float;   (** median cycles per connection *)
   p95 : float;
   p99 : float;
@@ -27,10 +27,6 @@ type quantiles = { q50 : float; q95 : float; q99 : float; q_mean : float }
 val quantiles_of_histogram : Telemetry.Histogram.t -> quantiles
 (** Percentile summary of any cycles histogram (e.g. a farm's merged
     per-shard latency histogram). *)
-
-val measure :
-  ?connections:int -> Experiment.config -> distribution
-(** Serve [connections] (default 120) heavy-tailed requests. *)
 
 val study : ?connections:int -> unit -> distribution list
 (** Native, LLVM-base and Ours, same request sequence. *)

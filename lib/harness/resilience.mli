@@ -1,6 +1,6 @@
 (** Fault-injection campaign for the governed shadow-page runtime.
 
-    Sweeps {!plans} (deterministic {!Vmm.Fault_plan}s: none, transient
+    Sweeps fault plans (deterministic {!Vmm.Fault_plan}s: none, transient
     rates on the two guarantee-critical syscalls, a failure burst, a
     one-shot fatal, and modeled address-space exhaustion) against the
     Olden workloads under {!Runtime.Governed} schemes, then asserts the
@@ -24,13 +24,9 @@ type plan_spec = {
   rules : Vmm.Fault_plan.rule list;
 }
 
-val plans : plan_spec list
-
 type scheme_kind =
   | Governed_pool
   | Governed_basic
-
-val scheme_kind_label : scheme_kind -> string
 
 type row = {
   plan : string;
@@ -50,14 +46,6 @@ type row = {
   probe_outcomes : (string * string) list;
 }
 
-val run_one :
-  ?seed:int ->
-  plan_spec ->
-  scheme_kind ->
-  Workload.Spec.batch ->
-  scale:int ->
-  row
-
 val campaign :
   ?scale_divisor:int ->
   ?seed:int ->
@@ -65,9 +53,6 @@ val campaign :
   unit ->
   row list
 (** The full sweep; [workloads] defaults to the Olden set. *)
-
-val undiagnosed_crashes : row list -> row list
-val unattributed_misses : row list -> int
 
 val ok : row list -> bool
 (** No undiagnosed crashes and no unattributed misses. *)

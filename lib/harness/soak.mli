@@ -34,10 +34,6 @@ type config = {
   governor : bool;  (** degrade stage wired to a real ladder? *)
 }
 
-val seconds_per_day : float
-(** The wall-clock model behind projections: one simulated day of
-    connections is one calendar day (86 400 s). *)
-
 val default_config : config
 (** 4 days x 150 connections of ghttpd under a 6000-page budget, with
     endurance on and no governor. *)

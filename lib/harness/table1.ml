@@ -12,11 +12,11 @@ type row = {
 }
 
 let make_row ~name ~loc ~paper_ratio1 measure =
-  let native = measure Experiment.native in
-  let llvm_base = measure Experiment.llvm_base in
-  let pa = measure Experiment.pa in
-  let pa_dummy = measure Experiment.pa_dummy in
-  let ours = measure Experiment.ours in
+  let native = measure Runtime.Scheme_spec.native in
+  let llvm_base = measure Runtime.Scheme_spec.llvm_base in
+  let pa = measure Runtime.Scheme_spec.pa in
+  let pa_dummy = measure Runtime.Scheme_spec.pa_dummy in
+  let ours = measure Runtime.Scheme_spec.ours in
   {
     name;
     loc;

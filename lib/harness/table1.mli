@@ -17,7 +17,6 @@ type row = {
   paper_ratio1 : float option;
 }
 
-val utility_row : ?scale:int -> Workload.Spec.batch -> row
 val server_row : ?connections:int -> Workload.Spec.server -> row
 
 val rows : ?scale_divisor:int -> unit -> row list

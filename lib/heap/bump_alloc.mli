@@ -12,5 +12,4 @@ val alloc : t -> int -> Vmm.Addr.t
 val dealloc : t -> Vmm.Addr.t -> unit
 val size_of : t -> Vmm.Addr.t -> int
 val live_blocks : t -> int
-val live_bytes : t -> int
 val as_allocator : t -> Allocator_intf.t

@@ -18,9 +18,6 @@ exception Heap_corruption of string
     scheme these conditions trap at the MMU before the allocator can see
     them.) *)
 
-val header_bytes : int
-(** Bytes of per-block header (16). *)
-
 val create :
   ?arena_pages:int -> ?page_source:(int -> Vmm.Addr.t) -> Vmm.Machine.t -> t
 (** [arena_pages] is the size of each mmap'd small-object arena (default

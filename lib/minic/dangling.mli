@@ -20,9 +20,6 @@ type verdict = Safe | May_uaf | Must_uaf
 val verdict_label : verdict -> string
 (** ["safe"], ["may-uaf"], ["must-uaf"]. *)
 
-val verdict_max : verdict -> verdict -> verdict
-(** Severity join: [Must_uaf > May_uaf > Safe]. *)
-
 type use_kind = Deref | Free_op
 
 val kind_label : use_kind -> string

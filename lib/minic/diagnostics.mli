@@ -23,10 +23,5 @@ val to_sarif : t -> Telemetry.Json.t
     per-site notes are not emitted — SARIF carries actionable results
     only.  Shape pinned by examples/lint/must_uaf.expected.sarif. *)
 
-val has_must : t -> bool
-
 val exit_code : t -> int
 (** [3] when any Must-UAF finding is present, else [0]. *)
-
-val summary : t -> int * int * int * int
-(** (safe, may, must, elidable-site) counts. *)

@@ -53,10 +53,6 @@ val ret_class : t -> string -> class_id option
 val pointee : t -> class_id -> class_id option
 (** Class an element of this class points to, if any. *)
 
-val field_class : t -> class_id -> string -> class_id option
-(** Class of pointer values stored in the named field of this (object)
-    class. *)
-
 val succ : t -> class_id -> class_id list
 (** All outgoing edges: pointee (if any) then field targets in
     field-name order. *)

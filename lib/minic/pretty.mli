@@ -2,6 +2,4 @@
     the pool transform (the paper's Figures 1 and 2) and in parser
     round-trip tests. *)
 
-val expr_to_string : Ast.expr -> string
 val program_to_string : Ast.program -> string
-val func_to_string : Ast.func -> string

@@ -7,8 +7,3 @@ exception Type_error of string
 
 val check : Ast.program -> unit
 (** Raises {!Type_error} with a descriptive message. *)
-
-val expr_type :
-  Ast.program -> (string * Ast.typ) list -> Ast.expr -> Ast.typ option
-(** Type of an expression under a variable environment ([None] = void
-    call result).  Shared with the points-to analysis. *)

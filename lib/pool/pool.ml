@@ -75,7 +75,6 @@ let destroy t =
   t.owned := []
 
 let is_destroyed t = t.destroyed
-let id t = t.id
 let live_blocks t = Heap.Freelist_malloc.live_blocks t.heap
 
 let owned_pages t =

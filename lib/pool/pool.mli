@@ -35,17 +35,11 @@ val dealloc : t -> Vmm.Addr.t -> unit
     thus its physical memory to reuse) but never returns pages to the
     system before {!destroy}. *)
 
-val size_of : t -> Vmm.Addr.t -> int
-
 val destroy : t -> unit
 (** [pooldestroy]: reclaim every owned virtual range per the pool's
     [reclaim] policy and mark the pool unusable. *)
 
 val is_destroyed : t -> bool
-
-val id : t -> int
-(** Process-wide pool number; appears in pool-create/destroy trace
-    events. *)
 
 val live_blocks : t -> int
 val owned_pages : t -> int

@@ -84,32 +84,22 @@ let scheme machine =
       next_cap = 1;
     }
   in
-  let rec scheme =
-    lazy
+  Pool_scheme.build ~name:"capability" machine ~pool:ignore
+    ~wrap:(fun () ->
       {
-        Scheme.name = "capability";
-        machine;
-        malloc = (fun ?site size -> malloc st machine ?site size);
-        free = (fun ?site p -> free st machine ?site p);
-        load =
-          (fun p ~width ->
-            check st machine Perm.Read p;
-            Mmu.load machine (untag p) ~width);
-        store =
-          (fun p ~width v ->
-            check st machine Perm.Write p;
-            Mmu.store machine (untag p) ~width v);
-        pool_create =
-          (fun ?elem_size:_ () ->
-            Scheme.direct_pool (Lazy.force scheme));
-        compute = (fun n -> charge machine n);
-        extra_memory_bytes =
-          (fun () ->
-            (* GCS entry + side metadata per live capability, plus the
-               retired set retained for diagnosis. *)
-            (Hashtbl.length st.gcs * 48) + (Hashtbl.length st.retired * 16));
-        guarantees_detection = true;
-        introspection = Scheme.No_introspection;
-      }
-  in
-  Lazy.force scheme
+        Scheme.pool_alloc = malloc st machine;
+        pool_free = free st machine;
+        pool_destroy = ignore;
+      })
+    ~load:(fun p ~width ->
+      check st machine Perm.Read p;
+      Mmu.load machine (untag p) ~width)
+    ~store:(fun p ~width v ->
+      check st machine Perm.Write p;
+      Mmu.store machine (untag p) ~width v)
+    ~extra_memory_bytes:(fun () ->
+      (* GCS entry + side metadata per live capability, plus the
+         retired set retained for diagnosis. *)
+      (Hashtbl.length st.gcs * 48) + (Hashtbl.length st.retired * 16))
+    ~guarantees_detection:true
+    ~introspection:(fun () -> Scheme.No_introspection)

@@ -53,23 +53,16 @@ let free st machine ?(site = "<unknown>") addr =
 let scheme machine =
   let st = { registry = Shadow.Object_registry.create () } in
   let guard f = Shadow.Detector.guard st.registry ~in_free:false f in
-  let rec scheme =
-    lazy
+  Pool_scheme.build ~name:"electric-fence" machine ~pool:ignore
+    ~wrap:(fun () ->
       {
-        Scheme.name = "electric-fence";
-        machine;
-        malloc = (fun ?site size -> malloc st machine ?site size);
-        free = (fun ?site a -> free st machine ?site a);
-        load = (fun addr ~width -> guard (fun () -> Mmu.load machine addr ~width));
-        store =
-          (fun addr ~width v -> guard (fun () -> Mmu.store machine addr ~width v));
-        pool_create =
-          (fun ?elem_size:_ () ->
-            Scheme.direct_pool (Lazy.force scheme));
-        compute = (fun n -> Stats.count_instructions machine.Machine.stats n);
-        extra_memory_bytes = (fun () -> 0);
-        guarantees_detection = true;
-        introspection = Scheme.No_introspection;
-      }
-  in
-  Lazy.force scheme
+        Scheme.pool_alloc = malloc st machine;
+        pool_free = free st machine;
+        pool_destroy = ignore;
+      })
+    ~load:(fun addr ~width -> guard (fun () -> Mmu.load machine addr ~width))
+    ~store:(fun addr ~width v ->
+      guard (fun () -> Mmu.store machine addr ~width v))
+    ~extra_memory_bytes:(fun () -> 0)
+    ~guarantees_detection:true
+    ~introspection:(fun () -> Scheme.No_introspection)

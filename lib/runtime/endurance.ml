@@ -92,5 +92,3 @@ let tick t =
   report
 
 let actions t = List.rev t.actions_rev
-let budget t = t.budget
-let gc t = t.gc

@@ -53,6 +53,3 @@ val tick : t -> Shadow.Gc.report option
 
 val actions : t -> entry list
 (** Ordered action log, oldest first. *)
-
-val budget : t -> Shadow.Va_budget.t
-val gc : t -> Shadow.Gc.t

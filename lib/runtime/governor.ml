@@ -138,7 +138,6 @@ let backend t =
   | Tagged -> `Tagged
   | Passthrough -> `Raw
 
-let alloc_seq t = t.alloc_seq
 let transitions t = List.rev t.transitions_rev
 let unprotected_free_count t = t.unprotected_frees
 

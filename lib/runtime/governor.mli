@@ -67,10 +67,6 @@ type config = {
 
 val default_config : config
 
-val classic_ladder : sample_period:int -> mode list
-(** [[Full; Sampled sample_period; Passthrough]] — the pre-backend
-    ladder, and what an empty [config.ladder] resolves to. *)
-
 val backend_ladder : mode list
 (** [[Full; Tagged; Passthrough]] — step {e backends}, not sample
     rates: shadow paging while syscalls are healthy, pointer tagging
@@ -100,8 +96,6 @@ val backend : t -> [ `Shadow | `Tagged | `Raw ]
     [Full]/[Sampled] are shadow paging (sampling decided per-alloc by
     {!should_protect}), [Tagged] is the tag table, [Passthrough] is
     raw. *)
-
-val alloc_seq : t -> int
 
 val on_alloc : t -> unit
 (** Advance the allocation clock: checks the VA budget and, on passive

@@ -16,9 +16,6 @@ type policy = {
   max_backoff_instructions : int;  (** backoff ceiling *)
 }
 
-val default : policy
-(** 4 attempts, 200-instruction initial backoff, x4 growth, 20k cap. *)
-
 val attempt :
   ?policy:policy ->
   Vmm.Machine.t ->
@@ -26,6 +23,7 @@ val attempt :
   ('a, Vmm.Fault_plan.error) result
 (** [attempt machine f] runs [f] until it returns [Ok], a [Fatal]
     error, or the attempt budget is spent (the last error is
-    returned).  [f] must be safe to re-run after an [Error] — the
+    returned).  The default [policy] is 4 attempts, a 200-instruction
+    initial backoff, x4 growth and a 20k cap.  [f] must be safe to re-run after an [Error] — the
     [try_*] operations of {!Shadow.Shadow_heap} / {!Shadow.Shadow_pool}
     guarantee this. *)

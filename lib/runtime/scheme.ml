@@ -21,11 +21,4 @@ type t = {
   introspection : introspection;
 }
 
-let direct_pool t =
-  {
-    pool_alloc = t.malloc;
-    pool_free = t.free;
-    pool_destroy = (fun () -> ());
-  }
-
 let cycles t = Vmm.Machine.cycles t.machine

@@ -49,8 +49,5 @@ type t = {
       (** Constructor-private internals; read via {!Schemes.introspect}. *)
 }
 
-val direct_pool : t -> pool_handle
-(** The pass-through pool handle non-pool schemes use. *)
-
 val cycles : t -> float
 (** Simulated cycles consumed so far on this scheme's machine. *)

@@ -22,17 +22,16 @@ let pa_dummy = Pa { Schemes.dummy_syscalls = true }
 let ours_basic = Shadow_basic
 let ours = Shadow_pool Schemes.default_pool_config
 let ours_bounds = Shadow_pool_spatial
-let ours_inferred = Shadow_pool_inferred
 let ours_epoch = Shadow_pool_epoch Schemes.default_epoch_config
 let tagged = Tagged
-let ladder = Backend_ladder
 let efence = Efence
 let valgrind = Valgrind
 let capability = Capability
 
 let all =
   [ native; llvm_base; pa; pa_dummy; ours_basic; ours; ours_bounds;
-    ours_inferred; ours_epoch; tagged; ladder; efence; valgrind; capability;
+    Shadow_pool_inferred; ours_epoch; tagged; Backend_ladder; efence; valgrind;
+    capability;
     Recover ours ]
 
 let rec to_string = function

@@ -37,8 +37,8 @@ type t =
 
 (** {1 Default-config shortcuts}
 
-    One value per family with its default config — the spelling
-    consumers use ([Scheme_spec.ours], [Scheme_spec.tagged], ...). *)
+    Each family that callers name, with its default config
+    ([Scheme_spec.ours], [Scheme_spec.tagged], ...). *)
 
 val native : t
 val llvm_base : t
@@ -47,10 +47,8 @@ val pa_dummy : t
 val ours_basic : t
 val ours : t
 val ours_bounds : t
-val ours_inferred : t
 val ours_epoch : t
 val tagged : t
-val ladder : t
 val efence : t
 val valgrind : t
 val capability : t

@@ -115,33 +115,28 @@ let scheme ?(quarantine_blocks = 1000) machine =
       quarantined_bytes = 0;
     }
   in
-  let rec scheme =
-    lazy
-      {
-        Scheme.name = "valgrind-sim";
-        machine;
-        malloc = (fun ?site size -> malloc st machine ?site size);
-        free = (fun ?site a -> free st machine ?site a);
-        load =
-          (fun addr ~width ->
-            checked_access st machine addr;
-            Mmu.load machine addr ~width);
-        store =
-          (fun addr ~width v ->
-            checked_access st machine addr;
-            Mmu.store machine addr ~width v);
-        pool_create =
-          (fun ?elem_size:_ () ->
-            Scheme.direct_pool (Lazy.force scheme));
-        compute =
-          (fun n ->
-            charge machine (int_of_float (float_of_int n *. dbt_factor)));
-        extra_memory_bytes =
-          (fun () ->
-            (* Shadow validity bits (~1/8 of heap) plus the quarantine. *)
-            (Heap.Freelist_malloc.live_bytes st.heap / 8) + st.quarantined_bytes);
-        guarantees_detection = false;
-        introspection = Scheme.No_introspection;
-      }
+  let scheme =
+    Pool_scheme.build ~name:"valgrind-sim" machine ~pool:ignore
+      ~wrap:(fun () ->
+        {
+          Scheme.pool_alloc = malloc st machine;
+          pool_free = free st machine;
+          pool_destroy = ignore;
+        })
+      ~load:(fun addr ~width ->
+        checked_access st machine addr;
+        Mmu.load machine addr ~width)
+      ~store:(fun addr ~width v ->
+        checked_access st machine addr;
+        Mmu.store machine addr ~width v)
+      ~extra_memory_bytes:(fun () ->
+        (* Shadow validity bits (~1/8 of heap) plus the quarantine. *)
+        (Heap.Freelist_malloc.live_bytes st.heap / 8) + st.quarantined_bytes)
+      ~guarantees_detection:false
+      ~introspection:(fun () -> Scheme.No_introspection)
   in
-  Lazy.force scheme
+  {
+    scheme with
+    Scheme.compute =
+      (fun n -> charge machine (int_of_float (float_of_int n *. dbt_factor)));
+  }

@@ -68,7 +68,6 @@ let quarantined_obj t addr =
   Hashtbl.find_opt t.quarantined (Addr.page_index addr)
 
 let pending_frees t = t.pending_frees
-let pending_pages t = t.pending_pages
 let retirements t = t.retirements
 let retired_frees t = t.retired_frees
 let protect_calls t = t.protect_calls

@@ -55,7 +55,6 @@ val quarantined_obj : t -> Vmm.Addr.t -> Object_registry.obj option
     while an epoch is open. *)
 
 val pending_frees : t -> int
-val pending_pages : t -> int
 val retirements : t -> int
 
 val retired_frees : t -> int

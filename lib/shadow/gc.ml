@@ -193,4 +193,3 @@ let total_reclaimed_pages t = t.total_reclaimed_pages
 let total_scanned_words t = t.total_scanned_words
 let last_pinned t = t.last_pinned
 let pool t = t.pool
-let roots t = t.roots

@@ -64,9 +64,3 @@ val last_pinned : t -> pinned list
     freed set and are re-examined by the next {!run}. *)
 
 val pool : t -> Shadow_pool.t
-val roots : t -> Vmm.Roots.t
-
-val register_metrics : Vmm.Machine.t -> unit
-(** Ensure the endurance gauges and pause histogram exist (zeroed, with
-    [shadow.va_pages_used] set from the machine) in the machine's
-    metrics registry — so exporters show them even before any GC ran. *)

@@ -58,5 +58,4 @@ val to_event : t -> Telemetry.Event.kind
 (** The telemetry event for this violation — the one constructor every
     tracing site uses, so event kinds come from {!kind_label}. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

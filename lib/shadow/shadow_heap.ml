@@ -11,7 +11,6 @@ type t = {
   on_shadow_range : base:Addr.t -> pages:int -> unit;
   shadow_alias :
     (src:Addr.t -> pages:int -> (Addr.t, Fault_plan.error) result) option;
-  mutable unprotected_frees : int;
 }
 
 let create ?(shadow_placer = fun _ -> None)
@@ -26,7 +25,6 @@ let create ?(shadow_placer = fun _ -> None)
     shadow_unplace;
     on_shadow_range;
     shadow_alias;
-    unprotected_frees = 0;
   }
 
 let trace_malloc t site size addr =
@@ -165,12 +163,7 @@ let free_unprotected t ?(site = "<unknown>") user =
   with_violation_trace t (fun () ->
       let obj = find_free_target t user in
       complete_free t obj ~site user;
-      t.unprotected_frees <- t.unprotected_frees + 1;
       obj)
-
-let registry t = t.registry
-let machine t = t.machine
-let unprotected_frees t = t.unprotected_frees
 
 let size_of t user =
   match Object_registry.find_by_addr t.registry user with

@@ -19,9 +19,6 @@
 
 type t
 
-val header_bytes : int
-(** Extra bytes prepended per allocation (one word = 8). *)
-
 val create :
   ?shadow_placer:(int -> Vmm.Addr.t option) ->
   ?shadow_unplace:(base:Vmm.Addr.t -> pages:int -> unit) ->
@@ -92,12 +89,6 @@ val free_unprotected : t -> ?site:string -> Vmm.Addr.t -> Object_registry.obj
     Callers record the returned object so the lost guarantee stays
     attributable.  Double/invalid frees still raise {!Report.Violation}
     (the registry state check stands in for the missing page trap). *)
-
-val registry : t -> Object_registry.t
-val machine : t -> Vmm.Machine.t
-
-val unprotected_frees : t -> int
-(** How many frees had to skip page protection ({!free_unprotected}). *)
 
 val size_of : t -> Vmm.Addr.t -> int
 (** Usable size of a live object, by shadow address. *)

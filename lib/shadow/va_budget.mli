@@ -47,8 +47,6 @@ val used_pages : t -> int
 val remaining_pages : t -> int
 (** [max 0 (budget - used)]. *)
 
-val used_fraction : t -> float
-
 val level : t -> level
 (** Level as of the last {!poll}. *)
 

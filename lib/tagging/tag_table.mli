@@ -50,10 +50,6 @@ val create : ?tag_bits:int -> Vmm.Machine.t -> t
     width of the hardware-checked tag.  Granules are 16 bytes — the
     allocator's minimum alignment, so no two blocks share a granule. *)
 
-val tag_shift : int
-(** Bit position of the tag field in a tagged pointer (48: below it is
-    address, at and above it generation). *)
-
 val untag : Vmm.Addr.t -> Vmm.Addr.t
 (** Strip the tag: the canonical address in the low 48 bits.  [untag 0]
     is 0 — null never acquires a tag. *)

@@ -6,15 +6,9 @@
     1 GHz (1000 cycles = 1 us), which keeps traces readable without
     pretending to wall-clock accuracy. *)
 
-val event_to_json : Event.t -> Json.t
-(** One flat object: [{"seq", "cycles", "type", "cat", ...args}]. *)
-
 val to_jsonl : Event.t list -> string
-(** One {!event_to_json} object per line. *)
-
-val chrome_trace : ?pid:int -> ?tid:int -> Event.t list -> Json.t
-(** The [{"traceEvents": [...]}] envelope; every event becomes an
-    instant event (["ph": "i"]). *)
+(** One flat [{"seq", "cycles", "type", "cat", ...args}] object per
+    line. *)
 
 val to_chrome_string : ?pid:int -> ?tid:int -> Event.t list -> string
 
@@ -29,15 +23,12 @@ val chrome_trace_grouped :
 val to_chrome_string_grouped :
   ?name_of_pid:(int -> string) -> (int * int * Event.t list) list -> string
 
-val derived_metrics : Metrics.t -> (string * float) list
-(** Ratios derived from the registry's raw counters, addressed by
-    name: currently ["vmm.syscalls_per_op"] — protection syscalls
-    (mremap + mprotect + munmap) per heap operation (alloc + free) —
-    present only when the registry saw allocator traffic
-    ([vmm.alloc_ops + vmm.free_ops > 0]). *)
-
 val derived_to_json : Metrics.t -> Json.t
-(** {!derived_metrics} as a flat [{"name": value}] object. *)
+(** Ratios derived from the registry's raw counters, as a flat
+    [{"name": value}] object: currently ["vmm.syscalls_per_op"] —
+    protection syscalls (mremap + mprotect + munmap) per heap operation
+    (alloc + free) — present only when the registry saw allocator
+    traffic ([vmm.alloc_ops + vmm.free_ops > 0]). *)
 
 val to_prometheus : Metrics.t -> string
 (** Prometheus text exposition of a registry: counters (name suffixed
@@ -46,7 +37,8 @@ val to_prometheus : Metrics.t -> string
     carry a literal label block — [crash_total{signature="..."}] — the
     block passes through verbatim and only the base name is sanitised
     to the metric-name grammar; one [# TYPE] line is emitted per base
-    family.  {!derived_metrics} are appended as gauges. *)
+    family.  The derived ratios ({!derived_to_json}) are appended as
+    gauges. *)
 
 val to_text : Event.t list -> string
 (** One pretty line per event. *)

@@ -71,7 +71,6 @@ let render indent t =
 
 let to_string t = render None t
 let to_string_pretty t = render (Some 2) t
-let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 (* ---- parsing ---- *)
 

@@ -21,8 +21,6 @@ val to_string : t -> string
 val to_string_pretty : t -> string
 (** Two-space-indented rendering, for humans. *)
 
-val pp : Format.formatter -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Parse one JSON document; trailing garbage is an error.  Numbers with
     a fraction or exponent parse as [Float], others as [Int]. *)

@@ -13,7 +13,6 @@ let push t x =
   t.total <- t.total + 1
 
 let length t = min t.total t.cap
-let capacity t = t.cap
 let pushed t = t.total
 let dropped t = max 0 (t.total - t.cap)
 

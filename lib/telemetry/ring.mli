@@ -14,7 +14,6 @@ val to_list : 'a t -> 'a list
 (** Retained items, oldest first. *)
 
 val length : 'a t -> int
-val capacity : 'a t -> int
 
 val pushed : 'a t -> int
 (** Total items ever pushed. *)

@@ -43,8 +43,3 @@ let recorded t = t.recorded
 let seen t = t.seen
 let dropped t = Ring.dropped t.ring
 let sample_every t = t.period
-
-let clear t =
-  Ring.clear t.ring;
-  t.seen <- 0;
-  t.recorded <- 0

@@ -47,4 +47,3 @@ val dropped : t -> int
 (** Recorded events evicted by ring wraparound. *)
 
 val sample_every : t -> int
-val clear : t -> unit

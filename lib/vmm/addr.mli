@@ -11,9 +11,6 @@ type t = int
 val page_size : int
 (** Bytes per page (4096, as in the paper's x86/Linux setting). *)
 
-val page_shift : int
-(** [log2 page_size]. *)
-
 val page_index : t -> int
 (** Page number containing the address ([Page(a)] in the paper). *)
 

@@ -16,5 +16,4 @@ exception Trap of t
 
 val addr : t -> Addr.t
 val access : t -> Perm.access
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -47,14 +47,11 @@ let push_stack t v =
   t.stack.(t.stack_depth) <- v;
   t.stack_depth <- t.stack_depth + 1
 
-let stack_depth t = t.stack_depth
-
 let set_global t ~slot v =
   if v = 0 then Hashtbl.remove t.globals slot
   else Hashtbl.replace t.globals slot v
 
 let clear_global t ~slot = Hashtbl.remove t.globals slot
-let global t ~slot = Hashtbl.find_opt t.globals slot
 
 (* Deterministic enumeration: registers in index order, the stack bottom
    to top, globals in slot order.  Empty (zero) words are skipped — they

@@ -37,13 +37,11 @@ val set_register : t -> int -> int -> unit
 val clear_register : t -> int -> unit
 
 val push_stack : t -> int -> unit
-val stack_depth : t -> int
 
 val set_global : t -> slot:int -> int -> unit
 (** [v = 0] clears the slot, as with registers. *)
 
 val clear_global : t -> slot:int -> unit
-val global : t -> slot:int -> int option
 
 val iter_words : t -> (source -> int -> unit) -> unit
 (** Every non-zero root word, in a deterministic order: registers by

@@ -55,11 +55,6 @@ let mmap m ~pages =
   | Some e -> Error e
   | None -> guard m "mmap" (fun () -> Kernel.mmap m ~pages)
 
-let mmap_fixed m ~addr ~pages =
-  match inject m Fault_plan.Mmap_fixed "mmap" with
-  | Some e -> Error e
-  | None -> guard m "mmap" (fun () -> Kernel.mmap_fixed m ~addr ~pages)
-
 let mremap_alias m ~src ~pages =
   match inject m Fault_plan.Mremap "mremap" with
   | Some e -> Error e

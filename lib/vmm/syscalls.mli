@@ -15,7 +15,6 @@
 type 'a outcome = ('a, Fault_plan.error) result
 
 val mmap : Machine.t -> pages:int -> Addr.t outcome
-val mmap_fixed : Machine.t -> addr:Addr.t -> pages:int -> unit outcome
 val mremap_alias : Machine.t -> src:Addr.t -> pages:int -> Addr.t outcome
 
 val mremap_alias_slab :

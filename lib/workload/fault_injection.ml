@@ -101,6 +101,9 @@ let dangling_after_many_allocations gap =
         observe (fun () -> load_field scheme p 0));
   }
 
+(* Enough churn that the victim's memory is recycled before the stale
+   read: the case that defeats quarantine heuristics but not the
+   paper's scheme. *)
 let read_after_free_with_reuse = dangling_after_many_allocations 1500
 
 let all =

@@ -24,24 +24,13 @@ type scenario = {
 val read_after_free : scenario
 (** Free an object, immediately read through the stale pointer. *)
 
-val write_after_free : scenario
 val double_free : scenario
-val invalid_free : scenario
-(** Free an interior pointer. *)
-
-val read_after_free_with_reuse : scenario
-(** Free, then allocate enough same-sized objects that the memory is
-    recycled, then read through the stale pointer — the case that
-    defeats quarantine heuristics but not the paper's scheme. *)
 
 val dangling_after_many_allocations : int -> scenario
 (** Parameterised gap between the free and the stale use. *)
 
 val all : scenario list
 (** The temporal scenarios (the paper's scope). *)
-
-val overflow_read : scenario
-val overflow_write : scenario
 
 val spatial : scenario list
 (** Buffer-overflow scenarios — out of scope for the base scheme, caught

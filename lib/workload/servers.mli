@@ -12,8 +12,6 @@
 
 val ghttpd : Spec.server
 val ftpd : Spec.server
-val fingerd : Spec.server
-val tftpd : Spec.server
 val telnetd : Spec.server
 
 val all : Spec.server list

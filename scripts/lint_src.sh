@@ -35,8 +35,7 @@ done
 # on a scheme-name string.  Everywhere else must pattern-match the
 # Scheme_spec.t constructors, so adding a scheme is one file, not a
 # grep-and-pray across the tree.  Catches match arms, String.equal and
-# conditional comparisons against any CLI scheme name; record
-# construction (Scheme.name = "...") is deliberately not flagged.
+# conditional comparisons against any CLI scheme name.
 names='native|llvm|pa-dummy|ours|ours-basic|ours-bounds|ours-inferred|ours-epoch|tagged|ladder|efence|valgrind|capability'
 scheme_match=$( {
   grep -rnE "\| +\"($names)(\+recover)?\"" \
@@ -63,6 +62,19 @@ second_engine=$( {
 if [ -n "$second_engine" ]; then
   echo "lint-src: second points-to engine (Points_to/Pt_query) reintroduced:" >&2
   echo "$second_engine" >&2
+  fail=1
+fi
+
+# One scheme builder: every Scheme.t record comes from Pool_scheme.build,
+# which puns the name field, so a `Scheme.name = "..."` literal is a
+# hand-built record growing its own copy of the malloc/free/pool
+# plumbing.  Renaming updates (`{ base with Scheme.name = ... }`) take
+# the name from the record they copy and do not match.
+hand_built=$(grep -rnE 'Scheme\.name *= *"' \
+  lib bin bench test examples --include='*.ml' || true)
+if [ -n "$hand_built" ]; then
+  echo "lint-src: Scheme.t record built by hand (use Pool_scheme.build):" >&2
+  echo "$hand_built" >&2
   fail=1
 fi
 

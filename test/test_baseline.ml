@@ -312,6 +312,69 @@ let test_check_costs () =
     (fun (name, want, run) -> check_int name want (run ()))
     check_cost_rows
 
+(* ---- pool handles are pass-through ---- *)
+
+(* A baseline has no pools: [pool_create] hands back the scheme's own
+   malloc and free with a no-op destroy, so pool-transformed workload
+   source runs on it unchanged.  The same trace runs once through
+   top-level malloc/free and once through a pool handle on a fresh
+   machine, and every observation must match. *)
+let outcome f =
+  match f () with
+  | () -> None
+  | exception Shadow.Report.Violation r -> Some r.Shadow.Report.kind
+
+let pool_trace (s : Runtime.Scheme.t) ~alloc ~free =
+  let p = alloc 48 in
+  let q = alloc 64 in
+  s.Runtime.Scheme.store p ~width:8 7;
+  free q;
+  let stale = outcome (fun () -> ignore (s.Runtime.Scheme.load q ~width:8)) in
+  let double = outcome (fun () -> free q) in
+  ( p,
+    q,
+    s.Runtime.Scheme.load p ~width:8,
+    stale,
+    double,
+    instructions s,
+    Runtime.Scheme.cycles s )
+
+let test_pool_pass_through () =
+  List.iter
+    (fun spec ->
+      let name = Runtime.Scheme_spec.to_string spec in
+      let s = fresh spec in
+      let top =
+        pool_trace s ~alloc:(fun n -> s.Runtime.Scheme.malloc n)
+          ~free:(fun a -> s.Runtime.Scheme.free a)
+      in
+      let s = fresh spec in
+      let h = s.Runtime.Scheme.pool_create ~elem_size:48 () in
+      let pooled =
+        pool_trace s ~alloc:(fun n -> h.Runtime.Scheme.pool_alloc n)
+          ~free:(fun a -> h.Runtime.Scheme.pool_free a)
+      in
+      check_bool (name ^ ": pool handle = malloc/free") true (pooled = top);
+      let _, _, v, stale, double, _, _ = pooled in
+      check_int (name ^ ": live readback") 7 v;
+      check_bool (name ^ ": stale load caught") true
+        (Option.fold ~none:false ~some:is_uaf stale);
+      check_bool (name ^ ": double free caught") true
+        (double = Some Shadow.Report.Double_free);
+      (* A pooled object freed through top-level free is freed. *)
+      let p = h.Runtime.Scheme.pool_alloc 32 in
+      s.Runtime.Scheme.free p;
+      check_bool (name ^ ": shared heap") true
+        (outcome (fun () -> h.Runtime.Scheme.pool_free p)
+        = Some Shadow.Report.Double_free);
+      (* Destroy is a no-op: live objects stay readable. *)
+      let r = h.Runtime.Scheme.pool_alloc 16 in
+      s.Runtime.Scheme.store r ~width:8 99;
+      h.Runtime.Scheme.pool_destroy ();
+      check_int (name ^ ": live after destroy") 99
+        (s.Runtime.Scheme.load r ~width:8))
+    Runtime.Scheme_spec.[ efence; valgrind; capability ]
+
 (* All guaranteed-detection schemes agree on random traces. *)
 let prop_guaranteed_schemes_agree =
   QCheck.Test.make ~name:"baselines: guaranteed schemes all catch random UAFs"
@@ -387,6 +450,11 @@ let () =
         ] );
       ( "check costs",
         [ Alcotest.test_case "exact per-op charges" `Quick test_check_costs ] );
+      ( "pools",
+        [
+          Alcotest.test_case "baseline pools are pass-through" `Quick
+            test_pool_pass_through;
+        ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_guaranteed_schemes_agree ] );
     ]

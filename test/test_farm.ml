@@ -10,7 +10,7 @@ let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 0.0))
 
 let run ?(policy = Scheduler.Round_robin) ?(seed = 0x5eed) ?(shards = 2)
-    ?(connections = 24) ?(probe_every = 6) ?(config = Harness.Experiment.ours)
+    ?(connections = 24) ?(probe_every = 6) ?(config = Runtime.Scheme_spec.ours)
     () =
   Farm.run_server ~policy ~seed ~probe_every ~config ~shards ~connections
     Workload.Servers.ghttpd
@@ -108,7 +108,7 @@ let test_farm_detections () =
   (* probe_every 6 over indices 0..23 probes 0,6,12,18 *)
   let r = run () in
   check_int "ours detects every probe" 4 r.Farm.totals.Farm.detections;
-  let native = run ~config:Harness.Experiment.native () in
+  let native = run ~config:Runtime.Scheme_spec.native () in
   check_int "native detects nothing" 0 native.Farm.totals.Farm.detections;
   check_int "same connections served" 24
     native.Farm.totals.Farm.connections
