@@ -189,7 +189,7 @@ type run_stats = {
   total_syscalls : int;
   munmap : int;
   violations : (string * Minic.Ast.pos) list;
-  inferred : Runtime.Schemes.inferred_stats;
+  registry : Telemetry.Metrics.t; (* the machine's, with [inferred.*] *)
 }
 
 let run_under program =
@@ -205,18 +205,21 @@ let run_under program =
     | exception Shadow.Report.Violation _ -> None
   in
   let s = Vmm.Stats.snapshot machine.Vmm.Machine.stats in
-  let inferred =
-    match Runtime.Schemes.introspect scheme with
-    | Runtime.Schemes.Shadow_pool_inferred { inferred; _ } -> inferred ()
-    | _ -> assert false
-  in
   {
     prints;
     total_syscalls = Vmm.Stats.total_syscalls s;
     munmap = s.Vmm.Stats.syscalls_munmap;
     violations = List.rev !violations;
-    inferred;
+    registry = Vmm.Stats.registry machine.Vmm.Machine.stats;
   }
+
+let inferred_count r name =
+  Telemetry.Metrics.count r.registry ("inferred." ^ name)
+
+let peak_pages r =
+  int_of_float
+    (Telemetry.Metrics.gauge_value
+       (Telemetry.Metrics.gauge r.registry "inferred.peak_shadow_pages"))
 
 let canonical_map source =
   Telemetry.Json.to_string
@@ -243,16 +246,15 @@ let run () =
                (fun (p : Minic.Poolify.pool) -> p.destroyable)
                result.Minic.Poolify.pools)
         in
-        let i = inferred.inferred in
+        let destroyed = inferred_count inferred "pools_destroyed" in
+        let unmapped = inferred_count inferred "unmapped_pages" in
         Printf.printf
           "  %-8s pools %d (%d destroyable); peak shadow pages %d -> %d; \
            destroys %d released %d pages; syscalls %d -> %d (munmap %d -> %d)%s\n"
           name
           (List.length result.Minic.Poolify.pools)
-          destroyable global.inferred.Runtime.Schemes.peak_shadow_pages
-          i.Runtime.Schemes.peak_shadow_pages
-          i.Runtime.Schemes.inferred_pools_destroyed
-          i.Runtime.Schemes.destroy_unmapped_pages global.total_syscalls
+          destroyable (peak_pages global) (peak_pages inferred) destroyed
+          unmapped global.total_syscalls
           inferred.total_syscalls global.munmap inferred.munmap
           (if outputs_equal then "" else "  OUTPUT MISMATCH");
         Gate.require outputs_equal
@@ -265,17 +267,13 @@ let run () =
            peak shadow VA *)
         if name = "churn" || name = "server" then begin
           Gate.require
-            (i.Runtime.Schemes.peak_shadow_pages
-            < global.inferred.Runtime.Schemes.peak_shadow_pages)
+            (peak_pages inferred < peak_pages global)
             "pool_inference: inferred pools did not lower peak shadow VA on \
              %s (%d vs %d)"
-            name i.Runtime.Schemes.peak_shadow_pages
-            global.inferred.Runtime.Schemes.peak_shadow_pages;
-          Gate.require
-            (i.Runtime.Schemes.inferred_pools_destroyed > 0)
+            name (peak_pages inferred) (peak_pages global);
+          Gate.require (destroyed > 0)
             "pool_inference: never destroyed a pool on %s" name;
-          Gate.require
-            (i.Runtime.Schemes.destroy_unmapped_pages > 0)
+          Gate.require (unmapped > 0)
             "pool_inference: pool destroys released no shadow pages on %s" name
         end;
         J.Obj
@@ -284,15 +282,11 @@ let run () =
             ("pools", J.Int (List.length result.Minic.Poolify.pools));
             ("destroyable_pools", J.Int destroyable);
             ("sites", J.Int (List.length result.Minic.Poolify.sites));
-            ( "global_peak_pages",
-              J.Int global.inferred.Runtime.Schemes.peak_shadow_pages );
-            ("inferred_peak_pages", J.Int i.Runtime.Schemes.peak_shadow_pages);
-            ( "pools_created",
-              J.Int i.Runtime.Schemes.inferred_pools_created );
-            ( "pools_destroyed",
-              J.Int i.Runtime.Schemes.inferred_pools_destroyed );
-            ( "destroy_unmapped_pages",
-              J.Int i.Runtime.Schemes.destroy_unmapped_pages );
+            ("global_peak_pages", J.Int (peak_pages global));
+            ("inferred_peak_pages", J.Int (peak_pages inferred));
+            ("pools_created", J.Int (inferred_count inferred "pools_created"));
+            ("pools_destroyed", J.Int destroyed);
+            ("destroy_unmapped_pages", J.Int unmapped);
             ("global_syscalls", J.Int global.total_syscalls);
             ("inferred_syscalls", J.Int inferred.total_syscalls);
             ("global_munmap", J.Int global.munmap);

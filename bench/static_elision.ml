@@ -207,11 +207,12 @@ type run_stats = {
   mprotect : int;
   total_syscalls : int;
   violations : (string * Minic.Ast.pos) list;
+  machine : Vmm.Machine.t; (* its registry holds the [elide.*] counters *)
 }
 
 let run_under program scheme_of_machine =
   let machine = Vmm.Machine.create () in
-  let scheme, finish = scheme_of_machine machine in
+  let scheme = scheme_of_machine machine in
   let violations = ref [] in
   let hook ~fname ~pos (_ : Shadow.Report.t) =
     violations := (fname, pos) :: !violations
@@ -222,16 +223,24 @@ let run_under program scheme_of_machine =
     | exception Shadow.Report.Violation _ -> None
   in
   let s = Vmm.Stats.snapshot machine.Vmm.Machine.stats in
-  finish ();
   {
     prints;
     mremap = s.Vmm.Stats.syscalls_mremap;
     mprotect = s.Vmm.Stats.syscalls_mprotect;
     total_syscalls = Vmm.Stats.total_syscalls s;
     violations = List.rev !violations;
+    machine;
   }
 
-let full_scheme machine = (Runtime.Schemes.shadow_pool machine, fun () -> ())
+let elide_count r name =
+  Telemetry.Metrics.count
+    (Vmm.Stats.registry r.machine.Vmm.Machine.stats)
+    ("elide." ^ name)
+
+let static_scheme (result : Minic.Dangling.result) machine =
+  Runtime.Schemes.shadow_pool_static
+    ~config:{ Runtime.Schemes.elide = Minic.Dangling.elide_policy result }
+    machine
 
 let analyze_and_transform source =
   let program = Minic.Parser.parse source in
@@ -254,28 +263,10 @@ let run () =
     List.map
       (fun (name, source) ->
         let result, transformed = analyze_and_transform source in
-        let stats_box = ref None in
-        let static_scheme machine =
-          let scheme =
-            Runtime.Schemes.shadow_pool_static
-              ~config:{ Runtime.Schemes.elide = Minic.Dangling.elide_policy result }
-              machine
-          in
-          let finish () =
-            match Runtime.Schemes.introspect scheme with
-            | Runtime.Schemes.Shadow_pool_static { elision; _ } ->
-              stats_box := Some (elision ())
-            | _ -> assert false
-          in
-          (scheme, finish)
-        in
-        let full = run_under transformed full_scheme in
-        let static = run_under transformed static_scheme in
-        let es =
-          match !stats_box with
-          | Some s -> s
-          | None -> assert false (* finish always runs *)
-        in
+        let full = run_under transformed Runtime.Schemes.shadow_pool in
+        let static = run_under transformed (static_scheme result) in
+        let elided_allocs = elide_count static "allocs" in
+        let elided_frees = elide_count static "frees" in
         let sites = List.length result.Minic.Dangling.sites in
         let elidable =
           List.length
@@ -289,8 +280,7 @@ let run () =
         Printf.printf
           "  %-8s sites %d/%d elidable; elided %d allocs, %d frees; \
            syscalls %d -> %d (saved %d, mremap %d -> %d, mprotect %d -> %d)%s\n"
-          name elidable sites es.Runtime.Schemes.elided_allocs
-          es.Runtime.Schemes.elided_frees full.total_syscalls
+          name elidable sites elided_allocs elided_frees full.total_syscalls
           static.total_syscalls saved full.mremap static.mremap full.mprotect
           static.mprotect
           (if outputs_equal then "" else "  OUTPUT MISMATCH");
@@ -304,9 +294,9 @@ let run () =
             ("name", J.String name);
             ("sites", J.Int sites);
             ("elidable_sites", J.Int elidable);
-            ("elided_allocs", J.Int es.Runtime.Schemes.elided_allocs);
-            ("elided_frees", J.Int es.Runtime.Schemes.elided_frees);
-            ("protected_allocs", J.Int es.Runtime.Schemes.protected_allocs);
+            ("elided_allocs", J.Int elided_allocs);
+            ("elided_frees", J.Int elided_frees);
+            ("protected_allocs", J.Int (elide_count static "protected_allocs"));
             ("full_mremap", J.Int full.mremap);
             ("full_mprotect", J.Int full.mprotect);
             ("full_syscalls", J.Int full.total_syscalls);
@@ -316,7 +306,7 @@ let run () =
             ("saved_syscalls", J.Int saved);
             ("outputs_equal", J.Bool outputs_equal);
           ],
-          es.Runtime.Schemes.elided_allocs > 0 && saved > 0)
+          elided_allocs > 0 && saved > 0)
       workloads
   in
   let elided = List.length (List.filter snd rows) in
@@ -326,31 +316,12 @@ let run () =
     List.map
       (fun (name, source) ->
         let result, transformed = analyze_and_transform source in
-        let stats_box = ref None in
-        let static_scheme machine =
-          let scheme =
-            Runtime.Schemes.shadow_pool_static
-              ~config:{ Runtime.Schemes.elide = Minic.Dangling.elide_policy result }
-              machine
-          in
-          let finish () =
-            match Runtime.Schemes.introspect scheme with
-            | Runtime.Schemes.Shadow_pool_static { elision; _ } ->
-              stats_box := Some (elision ())
-            | _ -> assert false
-          in
-          (scheme, finish)
-        in
-        let static = run_under transformed static_scheme in
+        let static = run_under transformed (static_scheme result) in
         let detected = static.violations <> [] in
         let at_flagged_site =
           detected && List.for_all (flagged result) static.violations
         in
-        let elided =
-          match !stats_box with
-          | Some s -> s.Runtime.Schemes.elided_allocs
-          | None -> 0
-        in
+        let elided = elide_count static "allocs" in
         Printf.printf "  probe %-16s detected=%b at-flagged-site=%b (%d elided)\n"
           name detected at_flagged_site elided;
         Gate.require detected

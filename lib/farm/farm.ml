@@ -175,6 +175,13 @@ let run_shard ~scheduler ~shard ~make_scheme ~handler ~recover ~trace_capacity =
        | Some report ->
          record_crash ~at_cycles:(int_of_float r.Runtime.Process.cycles) report
        | None -> ());
+      (* The connection machine's registry carries its [vmm.*] counters
+         and whatever its scheme counted ([recover.*], ...). *)
+      Option.iter
+        (fun (s : Runtime.Scheme.t) ->
+          Metrics.merge ~into:registry
+            (Vmm.Stats.registry s.Runtime.Scheme.machine.Vmm.Machine.stats))
+        !current;
       current := None;
       incr served;
       busy := !busy +. r.Runtime.Process.cycles;
@@ -188,7 +195,6 @@ let run_shard ~scheduler ~shard ~make_scheme ~handler ~recover ~trace_capacity =
       in
       if va_pages > Metrics.gauge_value shadow_va then
         Metrics.set_gauge shadow_va va_pages;
-      Vmm.Stats.accumulate registry r.Runtime.Process.stats;
       loop ()
   in
   loop ();
@@ -200,9 +206,6 @@ let run_shard ~scheduler ~shard ~make_scheme ~handler ~recover ~trace_capacity =
     o_crashes = crash_sink;
     o_trace = Telemetry.Sink.events trace;
   }
-
-let counter_value registry name =
-  Metrics.counter_value (Metrics.counter registry name)
 
 let run ?(policy = Scheduler.Round_robin) ?(seed = 0x5eed) ?(probe_every = 0)
     ?(probe_sites = 1) ?(recover = false) ?(trace_capacity = 0) ~make_scheme
@@ -233,8 +236,8 @@ let run ?(policy = Scheduler.Round_robin) ?(seed = 0x5eed) ?(probe_every = 0)
   let stats = Vmm.Stats.snapshot (Vmm.Stats.create ~registry ()) in
   let totals =
     {
-      connections = counter_value registry "farm.connections";
-      detections = counter_value registry "farm.detections";
+      connections = Metrics.count registry "farm.connections";
+      detections = Metrics.count registry "farm.detections";
       syscalls = Vmm.Stats.total_syscalls stats;
       max_va_bytes =
         int_of_float (Metrics.gauge_value (Metrics.gauge registry "farm.max_va_bytes"));
@@ -263,7 +266,7 @@ let run ?(policy = Scheduler.Round_robin) ?(seed = 0x5eed) ?(probe_every = 0)
              shard = o.o_shard;
              served = o.o_served;
              busy_cycles = o.o_busy;
-             shard_detections = counter_value o.o_registry "farm.detections";
+             shard_detections = Metrics.count o.o_registry "farm.detections";
              shard_crashes = Fleet.Crash.sink_count o.o_crashes;
            })
          outcomes)

@@ -43,8 +43,10 @@ type result = {
       (** percentiles of the merged per-connection cycles histogram *)
   per_shard : shard_report list;
   registry : Telemetry.Metrics.t;
-      (** the merged registry: "farm.*", the children's "vmm.*", and the
-          "fleet.*" crash counters of {!crashes} *)
+      (** the merged registry: "farm.*", every child machine's registry
+          merged in (its "vmm.*" counters and its scheme's own, e.g.
+          "recover.*" under [~recover:true]), and the "fleet.*" crash
+          counters of {!crashes} *)
   crashes : Fleet.Crash.fleet_report;
       (** per-shard crash sinks merged at join — ranked, deduped by
           stack signature, deterministic for any (shards, policy) *)

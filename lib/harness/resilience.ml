@@ -83,8 +83,7 @@ let plans =
       rules =
         [
           {
-            Fault_plan.calls =
-              [ Fault_plan.Mmap; Fault_plan.Mmap_fixed; Fault_plan.Mremap ];
+            Fault_plan.calls = [ Fault_plan.Mmap; Fault_plan.Mremap ];
             trigger = Fault_plan.Va_budget (48 * 1024 * 1024);
             error = Fault_plan.Fatal Fault_plan.Enospc;
           };

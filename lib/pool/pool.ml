@@ -17,11 +17,6 @@ type t = {
   mutable destroyed : bool;
 }
 
-(* Process-wide pool numbering, so traces can correlate create/destroy
-   across machines; atomic so pools can be created from several domains
-   at once. *)
-let next_id = Atomic.make 0
-
 let take_pages machine reclaim owned pages =
   let base =
     match reclaim with
@@ -41,7 +36,10 @@ let create ?(arena_pages = 16) ?elem_size ~reclaim machine =
   let owned = ref [] in
   let page_source pages = take_pages machine reclaim owned pages in
   let heap = Heap.Freelist_malloc.create ~arena_pages ~page_source machine in
-  let id = Atomic.fetch_and_add next_id 1 + 1 in
+  (* Numbered per machine: a machine belongs to one domain, so the ids in
+     a trace do not depend on how the farm's domains interleave. *)
+  machine.Machine.pools_created <- machine.Machine.pools_created + 1;
+  let id = machine.Machine.pools_created in
   Telemetry.Sink.emit_always machine.Machine.trace (fun () ->
       Telemetry.Event.Pool_create { pool = id; elem_size });
   { machine; reclaim; elem_size; id; heap; owned; destroyed = false }

@@ -1,4 +1,5 @@
 open Vmm
+module Metrics = Telemetry.Metrics
 
 type pa_config = { dummy_syscalls : bool }
 
@@ -14,20 +15,6 @@ type epoch_config = { max_frees : int }
 
 let default_epoch_config = { max_frees = 64 }
 
-type elision_stats = {
-  elided_allocs : int;
-  elided_frees : int;
-  protected_allocs : int;
-  protected_frees : int;
-}
-
-type recovery_stats = {
-  recovered_loads : int;
-  recovered_stores : int;
-  recovered_frees : int;
-  pages_unprotected : int;
-}
-
 type epoch_stats = {
   epochs_retired : int;
   epoch_retired_frees : int;
@@ -41,38 +28,17 @@ type epoch_stats = {
   slab_misses : int;
 }
 
-type inferred_stats = {
-  inferred_pools_created : int;
-  inferred_pools_destroyed : int;
-  live_shadow_pages : int;
-  peak_shadow_pages : int;
-  destroy_unmapped_pages : int;
-}
-
 type info =
   | Opaque
   | Shadow_pool of {
       global : Shadow.Shadow_pool.t;
       recycler : Apa.Page_recycler.t;
     }
-  | Shadow_pool_static of {
-      global : Shadow.Shadow_pool.t;
-      recycler : Apa.Page_recycler.t;
-      elision : unit -> elision_stats;
-    }
   | Shadow_pool_epoch of {
       global : Shadow.Shadow_pool.t;
       recycler : Apa.Page_recycler.t;
       epoch : unit -> epoch_stats;
       drain : unit -> unit;
-    }
-  | Shadow_pool_inferred of {
-      global : Shadow.Shadow_pool.t;
-      inferred : unit -> inferred_stats;
-    }
-  | Recoverable of {
-      base : Scheme.t;
-      recovery : unit -> recovery_stats;
     }
   | Tagged of {
       table : Tagging.Tag_table.t;
@@ -87,6 +53,13 @@ let introspect (scheme : Scheme.t) =
   match scheme.Scheme.introspection with
   | Info i -> i
   | _ -> Opaque
+
+(* A scheme's own counters live in its machine's metrics registry, next
+   to the [vmm.*] ones, so exporters and farm merges see them with no
+   extra plumbing.  Handles are taken once, when the scheme is built:
+   a count on the hot path is one field update. *)
+let counter machine name =
+  Metrics.counter (Stats.registry machine.Machine.stats) name
 
 (* The handle over a plain block allocator: each op counted and traced,
    nothing protected — what native and pa mount. *)
@@ -273,17 +246,17 @@ let shadow_pool_spatial machine =
 let recoverable ?(on_report = fun (_ : Shadow.Report.t) -> ())
     (base : Scheme.t) =
   let machine = base.Scheme.machine in
-  let recovered_loads = ref 0 in
-  let recovered_stores = ref 0 in
-  let recovered_frees = ref 0 in
-  let pages_unprotected = ref 0 in
+  let recovered_loads = counter machine "recover.loads" in
+  let recovered_stores = counter machine "recover.stores" in
+  let recovered_frees = counter machine "recover.frees" in
+  let pages_unprotected = counter machine "recover.pages_unprotected" in
   (* True when a retry of the faulting access can now succeed. *)
   let unprotect_fault fault_addr =
     match Kernel.page_perm machine fault_addr with
     | Some Perm.No_access ->
       Kernel.mprotect machine ~addr:(Addr.page_base fault_addr) ~pages:1
         Perm.Read_write;
-      incr pages_unprotected;
+      Metrics.incr pages_unprotected;
       true
     | Some _ -> true (* software check fired; page was never protected *)
     | None -> false (* wild access: nothing is mapped there *)
@@ -292,7 +265,7 @@ let recoverable ?(on_report = fun (_ : Shadow.Report.t) -> ())
     try base.Scheme.load addr ~width
     with Shadow.Report.Violation r ->
       on_report r;
-      incr recovered_loads;
+      Metrics.incr recovered_loads;
       if unprotect_fault r.Shadow.Report.fault_addr then
         (* A software re-raise (e.g. the spatial bounds check) fires
            again on retry; it was already reported, so drop it. *)
@@ -304,7 +277,7 @@ let recoverable ?(on_report = fun (_ : Shadow.Report.t) -> ())
     try base.Scheme.store addr ~width v
     with Shadow.Report.Violation r ->
       on_report r;
-      incr recovered_stores;
+      Metrics.incr recovered_stores;
       if unprotect_fault r.Shadow.Report.fault_addr then (
         try base.Scheme.store addr ~width v
         with Shadow.Report.Violation _ -> ())
@@ -315,19 +288,12 @@ let recoverable ?(on_report = fun (_ : Shadow.Report.t) -> ())
     try free ?site a
     with Shadow.Report.Violation r ->
       on_report r;
-      incr recovered_frees
+      Metrics.incr recovered_frees
   in
   let wrap_handle (h : Scheme.pool_handle) =
     { h with Scheme.pool_free = wrap_free h.Scheme.pool_free }
   in
-  let recovery () =
-    {
-      recovered_loads = !recovered_loads;
-      recovered_stores = !recovered_stores;
-      recovered_frees = !recovered_frees;
-      pages_unprotected = !pages_unprotected;
-    }
-  in
+  (* [introspection] stays the base's: the wrapper adds no internals. *)
   {
     base with
     Scheme.name = base.Scheme.name ^ "+recover";
@@ -336,7 +302,6 @@ let recoverable ?(on_report = fun (_ : Shadow.Report.t) -> ())
     free = wrap_free base.Scheme.free;
     pool_create =
       (fun ?elem_size () -> wrap_handle (base.Scheme.pool_create ?elem_size ()));
-    introspection = Info (Recoverable { base; recovery });
   }
 
 (* Shadow-pool with a per-malloc-site protection policy from the static
@@ -347,10 +312,10 @@ let recoverable ?(on_report = fun (_ : Shadow.Report.t) -> ())
 let shadow_pool_static ~config machine =
   let { elide } = config in
   let recycler = Apa.Page_recycler.create () in
-  let elided_allocs = ref 0 in
-  let elided_frees = ref 0 in
-  let protected_allocs = ref 0 in
-  let protected_frees = ref 0 in
+  let elided_allocs = counter machine "elide.allocs" in
+  let elided_frees = counter machine "elide.frees" in
+  let protected_allocs = counter machine "elide.protected_allocs" in
+  let protected_frees = counter machine "elide.protected_frees" in
   let wrap create =
     let pool, eager = eager create in
     ( pool,
@@ -360,40 +325,32 @@ let shadow_pool_static ~config machine =
           (fun ?(site = "<unknown>") size ->
             if elide site then begin
               let a = Shadow.Shadow_pool.alloc_elided pool size in
-              incr elided_allocs;
+              Metrics.incr elided_allocs;
               Pool_scheme.trace_malloc machine site size a;
               a
             end
             else begin
-              incr protected_allocs;
+              Metrics.incr protected_allocs;
               eager.Scheme.pool_alloc ~site size
             end);
         pool_free =
           (fun ?site a ->
             if Shadow.Shadow_pool.free_elided pool a then begin
-              incr elided_frees;
+              Metrics.incr elided_frees;
               Pool_scheme.trace_free machine
                 (Option.value site ~default:"<unknown>")
                 a
             end
             else begin
-              incr protected_frees;
+              Metrics.incr protected_frees;
               eager.Scheme.pool_free ?site a
             end);
       } )
   in
-  let elision () =
-    {
-      elided_allocs = !elided_allocs;
-      elided_frees = !elided_frees;
-      protected_allocs = !protected_allocs;
-      protected_frees = !protected_frees;
-    }
-  in
   shadow ~name:"shadow-pool+static" ~wrap
     ~recycler:(Some (recycler, default_pool_config))
     ~check:None
-    ~info:(fun global -> Shadow_pool_static { global; recycler; elision })
+    ~info:(fun global -> Shadow_pool { global; recycler })
     machine
 
 (* Shadow-pool for statically inferred pool scopes (Minic.Poolify):
@@ -403,17 +360,22 @@ let shadow_pool_static ~config machine =
    purpose: recycling keeps ranges mapped for reuse, which is the right
    trade for the steady-state schemes but hides exactly the signal this
    scheme exists to show, that inferred scoped pools bound peak shadow
-   VA (destroy issues real coalesced munmaps, counted in the stats).
+   VA (destroy issues real coalesced munmaps, counted in
+   [inferred.unmapped_pages]).
    Detection is byte-for-byte [shadow_pool]'s: same registry, same
    guarded accesses, same per-object shadow protection.  A destroyed
-   pool leaves [live], so neither an alloc nor [inferred] walks the
-   pools that no longer hold pages. *)
+   pool leaves [live], so the peak update on each alloc walks only the
+   pools that still hold pages. *)
 let shadow_pool_inferred machine =
+  let created = counter machine "inferred.pools_created" in
+  let destroyed = counter machine "inferred.pools_destroyed" in
+  let unmapped = counter machine "inferred.unmapped_pages" in
+  let peak =
+    Metrics.gauge
+      (Stats.registry machine.Machine.stats)
+      "inferred.peak_shadow_pages"
+  in
   let live = ref [] in
-  let created = ref (-1) (* the global pool is not an inferred one *) in
-  let destroyed = ref 0 in
-  let unmapped = ref 0 in
-  let peak = ref 0 in
   let live_pages () =
     List.fold_left
       (fun acc p -> acc + Shadow.Shadow_pool.shadow_pages_live p)
@@ -421,7 +383,10 @@ let shadow_pool_inferred machine =
   in
   let wrap create =
     let pool, eager = eager create in
-    incr created;
+    (* The first pool wrapped is the global one, which is not an
+       inferred scope; it is never destroyed, so [live] is non-empty
+       from then on. *)
+    if !live <> [] then Metrics.incr created;
     live := pool :: !live;
     ( pool,
       {
@@ -429,29 +394,24 @@ let shadow_pool_inferred machine =
         Scheme.pool_alloc =
           (fun ?site size ->
             let a = eager.Scheme.pool_alloc ?site size in
-            peak := max !peak (live_pages ());
+            let pages = float_of_int (live_pages ()) in
+            if pages > Metrics.gauge_value peak then
+              Metrics.set_gauge peak pages;
             a);
         pool_destroy =
           (fun () ->
             if not (Shadow.Shadow_pool.is_destroyed pool) then begin
-              unmapped := !unmapped + Shadow.Shadow_pool.shadow_pages_live pool;
-              incr destroyed;
+              Metrics.incr
+                ~by:(Shadow.Shadow_pool.shadow_pages_live pool)
+                unmapped;
+              Metrics.incr destroyed;
               live := List.filter (( != ) pool) !live;
               eager.Scheme.pool_destroy ()
             end);
       } )
   in
-  let inferred () =
-    {
-      inferred_pools_created = !created;
-      inferred_pools_destroyed = !destroyed;
-      live_shadow_pages = live_pages ();
-      peak_shadow_pages = !peak;
-      destroy_unmapped_pages = !unmapped;
-    }
-  in
   shadow ~name:"shadow-pool+inferred" ~wrap ~recycler:None ~check:None
-    ~info:(fun global -> Shadow_pool_inferred { global; inferred })
+    ~info:(fun _ -> Opaque)
     machine
 
 let no_epoch_stats =

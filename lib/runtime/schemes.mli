@@ -93,20 +93,6 @@ val tagged : Vmm.Machine.t -> Scheme.t
     matching [pooldestroy] semantics).  Table stats are available via
     {!introspect}. *)
 
-type elision_stats = {
-  elided_allocs : int;  (** allocations served without a shadow alias *)
-  elided_frees : int;   (** frees that skipped [mprotect] *)
-  protected_allocs : int;
-  protected_frees : int;
-}
-
-type recovery_stats = {
-  recovered_loads : int;   (** loads that trapped and were resumed *)
-  recovered_stores : int;  (** stores that trapped and were resumed *)
-  recovered_frees : int;   (** double/invalid frees that were skipped *)
-  pages_unprotected : int; (** pages whose protection was lifted *)
-}
-
 type epoch_stats = {
   epochs_retired : int;       (** retirements across all of the scheme's pools *)
   epoch_retired_frees : int;  (** frees fully completed by retirement *)
@@ -121,15 +107,11 @@ type epoch_stats = {
   slab_misses : int;    (** allocations that had to issue a slab call *)
 }
 
-type inferred_stats = {
-  inferred_pools_created : int;   (** pools made by [pool_create] *)
-  inferred_pools_destroyed : int; (** pools torn down (incl. global) *)
-  live_shadow_pages : int;        (** shadow pages held right now *)
-  peak_shadow_pages : int;        (** high-water mark of the above *)
-  destroy_unmapped_pages : int;   (** shadow pages munmapped by destroys *)
-}
-
-(** What {!introspect} reveals about a scheme's internals. *)
+(** What {!introspect} reveals about a scheme's internals.  Counts are
+    not internals: the static, inferred and recoverable schemes write
+    theirs ([elide.*], [inferred.*], [recover.*]) into the machine's
+    metrics registry ({!Vmm.Stats.registry}), each documented on its
+    constructor. *)
 type info =
   | Opaque  (** nothing beyond the {!Scheme.t} record's own fields *)
   | Shadow_pool of {
@@ -139,12 +121,8 @@ type info =
           (** the shared page free list (for §4.3 address-space
               measurements) *)
     }
-  | Shadow_pool_static of {
-      global : Shadow.Shadow_pool.t;
-      recycler : Apa.Page_recycler.t;
-      elision : unit -> elision_stats;
-          (** aggregate elision counts so far *)
-    }
+      (** {!shadow_pool}, {!shadow_pool_spatial} and
+          {!shadow_pool_static} *)
   | Shadow_pool_epoch of {
       global : Shadow.Shadow_pool.t;
       recycler : Apa.Page_recycler.t;
@@ -153,16 +131,6 @@ type info =
           (** force-retire every open epoch — a measurement boundary
               (bench sections) or orderly shutdown, not part of the
               steady-state protocol *)
-    }
-  | Shadow_pool_inferred of {
-      global : Shadow.Shadow_pool.t;
-      inferred : unit -> inferred_stats;
-          (** pool lifecycle and shadow-VA counts so far *)
-    }
-  | Recoverable of {
-      base : Scheme.t;
-      recovery : unit -> recovery_stats;
-          (** aggregate recovery counts so far *)
     }
   | Tagged of {
       table : Tagging.Tag_table.t;
@@ -178,7 +146,8 @@ val introspect : Scheme.t -> info
     [introspection] field carried on the scheme record itself — no
     global side table, so it is safe when schemes are built concurrently
     on many domains — and returns [Opaque] for schemes that carry none
-    (baselines, governed wrappers). *)
+    (baselines, governed wrappers, {!shadow_pool_inferred}).  A
+    {!recoverable} wrapper reports its base scheme's. *)
 
 val shadow_pool_static : config:static_config -> Vmm.Machine.t -> Scheme.t
 (** {!shadow_pool} driven by a static per-malloc-site protection policy
@@ -188,7 +157,10 @@ val shadow_pool_static : config:static_config -> Vmm.Machine.t -> Scheme.t
     proved every use of that site's class Safe.  All other sites,
     including any the policy does not recognise, keep the full scheme,
     so detection at May/Must sites is exactly as in {!shadow_pool}.
-    Elision counts are available via {!introspect}. *)
+    Counts go to the machine's registry: [elide.allocs] and
+    [elide.frees] (served without a shadow alias, freed without
+    [mprotect]), [elide.protected_allocs] and [elide.protected_frees]
+    (the full scheme's path).  {!introspect} reports [Shadow_pool]. *)
 
 val shadow_pool_inferred : Vmm.Machine.t -> Scheme.t
 (** {!shadow_pool} for statically inferred pool scopes ([Minic.Poolify]):
@@ -197,8 +169,11 @@ val shadow_pool_inferred : Vmm.Machine.t -> Scheme.t
     escape — returns the pool's whole VA footprint to the OS with real
     coalesced [munmap]s (no page recycler), so peak shadow VA tracks
     the inferred lifetimes instead of growing monotonically.  Detection
-    is exactly {!shadow_pool}'s.  Lifecycle and page counts are
-    available via {!introspect}. *)
+    is exactly {!shadow_pool}'s.  Counts go to the machine's registry:
+    [inferred.pools_created] and [inferred.pools_destroyed] (the global
+    pool is neither), [inferred.unmapped_pages] (shadow pages released
+    by destroys) and the gauge [inferred.peak_shadow_pages] (high-water
+    mark of the shadow pages live across the scheme's pools). *)
 
 val shadow_pool_epoch : ?config:epoch_config -> Vmm.Machine.t -> Scheme.t
 (** {!shadow_pool} with epoch-batched deferred protection
@@ -227,8 +202,12 @@ val recoverable :
     retries once; a wild access yields 0 on load and drops the store; a
     double or invalid free is skipped.  The base scheme's own violation
     trace event has already been emitted when [on_report] runs, so the
-    wrapper never re-traces.  Recovery counts are available via
-    {!introspect}. *)
+    wrapper never re-traces.  Counts go to the machine's registry:
+    [recover.loads], [recover.stores] and [recover.frees] (each
+    violation recovered, one per [on_report] call) and
+    [recover.pages_unprotected] (pages whose protection was lifted).
+    [introspection] is the base scheme's, so a wrapped
+    {!shadow_pool_epoch} still introspects as [Shadow_pool_epoch]. *)
 
 val shadow_pool_spatial : Vmm.Machine.t -> Scheme.t
 (** The paper's future-work "comprehensive safety checking tool":

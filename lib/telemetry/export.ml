@@ -104,13 +104,8 @@ let prom_float v =
    vmm layer, so the inputs are addressed purely by counter name; a
    registry without them (or with no allocator traffic) simply derives
    nothing. *)
-let counter_value metrics name =
-  match Metrics.value metrics name with
-  | Some (Metrics.Counter_v v) -> v
-  | Some (Metrics.Gauge_v _ | Metrics.Hist_v _) | None -> 0
-
 let derived_metrics metrics =
-  let c = counter_value metrics in
+  let c = Metrics.count metrics in
   let protection =
     c "vmm.syscalls_mremap" + c "vmm.syscalls_mprotect" + c "vmm.syscalls_munmap"
   in

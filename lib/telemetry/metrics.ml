@@ -45,6 +45,11 @@ let incr ?(by = 1) c = c.c_value <- c.c_value + by
 let set_counter c v = c.c_value <- v
 let counter_value c = c.c_value
 
+let count t name =
+  match Hashtbl.find_opt t.tbl name with
+  | Some (Counter c) -> c.c_value
+  | Some (Gauge _ | Hist _) | None -> 0
+
 let gauge t name =
   match lookup t name (fun () -> Gauge { g_value = 0. }) "gauge" with
   | Gauge g -> g

@@ -19,6 +19,10 @@ val incr : ?by:int -> counter -> unit
 val set_counter : counter -> int -> unit
 val counter_value : counter -> int
 
+val count : t -> string -> int
+(** The value of the counter registered as [name]; 0 when the name is
+    not registered or is another metric kind.  Registers nothing. *)
+
 val gauge : t -> string -> gauge
 val set_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float

@@ -13,7 +13,6 @@ exception Syscall_failure of { name : string; error : error }
 
 type call =
   | Mmap
-  | Mmap_fixed
   | Mremap
   | Mprotect
   | Munmap
@@ -30,14 +29,13 @@ type rule = {
   error : error;
 }
 
-let call_count = 5
+let call_count = 4
 
 let call_index = function
   | Mmap -> 0
-  | Mmap_fixed -> 1
-  | Mremap -> 2
-  | Mprotect -> 3
-  | Munmap -> 4
+  | Mremap -> 1
+  | Mprotect -> 2
+  | Munmap -> 3
 
 let errno_label = function
   | Enomem -> "ENOMEM"

@@ -28,9 +28,12 @@ exception Syscall_failure of { name : string; error : error }
     when the typed path underneath them fails and no caller is prepared
     to degrade gracefully. *)
 
+(** The injectable call kinds.  Re-backing a recycled range
+    ([Kernel.mmap_fixed], issued by [Apa.Pool] when it takes pages from
+    its recycler) does not go through {!Syscalls}, so it is outside the
+    fault model. *)
 type call =
   | Mmap
-  | Mmap_fixed
   | Mremap
   | Mprotect
   | Munmap

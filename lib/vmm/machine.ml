@@ -8,6 +8,7 @@ type t = {
   mutable cost : Cost_model.t;
   mutable next_va : Addr.t;
   mutable fault_plan : Fault_plan.t;
+  mutable pools_created : int;
 }
 
 let va_base = Addr.of_page 0x10000 (* 256 MiB: keeps 0 and low pages invalid *)
@@ -37,6 +38,7 @@ let create ?(cost = Cost_model.llvm_base) ?(tlb_entries = 64) ?trace
       cost;
       next_va = va_base;
       fault_plan;
+      pools_created = 0;
     }
   in
   (* Events carry the machine's own logical clock. *)

@@ -17,6 +17,10 @@ type t = {
   mutable fault_plan : Fault_plan.t;
       (** fault-injection plan consulted by {!Syscalls}; defaults to
           {!Fault_plan.none}, so an ordinary machine never fails *)
+  mutable pools_created : int;
+      (** pools made on this machine so far; [Apa.Pool] numbers its
+          trace events from it, so the numbering is per machine and does
+          not depend on what other domains do *)
 }
 
 val create :

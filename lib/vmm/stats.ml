@@ -67,32 +67,37 @@ let create ?registry () : t =
     | Some r -> r
     | None -> Telemetry.Metrics.create ()
   in
-  let c name = Telemetry.Metrics.counter registry name in
-  {
-    registry;
-    instructions = c "vmm.instructions";
-    loads = c "vmm.loads";
-    stores = c "vmm.stores";
-    tlb_hits = c "vmm.tlb_hits";
-    tlb_misses = c "vmm.tlb_misses";
-    tlb_flushes = c "vmm.tlb_flushes";
-    tlb_shootdowns = c "vmm.tlb_shootdowns";
-    tlb_shootdown_pages = c "vmm.tlb_shootdown_pages";
-    cache_hits = c "vmm.cache_hits";
-    cache_misses = c "vmm.cache_misses";
-    syscalls_mmap = c "vmm.syscalls_mmap";
-    syscalls_mremap = c "vmm.syscalls_mremap";
-    syscalls_mprotect = c "vmm.syscalls_mprotect";
-    syscalls_munmap = c "vmm.syscalls_munmap";
-    syscalls_dummy = c "vmm.syscalls_dummy";
-    faults = c "vmm.faults";
-    syscalls_failed = c "vmm.syscalls_failed";
-    syscall_retries = c "vmm.syscall_retries";
-    pages_mapped = c "vmm.pages_mapped";
-    frames_allocated = c "vmm.frames_allocated";
-    alloc_ops = c "vmm.alloc_ops";
-    free_ops = c "vmm.free_ops";
-  }
+  let c name = Telemetry.Metrics.counter registry ("vmm." ^ name) in
+  (* One [let] per counter: a record expression evaluates its fields in
+     an unspecified order, and the registry (so every export of it)
+     lists the counters in the order they are registered. *)
+  let instructions = c "instructions" in
+  let loads = c "loads" in
+  let stores = c "stores" in
+  let tlb_hits = c "tlb_hits" in
+  let tlb_misses = c "tlb_misses" in
+  let tlb_flushes = c "tlb_flushes" in
+  let tlb_shootdowns = c "tlb_shootdowns" in
+  let tlb_shootdown_pages = c "tlb_shootdown_pages" in
+  let cache_hits = c "cache_hits" in
+  let cache_misses = c "cache_misses" in
+  let syscalls_mmap = c "syscalls_mmap" in
+  let syscalls_mremap = c "syscalls_mremap" in
+  let syscalls_mprotect = c "syscalls_mprotect" in
+  let syscalls_munmap = c "syscalls_munmap" in
+  let syscalls_dummy = c "syscalls_dummy" in
+  let faults = c "faults" in
+  let syscalls_failed = c "syscalls_failed" in
+  let syscall_retries = c "syscall_retries" in
+  let pages_mapped = c "pages_mapped" in
+  let frames_allocated = c "frames_allocated" in
+  let alloc_ops = c "alloc_ops" in
+  let free_ops = c "free_ops" in
+  { registry; instructions; loads; stores; tlb_hits; tlb_misses; tlb_flushes;
+    tlb_shootdowns; tlb_shootdown_pages; cache_hits; cache_misses;
+    syscalls_mmap; syscalls_mremap; syscalls_mprotect; syscalls_munmap;
+    syscalls_dummy; faults; syscalls_failed; syscall_retries; pages_mapped;
+    frames_allocated; alloc_ops; free_ops }
 
 let registry (t : t) = t.registry
 
@@ -155,58 +160,6 @@ let snapshot (t : t) : snapshot =
     free_ops = v t.free_ops;
   }
 
-let zero : snapshot =
-  {
-    instructions = 0;
-    loads = 0;
-    stores = 0;
-    tlb_hits = 0;
-    tlb_misses = 0;
-    tlb_flushes = 0;
-    tlb_shootdowns = 0;
-    tlb_shootdown_pages = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    syscalls_mmap = 0;
-    syscalls_mremap = 0;
-    syscalls_mprotect = 0;
-    syscalls_munmap = 0;
-    syscalls_dummy = 0;
-    faults = 0;
-    syscalls_failed = 0;
-    syscall_retries = 0;
-    pages_mapped = 0;
-    frames_allocated = 0;
-    alloc_ops = 0;
-    free_ops = 0;
-  }
-
-let diff (a : snapshot) (b : snapshot) : snapshot =
-  {
-    instructions = a.instructions - b.instructions;
-    loads = a.loads - b.loads;
-    stores = a.stores - b.stores;
-    tlb_hits = a.tlb_hits - b.tlb_hits;
-    tlb_misses = a.tlb_misses - b.tlb_misses;
-    tlb_flushes = a.tlb_flushes - b.tlb_flushes;
-    tlb_shootdowns = a.tlb_shootdowns - b.tlb_shootdowns;
-    tlb_shootdown_pages = a.tlb_shootdown_pages - b.tlb_shootdown_pages;
-    cache_hits = a.cache_hits - b.cache_hits;
-    cache_misses = a.cache_misses - b.cache_misses;
-    syscalls_mmap = a.syscalls_mmap - b.syscalls_mmap;
-    syscalls_mremap = a.syscalls_mremap - b.syscalls_mremap;
-    syscalls_mprotect = a.syscalls_mprotect - b.syscalls_mprotect;
-    syscalls_munmap = a.syscalls_munmap - b.syscalls_munmap;
-    syscalls_dummy = a.syscalls_dummy - b.syscalls_dummy;
-    faults = a.faults - b.faults;
-    syscalls_failed = a.syscalls_failed - b.syscalls_failed;
-    syscall_retries = a.syscall_retries - b.syscall_retries;
-    pages_mapped = a.pages_mapped - b.pages_mapped;
-    frames_allocated = a.frames_allocated - b.frames_allocated;
-    alloc_ops = a.alloc_ops - b.alloc_ops;
-    free_ops = a.free_ops - b.free_ops;
-  }
-
 (* One name/value pair per snapshot field, under the "vmm." namespace —
    the same names the live registry carries. *)
 let field_values (s : snapshot) =
@@ -235,41 +188,34 @@ let field_values (s : snapshot) =
     ("vmm.free_ops", s.free_ops);
   ]
 
-let accumulate registry (s : snapshot) =
-  List.iter
-    (fun (name, v) ->
-      Telemetry.Metrics.incr ~by:v (Telemetry.Metrics.counter registry name))
-    (field_values s)
+(* The inverse of [field_values]: values in declaration order.  [zero],
+   [diff] and [sum] go through the pair, so a new counter is named in
+   [t], [snapshot], [create], [snapshot], [field_values], [of_values]
+   and [pp] only. *)
+let of_values = function
+  | [ instructions; loads; stores; tlb_hits; tlb_misses; tlb_flushes;
+      tlb_shootdowns; tlb_shootdown_pages; cache_hits; cache_misses;
+      syscalls_mmap; syscalls_mremap; syscalls_mprotect; syscalls_munmap;
+      syscalls_dummy; faults; syscalls_failed; syscall_retries; pages_mapped;
+      frames_allocated; alloc_ops; free_ops ] ->
+    { instructions; loads; stores; tlb_hits; tlb_misses; tlb_flushes;
+      tlb_shootdowns; tlb_shootdown_pages; cache_hits; cache_misses;
+      syscalls_mmap; syscalls_mremap; syscalls_mprotect; syscalls_munmap;
+      syscalls_dummy; faults; syscalls_failed; syscall_retries; pages_mapped;
+      frames_allocated; alloc_ops; free_ops }
+  | _ -> invalid_arg "Stats.of_values: one value per counter"
+
+let map2 f a b =
+  of_values
+    (List.map2 (fun (_, x) (_, y) -> f x y) (field_values a) (field_values b))
+
+let diff = map2 ( - )
+let sum = map2 ( + )
+let zero = snapshot (create ())
 
 let snapshot_to_json s =
   Telemetry.Json.Obj
     (List.map (fun (k, v) -> (k, Telemetry.Json.Int v)) (field_values s))
-
-let sum (a : snapshot) (b : snapshot) : snapshot =
-  {
-    instructions = a.instructions + b.instructions;
-    loads = a.loads + b.loads;
-    stores = a.stores + b.stores;
-    tlb_hits = a.tlb_hits + b.tlb_hits;
-    tlb_misses = a.tlb_misses + b.tlb_misses;
-    tlb_flushes = a.tlb_flushes + b.tlb_flushes;
-    tlb_shootdowns = a.tlb_shootdowns + b.tlb_shootdowns;
-    tlb_shootdown_pages = a.tlb_shootdown_pages + b.tlb_shootdown_pages;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_misses = a.cache_misses + b.cache_misses;
-    syscalls_mmap = a.syscalls_mmap + b.syscalls_mmap;
-    syscalls_mremap = a.syscalls_mremap + b.syscalls_mremap;
-    syscalls_mprotect = a.syscalls_mprotect + b.syscalls_mprotect;
-    syscalls_munmap = a.syscalls_munmap + b.syscalls_munmap;
-    syscalls_dummy = a.syscalls_dummy + b.syscalls_dummy;
-    faults = a.faults + b.faults;
-    syscalls_failed = a.syscalls_failed + b.syscalls_failed;
-    syscall_retries = a.syscall_retries + b.syscall_retries;
-    pages_mapped = a.pages_mapped + b.pages_mapped;
-    frames_allocated = a.frames_allocated + b.frames_allocated;
-    alloc_ops = a.alloc_ops + b.alloc_ops;
-    free_ops = a.free_ops + b.free_ops;
-  }
 
 let total_syscalls s =
   s.syscalls_mmap + s.syscalls_mremap + s.syscalls_mprotect + s.syscalls_munmap

@@ -122,11 +122,5 @@ val field_values : snapshot -> (string * int) list
 (** Counter name/value pairs under the ["vmm."] namespace (the same
     names the live registry carries), in declaration order. *)
 
-val accumulate : Telemetry.Metrics.t -> snapshot -> unit
-(** Add every field of the snapshot onto the registry's ["vmm.*"]
-    counters (get-or-create).  Used by aggregators that sum many
-    short-lived machines — e.g. one forked connection each — into one
-    mergeable registry. *)
-
 val snapshot_to_json : snapshot -> Telemetry.Json.t
 (** [{"vmm.instructions": n, ...}] — a flat counter object. *)

@@ -1,7 +1,7 @@
 type 'a outcome = ('a, Fault_plan.error) result
 
 let kind_of_call = function
-  | Fault_plan.Mmap | Fault_plan.Mmap_fixed -> Stats.Sys_mmap
+  | Fault_plan.Mmap -> Stats.Sys_mmap
   | Fault_plan.Mremap -> Stats.Sys_mremap
   | Fault_plan.Mprotect -> Stats.Sys_mprotect
   | Fault_plan.Munmap -> Stats.Sys_munmap

@@ -738,11 +738,6 @@ let oracle_one ~ctx ~expect_elision source bug =
       ~config:{ Runtime.Schemes.elide = Minic.Dangling.elide_policy r }
       (Vmm.Machine.create ())
   in
-  let stats () =
-    match Runtime.Schemes.introspect static_scheme with
-    | Runtime.Schemes.Shadow_pool_static { elision; _ } -> elision ()
-    | _ -> assert false
-  in
   let out_static, viol_static = run_with_hook transformed static_scheme in
   check_violations_covered ~ctx:(ctx ^ "/static") r viol_static;
   (* inferred-pool scheme over the same transform: each inferred
@@ -833,10 +828,13 @@ let oracle_one ~ctx ~expect_elision source bug =
      check_bool (ctx ^ ": lint reports the seeded must bug") true
        (Minic.Dangling.has_must r)
    | No_bug | Use_after_release -> ());
-  let s = stats () in
   if expect_elision then
     check_bool (ctx ^ ": safe class elided") true
-      (s.Runtime.Schemes.elided_allocs > 0);
+      (Telemetry.Metrics.count
+         (Vmm.Stats.registry
+            static_scheme.Runtime.Scheme.machine.Vmm.Machine.stats)
+         "elide.allocs"
+      > 0);
   ignore out_static
 
 let test_oracle () =

@@ -135,6 +135,20 @@ let test_farm_merged_registry () =
   check_int "registry syscalls = totals" r.Farm.totals.Farm.syscalls
     (Vmm.Stats.total_syscalls stats)
 
+(* Recoverable mode: each connection's [recover.*] counters reach the
+   farm registry, one recovered load, store or free per fleet report. *)
+let test_farm_recovered_counters () =
+  let r =
+    Farm.run_server ~probe_every:4 ~probe_sites:3 ~recover:true ~shards:2
+      ~connections:16 Workload.Servers.ghttpd
+  in
+  let c = Telemetry.Metrics.count r.Farm.registry in
+  check_int "no detection escaped" 0 r.Farm.totals.Farm.detections;
+  check_bool "every probe flavour recovered" true
+    (c "recover.loads" > 0 && c "recover.stores" > 0 && c "recover.frees" > 0);
+  check_int "one recovery per fleet report" (c "fleet.reports_total")
+    (c "recover.loads" + c "recover.stores" + c "recover.frees")
+
 let () =
   Alcotest.run "farm"
     [
@@ -155,5 +169,7 @@ let () =
           Alcotest.test_case "probe detections" `Quick test_farm_detections;
           Alcotest.test_case "simulated speedup" `Quick test_farm_speedup;
           Alcotest.test_case "merged registry" `Quick test_farm_merged_registry;
+          Alcotest.test_case "recovered counters merged" `Quick
+            test_farm_recovered_counters;
         ] );
     ]

@@ -180,10 +180,11 @@ let test_json_and_metrics () =
 
 (* ---- recoverable scheme ---- *)
 
-let recovery_stats scheme =
-  match Runtime.Schemes.introspect scheme with
-  | Runtime.Schemes.Recoverable { recovery; _ } -> recovery ()
-  | _ -> Alcotest.fail "recoverable scheme does not introspect"
+(* The wrapper's [recover.*] counters, read from the machine's registry. *)
+let recovered (scheme : Runtime.Scheme.t) name =
+  Telemetry.Metrics.count
+    (Vmm.Stats.registry scheme.Runtime.Scheme.machine.Vmm.Machine.stats)
+    ("recover." ^ name)
 
 let make_recoverable () =
   let reports = ref [] in
@@ -214,9 +215,8 @@ let test_recoverable_uaf_load () =
   scheme.Runtime.Scheme.store q ~width:8 7;
   check_int "scheme still serves allocations" 7
     (scheme.Runtime.Scheme.load q ~width:8);
-  let stats = recovery_stats scheme in
-  check_int "one recovered load" 1 stats.Runtime.Schemes.recovered_loads;
-  check_int "one page unprotected" 1 stats.Runtime.Schemes.pages_unprotected
+  check_int "one recovered load" 1 (recovered scheme "loads");
+  check_int "one page unprotected" 1 (recovered scheme "pages_unprotected")
 
 let test_recoverable_double_free () =
   let scheme, reports = make_recoverable () in
@@ -229,8 +229,7 @@ let test_recoverable_double_free () =
      check_bool "kind is double free" true
        (r.Shadow.Report.kind = Shadow.Report.Double_free)
    | _ -> ());
-  let stats = recovery_stats scheme in
-  check_int "one recovered free" 1 stats.Runtime.Schemes.recovered_frees;
+  check_int "one recovered free" 1 (recovered scheme "frees");
   (* skipping the bad free leaves the heap consistent *)
   let q = scheme.Runtime.Scheme.malloc ~site:"t.c:4" 64 in
   scheme.Runtime.Scheme.store q ~width:8 9;
@@ -244,8 +243,7 @@ let test_recoverable_uaf_store () =
   check_int "dangling store reported" 1 (List.length !reports);
   check_int "retried store landed on the unprotected page" 13
     (scheme.Runtime.Scheme.load p ~width:8);
-  let stats = recovery_stats scheme in
-  check_int "one recovered store" 1 stats.Runtime.Schemes.recovered_stores
+  check_int "one recovered store" 1 (recovered scheme "stores")
 
 let test_of_violation () =
   let scheme, reports = make_recoverable () in

@@ -55,6 +55,11 @@ let test_shadow_pool_scheme_detects () =
    | exception Shadow.Report.Violation _ -> ());
   check_bool "guarantee flag" true s.Runtime.Scheme.guarantees_detection
 
+let registry_count (s : Runtime.Scheme.t) name =
+  Telemetry.Metrics.count
+    (Stats.registry s.Runtime.Scheme.machine.Machine.stats)
+    name
+
 let test_scheme_introspection () =
   let m = Machine.create () in
   let s = Runtime.Schemes.shadow_pool m in
@@ -67,10 +72,17 @@ let test_scheme_introspection () =
       (Machine.create ())
   in
   (match Runtime.Schemes.introspect st with
-   | Runtime.Schemes.Shadow_pool_static { elision; _ } ->
-     let e = elision () in
-     check_int "no allocs yet" 0 e.Runtime.Schemes.protected_allocs
-   | _ -> Alcotest.fail "static scheme should expose elision stats");
+   | Runtime.Schemes.Shadow_pool _ -> ()
+   | _ -> Alcotest.fail "static scheme should expose its pool and recycler");
+  check_int "no allocs yet" 0 (registry_count st "elide.protected_allocs");
+  (* The recoverable wrapper keeps its base scheme's internals. *)
+  (match
+     Runtime.Schemes.introspect
+       (Runtime.Schemes.recoverable
+          (Runtime.Schemes.shadow_pool_epoch (Machine.create ())))
+   with
+   | Runtime.Schemes.Shadow_pool_epoch _ -> ()
+   | _ -> Alcotest.fail "ours-epoch+recover should introspect as epoch");
   let native = Runtime.Schemes.native (Machine.create ()) in
   check_bool "native is opaque" true
     (Runtime.Schemes.introspect native = Runtime.Schemes.Opaque)
@@ -107,15 +119,16 @@ let test_destroyed_pools_still_counted () =
    | _ -> Alcotest.fail "epoch scheme should expose its counters");
   let s = Runtime.Schemes.shadow_pool_inferred (Machine.create ()) in
   churn s;
-  match Runtime.Schemes.introspect s with
-  | Runtime.Schemes.Shadow_pool_inferred { inferred; _ } ->
-    let i = inferred () in
-    check_int "pools created" cycles i.inferred_pools_created;
-    check_int "pools destroyed" cycles i.inferred_pools_destroyed;
-    check_int "one page unmapped per pool" cycles i.destroy_unmapped_pages;
-    check_int "no pages left" 0 i.live_shadow_pages;
-    check_int "peak is one pool's page" 1 i.peak_shadow_pages
-  | _ -> Alcotest.fail "inferred scheme should expose its counters"
+  let c = registry_count s in
+  check_int "pools created" cycles (c "inferred.pools_created");
+  check_int "pools destroyed" cycles (c "inferred.pools_destroyed");
+  check_int "one page unmapped per pool" cycles (c "inferred.unmapped_pages");
+  check_bool "peak is one pool's page" true
+    (Telemetry.Metrics.gauge_value
+       (Telemetry.Metrics.gauge
+          (Stats.registry s.Runtime.Scheme.machine.Machine.stats)
+          "inferred.peak_shadow_pages")
+    = 1.0)
 
 (* ---- workload API ---- *)
 

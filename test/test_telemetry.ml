@@ -274,18 +274,23 @@ let test_stats_count_into_registry () =
     (Vmm.Stats.snapshot m.Vmm.Machine.stats).Vmm.Stats.loads
 
 let test_stats_accumulate () =
-  (* Summing snapshots and accumulating into one registry agree — the
-     farm's per-shard aggregation path. *)
-  let s1 = Vmm.Stats.snapshot (busy_machine ()).Vmm.Machine.stats in
-  let s2 = Vmm.Stats.snapshot (busy_machine ()).Vmm.Machine.stats in
+  (* Merging machine registries and summing their snapshots agree — the
+     farm's per-connection aggregation path. *)
+  let m1 = busy_machine () and m2 = busy_machine () in
+  let s1 = Vmm.Stats.snapshot m1.Vmm.Machine.stats in
+  let s2 = Vmm.Stats.snapshot m2.Vmm.Machine.stats in
   let acc = Telemetry.Metrics.create () in
-  Vmm.Stats.accumulate acc s1;
-  Vmm.Stats.accumulate acc s2;
+  Telemetry.Metrics.merge ~into:acc (Vmm.Stats.registry m1.Vmm.Machine.stats);
+  Telemetry.Metrics.merge ~into:acc (Vmm.Stats.registry m2.Vmm.Machine.stats);
+  let total = Vmm.Stats.sum s1 s2 in
   List.iter
-    (fun (name, v) ->
-      check_int name v
-        (Telemetry.Metrics.counter_value (Telemetry.Metrics.counter acc name)))
-    (Vmm.Stats.field_values (Vmm.Stats.sum s1 s2))
+    (fun (name, v) -> check_int name v (Telemetry.Metrics.count acc name))
+    (Vmm.Stats.field_values total);
+  (* [sum], [diff] and [zero] are one field-wise algebra. *)
+  check_bool "diff undoes sum" true (Vmm.Stats.diff total s2 = s1);
+  check_bool "zero is the identity" true (Vmm.Stats.sum Vmm.Stats.zero s1 = s1);
+  check_bool "zero counts nothing" true
+    (List.for_all (fun (_, v) -> v = 0) (Vmm.Stats.field_values Vmm.Stats.zero))
 
 (* ---- Sink + instrumented machine ---- *)
 
