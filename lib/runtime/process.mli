@@ -23,9 +23,13 @@ val run_connection :
   make_scheme:(unit -> Scheme.t) ->
   handler:(Scheme.t -> unit) ->
   connection_result
-(** Fork: build a fresh child scheme, run the handler, reap the stats.
-    A {!Shadow.Report.Violation} from the handler is caught and recorded
-    (the child dies; the server lives on).  Other exceptions propagate. *)
+(** Fork: build a fresh child scheme, run the handler, reap the stats,
+    then {!Vmm.Machine.exit} the child's machine, so the next connection
+    on this domain reuses its page buffers.  A
+    {!Shadow.Report.Violation} from the handler is caught and recorded
+    (the child dies; the server lives on).  Other exceptions propagate,
+    after the exit.  The machine's counters, clock and VA use stay
+    readable; its memory does not. *)
 
 type server_run = {
   connections : int;

@@ -22,7 +22,7 @@ type t = {
 }
 
 let create () =
-  { by_page = Hashtbl.create 4096; next_id = 0; freed_retained = 0 }
+  { by_page = Hashtbl.create 64; next_id = 0; freed_retained = 0 }
 
 let register t ~canonical ~shadow_base ~pages ~user_addr ~size ~alloc_site =
   let obj =

@@ -59,7 +59,7 @@ let create ?(tag_bits = 8) machine =
     tag_bits;
     tag_mask = (1 lsl tag_bits) - 1;
     entry_bytes = (tag_bits + 7) / 8;
-    table = Hashtbl.create 1024;
+    table = Hashtbl.create 64;
     next_id = 0;
     tag_checks = 0;
     tag_faults = 0;

@@ -2,7 +2,14 @@
    frame lookup is one bounds-checked array read, not a hash probe.
    Freed frame numbers go on a free list and are reused (as a real
    physical allocator would), which also keeps the array bounded by the
-   *peak* frame count rather than the cumulative allocation count. *)
+   *peak* frame count rather than the cumulative allocation count.
+
+   Page buffers outlive their frames: a frame released by its last
+   unmapping, or by its machine's {!release}, hands its buffer to the
+   domain's pool, and {!allocate} takes from that pool before it makes a
+   fresh one.  A fork-per-connection server's next child then runs in
+   the pages the last one left, instead of in fresh 4 KiB major-heap
+   blocks that every domain must stop to collect. *)
 
 type frame = int
 
@@ -14,18 +21,22 @@ type t = {
   mutable next : frame;      (* never-used watermark *)
   mutable live : int;
   mutable peak : int;
-  mutable spare : Bytes.t list;
-      (* retired page buffers, zero-filled on reuse: a munmap/mmap churn
-         loop recycles storage instead of hammering the GC with fresh
-         4 KiB allocations *)
   mutable lookups : int;     (* diagnostic: slot lookups performed *)
 }
 
-let create () =
-  { slots = Array.make 1024 None; free = []; next = 0; live = 0; peak = 0;
-    spare = []; lookups = 0 }
+(* This domain's retired page buffers, zero-filled on reuse.  Only the
+   owning domain touches its pool, so it needs no lock. *)
+let pool : Bytes.t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 
+let create () =
+  { slots = Array.make 64 None; free = []; next = 0; live = 0; peak = 0;
+    lookups = 0 }
+
+(* A released table has an empty slot array, so it can never grow again:
+   a frame allocated after release would have nowhere to live. *)
 let grow t want =
+  if Array.length t.slots = 0 then
+    invalid_arg "Frame_table.allocate: the machine has exited";
   let len = ref (Array.length t.slots) in
   while !len <= want do
     len := !len * 2
@@ -47,9 +58,10 @@ let allocate t stats =
       f
   in
   let storage =
-    match t.spare with
+    let pool = Domain.DLS.get pool in
+    match !pool with
     | b :: rest ->
-      t.spare <- rest;
+      pool := rest;
       Bytes.fill b 0 Addr.page_size '\000';
       b
     | [] -> Bytes.make Addr.page_size '\000'
@@ -85,9 +97,19 @@ let decr_ref t f =
   if s.refs = 0 then begin
     t.slots.(f) <- None;
     t.free <- f :: t.free;
-    t.spare <- s.storage :: t.spare;
+    let pool = Domain.DLS.get pool in
+    pool := s.storage :: !pool;
     t.live <- t.live - 1
   end
+
+let release t =
+  let pool = Domain.DLS.get pool in
+  Array.iter
+    (function Some s -> pool := s.storage :: !pool | None -> ())
+    t.slots;
+  t.slots <- [||];
+  t.free <- [];
+  t.live <- 0
 
 let ref_count t f = (slot t f).refs
 let live_frames t = t.live

@@ -7,8 +7,18 @@
 
     Frames live in a slot array indexed by frame number (lookup is one
     array read, no hashing); retired frame numbers are reused, as a real
-    physical page allocator would, so memory is bounded by the peak —
-    not cumulative — frame count. *)
+    physical page allocator would, so a table's slot array is bounded by
+    its peak — not cumulative — frame count.
+
+    Page buffers are recycled per domain, not per table.  A frame whose
+    last mapping goes, and every frame of a {!release}d table, hands its
+    4 KiB buffer to the calling domain's pool ([Domain.DLS]);
+    {!allocate} takes from that pool, zero-filled, before it makes a
+    fresh buffer.  The pool has no cap and needs none: a buffer enters it
+    only by leaving a table, so the pool plus the live frames of the
+    domain's tables never exceed the most frames those tables held at
+    once.  For a fork-per-connection server that runs one child at a
+    time per domain, that is the largest child that ran there. *)
 
 type t
 type frame = int (** Physical frame number. *)
@@ -18,12 +28,21 @@ val create : unit -> t
 val allocate : t -> Stats.t -> frame
 (** Allocate a zeroed frame with reference count 0 (the caller maps it,
     which takes the first reference).  Frame numbers of fully released
-    frames may be reused. *)
+    frames may be reused; the buffer comes from the domain's pool when it
+    has one. *)
+
+val release : t -> unit
+(** The owning process exits: every live frame's buffer goes to the
+    domain's pool, whatever its reference count.  The table is dead
+    afterwards — any frame access raises [Invalid_argument], and so does
+    {!allocate} — so it never reads a buffer that another table now
+    owns.  {!peak_frames} keeps its value; {!live_frames} reads 0.  Counts
+    nothing in {!Stats}.  Idempotent. *)
 
 val incr_ref : t -> frame -> unit
 val decr_ref : t -> frame -> unit
-(** Release one mapping reference.  The frame's storage is reclaimed when
-    the count drops to zero. *)
+(** Release one mapping reference.  When the count drops to zero the
+    frame number is freed and its buffer goes to the domain's pool. *)
 
 val ref_count : t -> frame -> int
 val live_frames : t -> int

@@ -56,3 +56,8 @@ let cycles_since t before =
   Cost_model.cycles t.cost (Stats.diff (Stats.snapshot t.stats) before)
 
 let va_bytes_used t = t.next_va - va_base
+
+let exit t =
+  Tlb.clear t.tlb;
+  Frame_table.release t.frames;
+  Page_table.release t.page_table

@@ -49,3 +49,14 @@ val cycles_since : t -> Stats.snapshot -> float
 val va_bytes_used : t -> int
 (** Total virtual address space ever handed out, in bytes — the paper's
     §3.4 exhaustion metric. *)
+
+val exit : t -> unit
+(** The process exits, as a forked child does when its connection ends:
+    its page buffers and page-table chunks go to the calling domain's
+    pools (see {!Frame_table} and {!Page_table}), where the next machine
+    built on this domain reuses them, zero-filled.  Nothing is counted:
+    {!cycles}, {!va_bytes_used}, the peak frame count and every
+    {!Stats} counter read afterwards as they did before.  Any later load,
+    store or mapping raises ({!Fault.Trap} [Unmapped] or
+    [Invalid_argument]); it never reaches a buffer another machine now
+    owns.  Idempotent. *)

@@ -4,7 +4,9 @@
    the TLB-first fast path above it) stay at a handful of instructions.
 
    The directory grows by doubling as the bump-allocated VA space grows;
-   chunks materialise lazily, so sparse address spaces stay cheap. *)
+   chunks materialise lazily, so sparse address spaces stay cheap.  A
+   released table's chunks go to the domain's pool, which the next
+   table on that domain draws from before it makes a fresh chunk. *)
 
 type entry = { frame : Frame_table.frame; perm : Perm.t }
 
@@ -18,9 +20,15 @@ type t = {
   mutable walks : int;  (* diagnostic: table walks performed *)
 }
 
+(* This domain's retired chunks, cleared on reuse. *)
+let pool : int array list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+
 let create () = { dir = Array.make 128 None; mapped = 0; walks = 0 }
 
+(* A released table has an empty directory and can never grow again. *)
 let grow t want =
+  if Array.length t.dir = 0 then
+    invalid_arg "Page_table.map: the machine has exited";
   let len = ref (Array.length t.dir) in
   while !len <= want do
     len := !len * 2
@@ -36,9 +44,23 @@ let chunk_rw t page =
   match t.dir.(d) with
   | Some c -> c
   | None ->
-    let c = Array.make chunk_size Pte.none in
+    let c =
+      let pool = Domain.DLS.get pool in
+      match !pool with
+      | c :: rest ->
+        pool := rest;
+        Array.fill c 0 chunk_size Pte.none;
+        c
+      | [] -> Array.make chunk_size Pte.none
+    in
     t.dir.(d) <- Some c;
     c
+
+let release t =
+  let pool = Domain.DLS.get pool in
+  Array.iter (function Some c -> pool := c :: !pool | None -> ()) t.dir;
+  t.dir <- [||];
+  t.mapped <- 0
 
 (* Fast read-only lookup: the MMU's table walk. *)
 let pte t ~page =

@@ -15,6 +15,14 @@ type entry = { frame : Frame_table.frame; perm : Perm.t }
 
 val create : unit -> t
 
+val release : t -> unit
+(** The owning process exits: every chunk goes to the calling domain's
+    pool ([Domain.DLS]), where the next table's {!map} takes it, cleared,
+    before it allocates a fresh one.  Like {!Frame_table}'s buffer pool
+    it needs no cap: it never holds more chunks than the domain's tables
+    held at once.  The table is empty afterwards: lookups find nothing,
+    and {!map} raises [Invalid_argument].  Idempotent. *)
+
 val map : t -> Stats.t -> page:int -> frame:Frame_table.frame -> perm:Perm.t -> unit
 (** Install a mapping for a virtual page.  The page must not already be
     mapped (the kernel unmaps first when re-mapping). *)

@@ -95,6 +95,9 @@ let invalidate_range t ~page ~pages =
       invalidate_page t ~page:p
     done
 
+let clear t =
+  Array.iter (fun set -> Array.iter (fun s -> s.page <- invalid_page) set) t.sets
+
 let flush t stats =
-  Array.iter (fun set -> Array.iter (fun s -> s.page <- invalid_page) set) t.sets;
+  clear t;
   Stats.count_tlb_flush stats

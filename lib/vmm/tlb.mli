@@ -37,5 +37,10 @@ val invalidate_range : t -> page:int -> pages:int -> unit
 (** Ranged shootdown (on [mprotect]/[munmap] of a region): one sweep
     over the TLB for wide ranges rather than a probe per page. *)
 
+val clear : t -> unit
+(** Drop every entry, counting nothing: the TLB of a process that has
+    exited, whose counters must read as they did at exit. *)
+
 val flush : t -> Stats.t -> unit
-(** Full flush (e.g. on simulated [fork]/context switch). *)
+(** Full flush (e.g. on simulated [fork]/context switch): {!clear}, and
+    one flush counted in {!Stats}. *)

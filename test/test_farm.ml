@@ -135,6 +135,50 @@ let test_farm_merged_registry () =
   check_int "registry syscalls = totals" r.Farm.totals.Farm.syscalls
     (Vmm.Stats.total_syscalls stats)
 
+(* Everything a run reports, as plain data: totals, per-shard reports,
+   the merged registry (Prometheus text), the fleet report and the
+   per-shard trace events. *)
+let observable (r : Farm.result) =
+  ( totals_fingerprint r,
+    r.Farm.makespan_cycles,
+    r.Farm.per_shard,
+    Telemetry.Export.to_prometheus r.Farm.registry,
+    r.Farm.crashes,
+    r.Farm.traces )
+
+(* Exited connections leave their page buffers in their domain's pool;
+   a run that starts on warm pools reports exactly what the first did.
+   One shard serves on the calling domain, whose pool the first run
+   filled; with more shards each domain's pool is warm from its second
+   connection on. *)
+let test_farm_warm_pools_deterministic () =
+  let traced ~shards () =
+    Farm.run_server ~probe_every:4 ~trace_capacity:4096 ~shards
+      ~connections:24 Workload.Servers.ftpd
+  in
+  List.iter
+    (fun shards ->
+      let cold = traced ~shards () in
+      let warm = traced ~shards () in
+      check_bool "trace recorded" true
+        (List.exists (fun (_, events) -> events <> []) cold.Farm.traces);
+      check_bool
+        (Printf.sprintf "%d-shard rerun on warm pools is identical" shards)
+        true
+        (observable cold = observable warm))
+    [ 2; 1 ]
+
+let test_farm_totals_shard_invariant_warm () =
+  ignore (run ~shards:1 () : Farm.result);
+  let base = run ~shards:1 () in
+  List.iter
+    (fun shards ->
+      check_bool
+        (Printf.sprintf "totals at %d shards equal warm single-shard" shards)
+        true
+        (totals_fingerprint (run ~shards ()) = totals_fingerprint base))
+    [ 2; 4; 8 ]
+
 (* Recoverable mode: each connection's [recover.*] counters reach the
    farm registry, one recovered load, store or free per fleet report. *)
 let test_farm_recovered_counters () =
@@ -171,5 +215,9 @@ let () =
           Alcotest.test_case "merged registry" `Quick test_farm_merged_registry;
           Alcotest.test_case "recovered counters merged" `Quick
             test_farm_recovered_counters;
+          Alcotest.test_case "warm pools deterministic" `Quick
+            test_farm_warm_pools_deterministic;
+          Alcotest.test_case "totals shard-invariant after warm-up" `Quick
+            test_farm_totals_shard_invariant_warm;
         ] );
     ]

@@ -209,6 +209,100 @@ let test_process_fork_cost () =
     (r.Runtime.Process.cycles
      >= float_of_int Runtime.Process.fork_cost_instructions)
 
+(* A child's exit is invisible to the simulation: every counter, the
+   clock and the VA total read the same afterwards.  Its memory is gone:
+   a load or store through the exited machine raises rather than
+   reading a buffer the next connection now owns. *)
+let test_process_exit () =
+  let kept = ref None in
+  let r =
+    Runtime.Process.run_connection
+      ~make_scheme:(fun () -> Runtime.Schemes.shadow_pool (Machine.create ()))
+      ~handler:(fun scheme ->
+        let a = scheme.Runtime.Scheme.malloc 64 in
+        scheme.Runtime.Scheme.store a ~width:8 42;
+        ignore (scheme.Runtime.Scheme.load a ~width:8);
+        kept := Some (scheme, a))
+  in
+  let scheme, a = Option.get !kept in
+  let m = scheme.Runtime.Scheme.machine in
+  check_bool "counters unchanged by exit" true
+    (Stats.snapshot m.Machine.stats = r.Runtime.Process.stats);
+  check_bool "clock unchanged by exit" true
+    (Machine.cycles m = r.Runtime.Process.cycles);
+  check_int "va unchanged by exit" r.Runtime.Process.va_bytes
+    (Machine.va_bytes_used m);
+  check_int "peak frames kept" r.Runtime.Process.peak_frames
+    (Frame_table.peak_frames m.Machine.frames);
+  check_int "no live frames" 0 (Frame_table.live_frames m.Machine.frames);
+  let raises f =
+    match f () with
+    | _ -> false
+    | exception Fault.Trap (Fault.Unmapped _) -> true
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "load after exit raises" true
+    (raises (fun () -> Mmu.load m a ~width:8));
+  check_bool "store after exit raises" true
+    (raises (fun () -> Mmu.store m a ~width:8 1))
+
+(* A handler that dies of something other than a violation still exits
+   its machine. *)
+let test_process_exit_on_exception () =
+  let kept = ref None in
+  (match
+     Runtime.Process.run_connection
+       ~make_scheme:(fun () -> Runtime.Schemes.native (Machine.create ()))
+       ~handler:(fun scheme ->
+         ignore (scheme.Runtime.Scheme.malloc 64);
+         kept := Some scheme.Runtime.Scheme.machine;
+         failwith "handler crashed")
+   with
+   | _ -> Alcotest.fail "the handler's exception must propagate"
+   | exception Failure _ -> ());
+  let m = Option.get !kept in
+  check_int "frames returned" 0 (Frame_table.live_frames m.Machine.frames)
+
+(* Serving connections recycles page buffers, page-table chunks and
+   small tables instead of allocating them in the major heap.  Counted
+   by the OCaml runtime on this domain, so deterministic: words
+   allocated directly in the major heap, i.e. major minus promoted. *)
+let max_direct_major_words_per_connection = 2048.
+
+let test_connection_major_words () =
+  let connections = 256 in
+  List.iter
+    (fun config ->
+      List.iter
+        (fun (server : Workload.Spec.server) ->
+          let serve first =
+            for conn = first to first + connections - 1 do
+              ignore
+                (Runtime.Process.run_connection
+                   ~make_scheme:(fun () -> Harness.Experiment.make_scheme config ())
+                   ~handler:(server.Workload.Spec.handler conn)
+                  : Runtime.Process.connection_result)
+            done
+          in
+          (* Warm the domain's pools, as a long-running server has. *)
+          serve 0;
+          let _, promoted0, major0 = Gc.counters () in
+          serve connections;
+          let _, promoted1, major1 = Gc.counters () in
+          let direct =
+            (major1 -. major0 -. (promoted1 -. promoted0))
+            /. float_of_int connections
+          in
+          check_bool
+            (Printf.sprintf "%s under %s: %.0f direct major words/connection"
+               server.Workload.Spec.s_name
+               (Runtime.Scheme_spec.label config)
+               direct)
+            true
+            (direct < max_direct_major_words_per_connection))
+        Workload.Servers.all)
+    Runtime.Scheme_spec.[ ours; llvm_base ]
+
 let prop_scheme_uniformity =
   (* Every scheme executes the same little program with the same
      functional result. *)
@@ -264,5 +358,10 @@ let () =
           Alcotest.test_case "detection recorded" `Quick
             test_process_detection_recorded;
           Alcotest.test_case "fork cost" `Quick test_process_fork_cost;
+          Alcotest.test_case "exit" `Quick test_process_exit;
+          Alcotest.test_case "exit on exception" `Quick
+            test_process_exit_on_exception;
+          Alcotest.test_case "major words per connection" `Quick
+            test_connection_major_words;
         ] );
     ]

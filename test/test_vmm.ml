@@ -380,6 +380,197 @@ let test_cache_physical_indexing_through_mmu () =
   check_int "alias hits the same line" before
     (Stats.snapshot m.Machine.stats).Stats.cache_misses
 
+(* ---- Exit and the per-domain page pools ---- *)
+
+(* [f] on a domain of its own, whose pools start empty. *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+let words_per_page = Addr.page_size / 8
+
+let all_words_zero m base ~pages =
+  let ok = ref true in
+  for w = 0 to (pages * words_per_page) - 1 do
+    if Mmu.load m (base + (8 * w)) ~width:8 <> 0 then ok := false
+  done;
+  !ok
+
+(* Machine A dirties every word of its pages and exits; machine B, next
+   on the same domain, is built from A's buffers and chunks (it makes
+   no fresh page buffer) and reads zero everywhere: through fresh
+   mappings, aliases of them, and MAP_FIXED replacements. *)
+let test_exit_reuse_reads_zero () =
+  on_fresh_domain (fun () ->
+      let pages = 16 in
+      let a = Machine.create () in
+      let base = Kernel.mmap a ~pages in
+      for w = 0 to (pages * words_per_page) - 1 do
+        Mmu.store a (base + (8 * w)) ~width:8 (0x5A5A_0000 + w)
+      done;
+      let before = Stats.snapshot a.Machine.stats in
+      Machine.exit a;
+      check_bool "exit counts nothing" true
+        (Stats.snapshot a.Machine.stats = before);
+      let b = Machine.create () in
+      let _, promoted0, major0 = Gc.counters () in
+      let fresh = Kernel.mmap b ~pages:(pages / 2) in
+      let fixed = Machine.fresh_pages b (pages / 2) in
+      Kernel.mmap_fixed b ~addr:fixed ~pages:(pages / 2);
+      let _, promoted1, major1 = Gc.counters () in
+      check_bool "B's pages come from A's buffers" true
+        (major1 -. major0 -. (promoted1 -. promoted0)
+         < float_of_int words_per_page);
+      check_bool "fresh mapping reads zero" true
+        (all_words_zero b fresh ~pages:(pages / 2));
+      let alias = Kernel.mremap_alias b ~src:fresh ~pages:(pages / 2) in
+      check_bool "alias reads zero" true
+        (all_words_zero b alias ~pages:(pages / 2));
+      check_bool "MAP_FIXED mapping reads zero" true
+        (all_words_zero b fixed ~pages:(pages / 2));
+      (* A second MAP_FIXED over dirtied pages takes the buffers the
+         replaced frames just released. *)
+      Mmu.store b fixed ~width:8 7;
+      Kernel.mmap_fixed b ~addr:fixed ~pages:(pages / 2);
+      check_bool "MAP_FIXED over dirty pages reads zero" true
+        (all_words_zero b fixed ~pages:(pages / 2)))
+
+let test_exit_then_access_raises () =
+  let m = Machine.create () in
+  let a = Kernel.mmap m ~pages:2 in
+  Mmu.store m a ~width:8 1;
+  ignore (Mmu.load m a ~width:8);
+  Machine.exit m;
+  let raises f =
+    match f () with
+    | _ -> false
+    | exception Fault.Trap (Fault.Unmapped _) -> true
+    | exception Invalid_argument _ -> true
+  in
+  (* The page was in the TLB: exit drops it there too, so the access
+     traps as unmapped instead of reaching the frame table. *)
+  let unmapped f =
+    match f () with
+    | _ -> false
+    | exception Fault.Trap (Fault.Unmapped _) -> true
+  in
+  check_bool "load traps" true (unmapped (fun () -> Mmu.load m a ~width:8));
+  check_bool "store traps" true (unmapped (fun () -> Mmu.store m a ~width:8 2));
+  check_bool "kernel-mode load traps" true
+    (raises (fun () -> Mmu.load_exempt m a ~width:8));
+  check_bool "mmap raises" true (raises (fun () -> Kernel.mmap m ~pages:1));
+  check_bool "alias raises" true
+    (raises (fun () -> Kernel.mremap_alias m ~src:a ~pages:1));
+  check_bool "MAP_FIXED raises" true
+    (raises (fun () -> Kernel.mmap_fixed m ~addr:a ~pages:1));
+  Machine.exit m
+
+type chain_op =
+  | Map of int  (** mmap that many pages *)
+  | Alias of int  (** mremap_alias of a region *)
+  | Fixed of int  (** mmap_fixed over a region *)
+  | Store of int * int * int  (** region, word, value *)
+  | Load of int * int  (** region, word *)
+  | Unmap of int
+  | Exit  (** the machine exits; the next op starts a fresh one *)
+
+let show_chain_op = function
+  | Map n -> Printf.sprintf "map %d" n
+  | Alias r -> Printf.sprintf "alias %d" r
+  | Fixed r -> Printf.sprintf "fixed %d" r
+  | Store (r, w, v) -> Printf.sprintf "store %d.%d=%d" r w v
+  | Load (r, w) -> Printf.sprintf "load %d.%d" r w
+  | Unmap r -> Printf.sprintf "unmap %d" r
+  | Exit -> "exit"
+
+let gen_chain_op =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, map (fun n -> Map n) (int_range 1 4));
+      (2, map (fun r -> Alias r) nat);
+      (1, map (fun r -> Fixed r) nat);
+      (5, map3 (fun r w v -> Store (r, w, v)) nat nat (int_bound 1_000_000));
+      (6, map2 (fun r w -> Load (r, w)) nat nat);
+      (2, map (fun r -> Unmap r) nat);
+      (1, return Exit);
+    ]
+
+(* The ops of one machine, from its creation to its exit. *)
+let split_at_exits ops =
+  let rec go cur acc = function
+    | [] -> List.rev (List.rev cur :: acc)
+    | Exit :: rest -> go [] (List.rev cur :: acc) rest
+    | op :: rest -> go (op :: cur) acc rest
+  in
+  go [] [] ops
+
+type region = { base : Addr.t; pages : int; mutable mapped : bool }
+
+(* One machine's life: every load's outcome, then its final counters. *)
+let run_machine ops =
+  let m = Machine.create () in
+  let regions = ref [||] in
+  let add r = regions := Array.append !regions [| r |] in
+  let pick i f =
+    let rs = !regions in
+    if Array.length rs > 0 then f rs.(i mod Array.length rs)
+  in
+  let addr r w = r.base + (8 * (w mod (r.pages * words_per_page))) in
+  let loads = ref [] in
+  let attempt f =
+    match f () with v -> Ok v | exception Fault.Trap fault -> Error fault
+  in
+  List.iter
+    (function
+      | Map pages -> add { base = Kernel.mmap m ~pages; pages; mapped = true }
+      | Alias i ->
+        pick i (fun r ->
+            if r.mapped then
+              add
+                {
+                  base = Kernel.mremap_alias m ~src:r.base ~pages:r.pages;
+                  pages = r.pages;
+                  mapped = true;
+                })
+      | Fixed i ->
+        pick i (fun r ->
+            Kernel.mmap_fixed m ~addr:r.base ~pages:r.pages;
+            r.mapped <- true)
+      | Store (i, w, v) ->
+        pick i (fun r ->
+            loads := attempt (fun () -> Mmu.store m (addr r w) ~width:8 v; -1)
+                     :: !loads)
+      | Load (i, w) ->
+        pick i (fun r ->
+            loads := attempt (fun () -> Mmu.load m (addr r w) ~width:8) :: !loads)
+      | Unmap i ->
+        pick i (fun r ->
+            if r.mapped then begin
+              Kernel.munmap m ~addr:r.base ~pages:r.pages;
+              r.mapped <- false
+            end)
+      | Exit -> ())
+    ops;
+  let stats = Stats.snapshot m.Machine.stats in
+  Machine.exit m;
+  (List.rev !loads, stats)
+
+(* A chain of machines on one domain, each built from the buffers its
+   predecessors left, observes exactly what each machine observes on a
+   fresh domain with empty pools. *)
+let prop_exit_chain_matches_fresh_pools =
+  QCheck.Test.make ~name:"exit: a chain on warm pools matches fresh pools"
+    ~count:40
+    (QCheck.make
+       ~print:(fun ops -> String.concat ", " (List.map show_chain_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_chain_op))
+    (fun ops ->
+      let lives = split_at_exits ops in
+      let warm = List.map run_machine lives in
+      let fresh =
+        List.map (fun life -> on_fresh_domain (fun () -> run_machine life)) lives
+      in
+      warm = fresh)
+
 (* ---- Cost model ---- *)
 
 let test_cost_model () =
@@ -494,6 +685,14 @@ let () =
           Alcotest.test_case "physical indexing via aliases" `Quick
             test_cache_physical_indexing_through_mmu;
         ] );
+      ( "exit",
+        [
+          Alcotest.test_case "reuse reads zero" `Quick
+            test_exit_reuse_reads_zero;
+          Alcotest.test_case "access after exit raises" `Quick
+            test_exit_then_access_raises;
+        ]
+        @ qcheck [ prop_exit_chain_matches_fresh_pools ] );
       ( "cost",
         [
           Alcotest.test_case "cost model" `Quick test_cost_model;
