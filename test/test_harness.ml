@@ -151,6 +151,31 @@ let test_latency_distribution () =
     (p99_ratio <= p50_ratio +. 0.01);
   ignore (Harness.Latency.render dists)
 
+(* The study's exact figures at 40 connections, pinned so a change to
+   how connections are served cannot move them unnoticed.  The mean is
+   a float sum taken in service order, so it is held to 1e-12 relative
+   rather than bit equality. *)
+let test_latency_pinned () =
+  let dists = Harness.Latency.study ~connections:40 () in
+  let expect config p50 p95 p99 mean =
+    let d = List.find (fun d -> d.Harness.Latency.config = config) dists in
+    let label = Runtime.Scheme_spec.label config in
+    let check_float what want got =
+      Alcotest.(check (float 0.)) (label ^ " " ^ what) want got
+    in
+    check_float "p50" p50 d.Harness.Latency.p50;
+    check_float "p95" p95 d.Harness.Latency.p95;
+    check_float "p99" p99 d.Harness.Latency.p99;
+    Alcotest.(check (float (1e-12 *. mean)))
+      (label ^ " mean") mean d.Harness.Latency.mean
+  in
+  expect Runtime.Scheme_spec.native 0x1.032363d42b027p+18
+    0x1.0987d61701716p+22 0x1.41d016f44d8f5p+22 0x1.5de29p+19;
+  expect Runtime.Scheme_spec.llvm_base 0x1.0af8f03834e52p+18
+    0x1.118edb6db2dc1p+22 0x1.4b8ab213d5283p+22 0x1.684eb451eb852p+19;
+  expect Runtime.Scheme_spec.ours 0x1.1489717425438p+18
+    0x1.124cbae51a5c8p+22 0x1.4c616da8f5c29p+22 0x1.6d38fa147ae12p+19
+
 (* ---- detection matrix ---- *)
 
 let test_detection_matrix () =
@@ -290,7 +315,10 @@ let () =
       ( "addr-space",
         [ Alcotest.test_case "§4.3 study" `Quick test_addr_space_study ] );
       ( "latency",
-        [ Alcotest.test_case "distribution" `Quick test_latency_distribution ] );
+        [
+          Alcotest.test_case "distribution" `Quick test_latency_distribution;
+          Alcotest.test_case "pinned figures" `Quick test_latency_pinned;
+        ] );
       ( "detection",
         [
           Alcotest.test_case "matrix" `Quick test_detection_matrix;
