@@ -20,8 +20,9 @@ let sweep ~smoke ~name config =
   let results =
     List.map
       (fun shards ->
-        F.run_server ~policy:Scheduler.Round_robin ~seed ~probe_every ~config
-          ~shards ~connections:(connections ~smoke) Workload.Servers.ghttpd)
+        Harness.Experiment.run_server ~policy:Scheduler.Round_robin ~seed
+          ~probe_every ~config ~shards ~connections:(connections ~smoke)
+          Workload.Servers.ghttpd)
       shard_counts
   in
   let base = List.hd results in
@@ -35,7 +36,7 @@ let sweep ~smoke ~name config =
         r.F.makespan_cycles r.F.throughput
         (base.F.makespan_cycles /. r.F.makespan_cycles)
         r.F.totals.F.detections r.F.totals.F.syscalls
-        r.F.latency.Harness.Latency.q99;
+        r.F.latency.Telemetry.Histogram.q99;
       Gate.require
         (r.F.totals.F.detections = d0)
         "farm %s: %d detections at %d shards vs %d at 1" name
@@ -62,8 +63,8 @@ let row_json ?(extra = []) (r : F.result) =
 
 let latency_json (r : F.result) =
   [
-    ("latency_p50", J.Float r.F.latency.Harness.Latency.q50);
-    ("latency_p99", J.Float r.F.latency.Harness.Latency.q99);
+    ("latency_p50", J.Float r.F.latency.Telemetry.Histogram.q50);
+    ("latency_p99", J.Float r.F.latency.Telemetry.Histogram.q99);
   ]
 
 let run ~smoke () =

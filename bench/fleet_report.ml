@@ -28,9 +28,9 @@ let run ~smoke () =
           (fun shards ->
             ( policy,
               shards,
-              F.run_server ~policy ~seed ~probe_every ~probe_sites
-                ~recover:true ~config:Runtime.Scheme_spec.ours ~shards
-                ~connections Workload.Servers.ghttpd ))
+              Harness.Experiment.run_server ~policy ~seed ~probe_every
+                ~probe_sites ~recover:true ~config:Runtime.Scheme_spec.ours
+                ~shards ~connections Workload.Servers.ghttpd ))
           shard_counts)
       [ Scheduler.Round_robin; Scheduler.Work_steal ]
   in

@@ -93,11 +93,10 @@ let cost_rows ~scale_divisor () =
     let connections =
       max 2 (s.Workload.Spec.s_default_connections / scale_divisor)
     in
-    let r =
-      Harness.Experiment.run_server ~connections s Runtime.Scheme_spec.ours
-    in
+    let r = Harness.Experiment.run_server ~connections ~shards:1 s in
     cost_row ~table:1 ~workload:s.Workload.Spec.s_name ~scale:connections
-      ~cycles:r.Runtime.Process.total_cycles r.Runtime.Process.total_stats
+      ~cycles:(Harness.Experiment.total_cycles r)
+      r.Danguard_farm.Farm.totals.Danguard_farm.Farm.stats
   in
   timed "cost rows" (fun () ->
       List.map (batch_row 1) Workload.Catalog.utilities

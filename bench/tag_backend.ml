@@ -16,6 +16,7 @@
    rows (epoch vs tagged) share one eager baseline. *)
 
 module J = Telemetry.Json
+module F = Danguard_farm.Farm
 
 type run_stats = {
   per_op : float;
@@ -185,28 +186,26 @@ let run ~smoke () =
   (* server row: the per-connection VA appetite of both backends *)
   let server_row =
     let run config =
-      Harness.Experiment.run_server ~connections:(if smoke then 8 else 24)
-        Workload.Servers.ghttpd config
+      (Harness.Experiment.run_server ~config
+         ~connections:(if smoke then 8 else 24) ~shards:1
+         Workload.Servers.ghttpd)
+        .F.totals
     in
     let shadow = run Runtime.Scheme_spec.ours in
     let tagged = run Runtime.Scheme_spec.tagged in
     Printf.printf
       "  ghttpd shadow: %6d VA bytes/conn | tagged: %6d VA bytes/conn\n"
-      shadow.Runtime.Process.max_va_bytes_per_connection
-      tagged.Runtime.Process.max_va_bytes_per_connection;
+      shadow.F.max_va_bytes tagged.F.max_va_bytes;
     Gate.require
-      (tagged.Runtime.Process.max_va_bytes_per_connection
-      <= shadow.Runtime.Process.max_va_bytes_per_connection)
+      (tagged.F.max_va_bytes <= shadow.F.max_va_bytes)
       "tag_backend: tagged server burns more VA per connection than shadow";
     J.Obj
       [
         ("server", J.String "ghttpd");
-        ( "shadow_max_va_bytes_per_connection",
-          J.Int shadow.Runtime.Process.max_va_bytes_per_connection );
-        ( "tagged_max_va_bytes_per_connection",
-          J.Int tagged.Runtime.Process.max_va_bytes_per_connection );
-        ("shadow_detections", J.Int shadow.Runtime.Process.detections);
-        ("tagged_detections", J.Int tagged.Runtime.Process.detections);
+        ("shadow_max_va_bytes_per_connection", J.Int shadow.F.max_va_bytes);
+        ("tagged_max_va_bytes_per_connection", J.Int tagged.F.max_va_bytes);
+        ("shadow_detections", J.Int shadow.F.detections);
+        ("tagged_detections", J.Int tagged.F.detections);
       ]
   in
   let probe_outcomes =

@@ -306,7 +306,11 @@ let run_cmd =
     | None ->
       (match Workload.Catalog.find_server name with
        | Some server ->
-         let r = Harness.Experiment.run_server server config in
+         let r = Harness.Experiment.run_server ~config ~shards:1 server in
+         let module Farm = Danguard_farm.Farm in
+         let connections = r.Farm.totals.Farm.connections in
+         let mean = Harness.Experiment.mean_cycles_per_connection r in
+         let max_va = r.Farm.totals.Farm.max_va_bytes in
          if json then
            print_endline
              (J.to_string
@@ -314,23 +318,20 @@ let run_cmd =
                    [
                      ("workload", J.String name);
                      ("scheme", J.String label);
-                     ("connections", J.Int r.Runtime.Process.connections);
-                     ( "mean_cycles_per_connection",
-                       J.Float r.Runtime.Process.mean_cycles_per_connection );
-                     ("total_cycles", J.Float r.Runtime.Process.total_cycles);
-                     ( "max_va_bytes_per_connection",
-                       J.Int r.Runtime.Process.max_va_bytes_per_connection );
-                     ("detections", J.Int r.Runtime.Process.detections);
+                     ("connections", J.Int connections);
+                     ("mean_cycles_per_connection", J.Float mean);
+                     ( "total_cycles",
+                       J.Float (Harness.Experiment.total_cycles r) );
+                     ("max_va_bytes_per_connection", J.Int max_va);
+                     ("detections", J.Int r.Farm.totals.Farm.detections);
                      ( "stats",
-                       Vmm.Stats.snapshot_to_json r.Runtime.Process.total_stats );
+                       Vmm.Stats.snapshot_to_json r.Farm.totals.Farm.stats );
                    ]))
          else
            Printf.printf
              "%s under %s: %d connections, mean %sM cycles/connection, max VA %s\n"
-             name label
-             r.Runtime.Process.connections
-             (Harness.Table.fmt_cycles r.Runtime.Process.mean_cycles_per_connection)
-             (Harness.Table.fmt_bytes r.Runtime.Process.max_va_bytes_per_connection);
+             name label connections (Harness.Table.fmt_cycles mean)
+             (Harness.Table.fmt_bytes max_va);
          `Ok ()
        | None -> `Error (false, "unknown workload " ^ name))
   in
@@ -707,8 +708,8 @@ let farm_cmd =
       | trace_oc ->
         let trace_capacity = if trace_file = None then 0 else 65536 in
         let r =
-          Farm.run_server ~policy ~seed ~probe_every ~trace_capacity ~config
-            ?connections ~shards server
+          Harness.Experiment.run_server ~policy ~seed ~probe_every
+            ~trace_capacity ~config ?connections ~shards server
         in
         (match trace_oc with
          | None -> ()
@@ -741,9 +742,12 @@ let farm_cmd =
                     ("max_va_bytes", J.Int r.Farm.totals.Farm.max_va_bytes);
                     ("makespan_cycles", J.Float r.Farm.makespan_cycles);
                     ("throughput_conn_per_mcycle", J.Float r.Farm.throughput);
-                    ("latency_p50", J.Float r.Farm.latency.Harness.Latency.q50);
-                    ("latency_p95", J.Float r.Farm.latency.Harness.Latency.q95);
-                    ("latency_p99", J.Float r.Farm.latency.Harness.Latency.q99);
+                    ( "latency_p50",
+                      J.Float r.Farm.latency.Telemetry.Histogram.q50 );
+                    ( "latency_p95",
+                      J.Float r.Farm.latency.Telemetry.Histogram.q95 );
+                    ( "latency_p99",
+                      J.Float r.Farm.latency.Telemetry.Histogram.q99 );
                     ( "per_shard",
                       J.List
                         (List.map
@@ -783,8 +787,8 @@ let farm_cmd =
           Printf.printf
             "  detections %d, syscalls %d, latency p50 %sM p99 %sM cycles\n"
             r.Farm.totals.Farm.detections r.Farm.totals.Farm.syscalls
-            (Harness.Table.fmt_cycles r.Farm.latency.Harness.Latency.q50)
-            (Harness.Table.fmt_cycles r.Farm.latency.Harness.Latency.q99)
+            (Harness.Table.fmt_cycles r.Farm.latency.Telemetry.Histogram.q50)
+            (Harness.Table.fmt_cycles r.Farm.latency.Telemetry.Histogram.q99)
         end;
         `Ok ()
   in
@@ -826,7 +830,7 @@ let report_cmd =
       | None -> `Error (false, "unknown server " ^ name)
       | Some server ->
         let r =
-          Farm.run_server ~policy ~seed ~probe_every ~probe_sites
+          Harness.Experiment.run_server ~policy ~seed ~probe_every ~probe_sites
             ~recover:true ~config ?connections ~shards server
         in
         let served = r.Farm.totals.Farm.connections in

@@ -23,7 +23,7 @@ type result = {
   totals : totals;
   makespan_cycles : float;
   throughput : float;
-  latency : Harness.Latency.quantiles;
+  latency : Telemetry.Histogram.quantiles;
   per_shard : shard_report list;
   registry : Metrics.t;
   crashes : Fleet.Crash.fleet_report;
@@ -85,6 +85,13 @@ let probed_handler ~probe_every ~probe_sites handler conn
       end
     end
 
+(* Fine latency buckets (256/octave = 0.27% ratio per bucket): the
+   latency study compares percentile ratios across configs, so
+   quantization error must stay well under the few-percent effects being
+   measured.  Every shard uses the same resolution, so their histograms
+   merge. *)
+let latency_buckets_per_octave = 256
+
 type shard_outcome = {
   o_shard : int;
   o_served : int;
@@ -113,7 +120,7 @@ let run_shard ~scheduler ~shard ~make_scheme ~handler ~recover ~trace_capacity =
   let (_ : Metrics.gauge) = Metrics.gauge registry "shadow.gc_pinned_ranges" in
   let latency =
     Metrics.histogram
-      ~buckets_per_octave:Harness.Latency.buckets_per_octave registry
+      ~buckets_per_octave:latency_buckets_per_octave registry
       "farm.latency_cycles"
   in
   let crash_sink = Fleet.Crash.create_sink () in
@@ -255,7 +262,7 @@ let run ?(policy = Scheduler.Round_robin) ?(seed = 0x5eed) ?(probe_every = 0)
     else 0.0
   in
   let latency =
-    Harness.Latency.quantiles_of_histogram
+    Telemetry.Histogram.quantiles
       (Metrics.histogram registry "farm.latency_cycles")
   in
   let per_shard =
@@ -317,14 +324,3 @@ let check_recovered ~probe_sites ~probe_every r =
               r.crashes.Fleet.Crash.total_reports)
        else None);
     ]
-
-let run_server ?policy ?seed ?probe_every ?probe_sites ?recover ?trace_capacity
-    ?(config = Runtime.Scheme_spec.ours) ?connections ~shards
-    (server : Workload.Spec.server) =
-  let connections =
-    Option.value connections ~default:server.Workload.Spec.s_default_connections
-  in
-  run ?policy ?seed ?probe_every ?probe_sites ?recover ?trace_capacity
-    ~make_scheme:(fun ~shard:_ ~trace () ->
-      Harness.Experiment.make_scheme config ~trace ())
-    ~handler:server.Workload.Spec.handler ~shards ~connections ()

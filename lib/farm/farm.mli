@@ -2,9 +2,14 @@
     daemons scaled across OCaml domains.
 
     Each shard is a domain running its share of the connections, every
-    connection a fresh machine + scheme ({!Runtime.Process}), so shards
-    share {e nothing} on the hot path: per-shard metrics registries and
-    latency histograms are merged once at join ({!Telemetry.Metrics.merge}).
+    connection a fresh machine + scheme ({!Runtime.Process.run_connection}),
+    so shards share {e nothing} on the hot path: per-shard metrics
+    registries and latency histograms are merged once at join
+    ({!Telemetry.Metrics.merge}).  This is the only loop that serves
+    connections: every server experiment (Table 1's server rows, the
+    latency and address-space studies, the CLI's [run], [farm] and
+    [report]) runs through {!run}, with one shard on the calling domain
+    where it wants a sequential server.
 
     Determinism contract: a connection's behaviour depends only on its
     index, so the merged totals — detections, syscalls, the latency
@@ -39,7 +44,7 @@ type result = {
       (** max over shards of per-shard simulated busy cycles *)
   throughput : float;
       (** connections per million simulated cycles of makespan *)
-  latency : Harness.Latency.quantiles;
+  latency : Telemetry.Histogram.quantiles;
       (** percentiles of the merged per-connection cycles histogram *)
   per_shard : shard_report list;
   registry : Telemetry.Metrics.t;
@@ -105,19 +110,3 @@ val run :
     [make_scheme] receives the serving shard and the shard's trace sink
     (a disabled sink when tracing is off).  Default policy
     {!Scheduler.Round_robin}, seed [0x5eed], no probes. *)
-
-val run_server :
-  ?policy:Scheduler.policy ->
-  ?seed:int ->
-  ?probe_every:int ->
-  ?probe_sites:int ->
-  ?recover:bool ->
-  ?trace_capacity:int ->
-  ?config:Runtime.Scheme_spec.t ->
-  ?connections:int ->
-  shards:int ->
-  Workload.Spec.server ->
-  result
-(** {!run} over one of the paper's daemons, a fresh
-    {!Harness.Experiment.make_scheme} per connection (default
-    [Ours]; connections default to the server's own default). *)

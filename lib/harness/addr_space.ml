@@ -13,27 +13,29 @@ let note_for = function
   | "telnetd" -> "45 setup allocs, none afterwards"
   | _ -> ""
 
+(* The daemon runs on the farm with one step added to its handler:
+   reading the global pool and the recycler after the daemon's work,
+   before the child exits. *)
 let measure ?connections (server : Workload.Spec.server) =
-  let connections =
-    Option.value connections ~default:server.Workload.Spec.s_default_connections
-  in
   let wasted = ref 0 in
   let recycled = ref 0 in
-  let max_va = ref 0 in
-  for i = 0 to connections - 1 do
-    let scheme = Experiment.make_scheme Runtime.Scheme_spec.ours () in
-    server.Workload.Spec.handler i scheme;
-    (match Runtime.Schemes.introspect scheme with
-     | Runtime.Schemes.Shadow_pool { global; recycler } ->
-       wasted := !wasted + Shadow.Shadow_pool.shadow_pages_live global;
-       recycled := !recycled + Apa.Page_recycler.total_recycled_pages recycler
-     | _ ->
-       invalid_arg
-         "Addr_space.measure: invariant broken: Scheme_spec.ours must build a \
-          shadow pool (the study reads its global pool and recycler)");
-    let va = Vmm.Machine.va_bytes_used scheme.Runtime.Scheme.machine in
-    if va > !max_va then max_va := va
-  done;
+  let handler conn scheme =
+    server.Workload.Spec.handler conn scheme;
+    match Runtime.Schemes.introspect scheme with
+    | Runtime.Schemes.Shadow_pool { global; recycler } ->
+      wasted := !wasted + Shadow.Shadow_pool.shadow_pages_live global;
+      recycled := !recycled + Apa.Page_recycler.total_recycled_pages recycler
+    | _ ->
+      invalid_arg
+        "Addr_space.measure: invariant broken: Scheme_spec.ours must build a \
+         shadow pool (the study reads its global pool and recycler)"
+  in
+  let totals =
+    (Experiment.run_server ~config:Runtime.Scheme_spec.ours ?connections
+       ~shards:1 { server with Workload.Spec.handler })
+      .Danguard_farm.Farm.totals
+  in
+  let connections = totals.Danguard_farm.Farm.connections in
   {
     name = server.Workload.Spec.s_name;
     connections;
@@ -41,7 +43,7 @@ let measure ?connections (server : Workload.Spec.server) =
       float_of_int !wasted /. float_of_int connections;
     recycled_pages_per_connection =
       float_of_int !recycled /. float_of_int connections;
-    va_bytes_per_connection = !max_va;
+    va_bytes_per_connection = totals.Danguard_farm.Farm.max_va_bytes;
     note = note_for server.Workload.Spec.s_name;
   }
 

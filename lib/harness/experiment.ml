@@ -50,10 +50,20 @@ let run_batch ?scale (batch : Workload.Spec.batch) config =
   batch.Workload.Spec.run scheme ~scale;
   harvest scheme
 
-let run_server ?connections (server : Workload.Spec.server) config =
+module Farm = Danguard_farm.Farm
+
+let run_server ?policy ?seed ?probe_every ?probe_sites ?recover ?trace_capacity
+    ?(config = Runtime.Scheme_spec.ours) ?connections ~shards
+    (server : Workload.Spec.server) =
   let connections =
     Option.value connections ~default:server.Workload.Spec.s_default_connections
   in
-  Runtime.Process.serve
-    ~make_scheme:(fun () -> make_scheme config ())
-    ~handler:server.Workload.Spec.handler ~connections
+  Farm.run ?policy ?seed ?probe_every ?probe_sites ?recover ?trace_capacity
+    ~make_scheme:(fun ~shard:_ ~trace () -> make_scheme config ~trace ())
+    ~handler:server.Workload.Spec.handler ~shards ~connections ()
+
+let total_cycles (r : Farm.result) =
+  List.fold_left (fun acc sr -> acc +. sr.Farm.busy_cycles) 0. r.Farm.per_shard
+
+let mean_cycles_per_connection r =
+  total_cycles r /. float_of_int (max 1 r.Farm.totals.Farm.connections)

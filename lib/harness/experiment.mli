@@ -37,9 +37,26 @@ val run_batch :
 (** Run a utility/Olden workload to completion under a fresh machine. *)
 
 val run_server :
+  ?policy:Danguard_farm.Scheduler.policy ->
+  ?seed:int ->
+  ?probe_every:int ->
+  ?probe_sites:int ->
+  ?recover:bool ->
+  ?trace_capacity:int ->
+  ?config:Runtime.Scheme_spec.t ->
   ?connections:int ->
+  shards:int ->
   Workload.Spec.server ->
-  Runtime.Scheme_spec.t ->
-  Runtime.Process.server_run
-(** Serve N forked connections; the per-connection response time is the
-    server metric (paper §4.1 measures client response time). *)
+  Danguard_farm.Farm.result
+(** Serve one of the paper's daemons on {!Danguard_farm.Farm.run}, a
+    fresh {!make_scheme} per forked connection (default [Ours];
+    connections default to the server's own default).  Table 1 and
+    [danguard run] serve on one shard; the per-connection response time
+    is the server metric (paper §4.1 measures client response time). *)
+
+val total_cycles : Danguard_farm.Farm.result -> float
+(** Simulated cycles of every connection served: the sum of the shards'
+    busy cycles. *)
+
+val mean_cycles_per_connection : Danguard_farm.Farm.result -> float
+(** {!total_cycles} over the connections served. *)

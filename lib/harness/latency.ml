@@ -14,7 +14,7 @@ let request_blocks rng =
   | n when n < 95 -> 8 + Workload.Prng.below rng 24 (* asset *)
   | _ -> 64 + Workload.Prng.below rng 192 (* large download *)
 
-let handler blocks _conn (scheme : Runtime.Scheme.t) =
+let handler blocks (scheme : Runtime.Scheme.t) =
   let req = scheme.Runtime.Scheme.malloc ~site:"latency:request" 512 in
   Runtime.Workload_api.fill_words scheme req ~words:16 ~value:blocks;
   let buf = scheme.Runtime.Scheme.malloc ~site:"latency:sendbuf" 4096 in
@@ -25,38 +25,27 @@ let handler blocks _conn (scheme : Runtime.Scheme.t) =
   scheme.Runtime.Scheme.free buf;
   scheme.Runtime.Scheme.free req
 
-(* Fine buckets (256/octave = 0.27% ratio per bucket): the study compares
-   percentile *ratios* across configs, so quantization error must stay
-   well under the few-percent effects being measured. *)
-let latency_buckets_per_octave = 256
-let buckets_per_octave = latency_buckets_per_octave
-
-type quantiles = { q50 : float; q95 : float; q99 : float; q_mean : float }
-
-let quantiles_of_histogram hist =
-  {
-    q50 = Telemetry.Histogram.percentile hist 0.50;
-    q95 = Telemetry.Histogram.percentile hist 0.95;
-    q99 = Telemetry.Histogram.percentile hist 0.99;
-    q_mean = Telemetry.Histogram.mean hist;
-  }
-
+(* The request sizes are drawn up front, one per connection index, in
+   the order a sequential server would draw them, so every config sees
+   the same request sequence. *)
 let measure ?(connections = 120) config =
   let rng = Workload.Prng.create ~seed:271828 in
-  let hist =
-    Telemetry.Histogram.create ~buckets_per_octave:latency_buckets_per_octave ()
+  let blocks = Array.init connections (fun _ -> request_blocks rng) in
+  let r =
+    Danguard_farm.Farm.run
+      ~make_scheme:(fun ~shard:_ ~trace () ->
+        Experiment.make_scheme config ~trace ())
+      ~handler:(fun conn -> handler blocks.(conn))
+      ~shards:1 ~connections ()
   in
-  for conn = 0 to connections - 1 do
-    let blocks = request_blocks rng in
-    let result =
-      Runtime.Process.run_connection
-        ~make_scheme:(fun () -> Experiment.make_scheme config ())
-        ~handler:(handler blocks conn)
-    in
-    Telemetry.Histogram.observe hist result.Runtime.Process.cycles
-  done;
-  let q = quantiles_of_histogram hist in
-  { config; p50 = q.q50; p95 = q.q95; p99 = q.q99; mean = q.q_mean }
+  let q = r.Danguard_farm.Farm.latency in
+  {
+    config;
+    p50 = q.Telemetry.Histogram.q50;
+    p95 = q.Telemetry.Histogram.q95;
+    p99 = q.Telemetry.Histogram.q99;
+    mean = q.Telemetry.Histogram.q_mean;
+  }
 
 let study ?connections () =
   List.map

@@ -16,18 +16,6 @@ type distribution = {
   mean : float;
 }
 
-val buckets_per_octave : int
-(** Bucket resolution this study uses (256/octave, 0.27% per bucket):
-    fine enough that percentile {e ratios} between configs carry the
-    few-percent effects being measured.  Shared with the farm's
-    per-shard latency histograms so they merge against each other. *)
-
-type quantiles = { q50 : float; q95 : float; q99 : float; q_mean : float }
-
-val quantiles_of_histogram : Telemetry.Histogram.t -> quantiles
-(** Percentile summary of any cycles histogram (e.g. a farm's merged
-    per-shard latency histogram). *)
-
 val study : ?connections:int -> unit -> distribution list
 (** Native, LLVM-base and Ours, same request sequence. *)
 

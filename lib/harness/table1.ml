@@ -39,8 +39,8 @@ let server_row ?connections (server : Workload.Spec.server) =
   make_row ~name:server.Workload.Spec.s_name
     ~loc:server.Workload.Spec.s_paper.loc
     ~paper_ratio1:server.Workload.Spec.s_paper.ratio1 (fun config ->
-      (Experiment.run_server ?connections server config)
-        .Runtime.Process.mean_cycles_per_connection)
+      Experiment.mean_cycles_per_connection
+        (Experiment.run_server ~config ?connections ~shards:1 server))
 
 let rows ?(scale_divisor = 1) () =
   List.map

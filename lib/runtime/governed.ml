@@ -50,7 +50,7 @@ let governed_ops ~machine ~governor ~ever_unprotected ~unprotected_allocs
     Hashtbl.replace raw_live a ();
     Hashtbl.replace ever_unprotected a ();
     incr unprotected_allocs;
-    Pool_scheme.trace_malloc machine site size a;
+    Shadow.Shadow_heap.trace_malloc machine site size a;
     a
   in
   let fallback site size =
@@ -80,7 +80,7 @@ let governed_ops ~machine ~governor ~ever_unprotected ~unprotected_allocs
       if Hashtbl.mem raw_live a then begin
         Hashtbl.remove raw_live a;
         dealloc_raw a;
-        Pool_scheme.trace_free machine site a
+        Shadow.Shadow_heap.trace_free machine site a
       end
       else begin
         match

@@ -1,27 +1,11 @@
 open Vmm
 
-(* The enabled check lives at the call site so the disabled path never
-   allocates the event thunk (closures capture site/size/addr). *)
-let trace_malloc machine site size addr =
-  if Telemetry.Sink.enabled machine.Machine.trace then
-    Telemetry.Sink.emit machine.Machine.trace (fun () ->
-        Telemetry.Event.Malloc { site; size; addr })
-
-let trace_free machine site addr =
-  if Telemetry.Sink.enabled machine.Machine.trace then
-    Telemetry.Sink.emit machine.Machine.trace (fun () ->
-        Telemetry.Event.Free { site; addr })
-
-let trace_violation machine (r : Shadow.Report.t) =
-  Telemetry.Sink.emit_always machine.Machine.trace (fun () ->
-      Shadow.Report.to_event r)
-
 let guarded_load machine registry addr ~width =
   try
     Shadow.Detector.guard registry ~in_free:false (fun () ->
         Mmu.load machine addr ~width)
   with Shadow.Report.Violation r as exn ->
-    trace_violation machine r;
+    Shadow.Shadow_heap.trace_violation machine r;
     raise exn
 
 let guarded_store machine registry addr ~width v =
@@ -29,7 +13,7 @@ let guarded_store machine registry addr ~width v =
     Shadow.Detector.guard registry ~in_free:false (fun () ->
         Mmu.store machine addr ~width v)
   with Shadow.Report.Violation r as exn ->
-    trace_violation machine r;
+    Shadow.Shadow_heap.trace_violation machine r;
     raise exn
 
 let build ~name machine ~pool ~wrap ~load ~store ~extra_memory_bytes
@@ -58,7 +42,7 @@ let tag_checked machine table registry =
     | Some raw -> raw
     | None -> Tagging.Tag_table.untag addr
     | exception (Shadow.Report.Violation r as exn) ->
-      trace_violation machine r;
+      Shadow.Shadow_heap.trace_violation machine r;
       raise exn
   in
   ( (fun addr ~width ->
@@ -76,7 +60,7 @@ let tagged_pool machine table ~alloc_raw ~dealloc_raw ~destroy =
           let base = alloc_raw size in
           let tp = Tagging.Tag_table.register table ~base ~size ~site in
           Hashtbl.replace live base tp;
-          trace_malloc machine site size tp;
+          Shadow.Shadow_heap.trace_malloc machine site size tp;
           tp);
       pool_free =
         (fun ?(site = "<unknown>") a ->
@@ -84,9 +68,9 @@ let tagged_pool machine table ~alloc_raw ~dealloc_raw ~destroy =
           | base ->
             Hashtbl.remove live base;
             dealloc_raw base;
-            trace_free machine site base
+            Shadow.Shadow_heap.trace_free machine site base
           | exception (Shadow.Report.Violation r as exn) ->
-            trace_violation machine r;
+            Shadow.Shadow_heap.trace_violation machine r;
             raise exn);
       pool_destroy =
         (fun () ->

@@ -1,20 +1,13 @@
-(** The plumbing every pool-backed scheme shares: the telemetry and
-    guarded-access helpers, the one builder of the {!Scheme.t} record,
-    and the tag-checked access and tagged pool that the tagging backend
-    and the governed backend ladder both sit on.
+(** The plumbing every pool-backed scheme shares: the guarded-access
+    helpers, the one builder of the {!Scheme.t} record, and the
+    tag-checked access and tagged pool that the tagging backend and the
+    governed backend ladder both sit on.
 
     A pool-backed scheme is a backing pool plus a wrapper around its
     alloc/free/destroy: {!build} takes the two as plug-ins (the shape of
     an ops record, like the kernel's [page_ext_operations]), routes
     top-level [malloc]/[free] through a global pool, and makes every
     [pool_create] a fresh wrapped pool. *)
-
-val trace_malloc : Vmm.Machine.t -> string -> int -> Vmm.Addr.t -> unit
-val trace_free : Vmm.Machine.t -> string -> Vmm.Addr.t -> unit
-
-val trace_violation : Vmm.Machine.t -> Shadow.Report.t -> unit
-(** Emitted past sampling: losing a violation would change the story a
-    trace tells. *)
 
 val guarded_load :
   Vmm.Machine.t -> Shadow.Object_registry.t -> Vmm.Addr.t -> width:int -> int

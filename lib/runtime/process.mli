@@ -5,7 +5,9 @@
     within a connection dies with the child.  We model each connection
     as a fresh machine + scheme: the handler runs, and we harvest the
     child's cycles, its virtual-address consumption, and any detections.
-    A fixed fork cost is charged to every connection. *)
+    A fixed fork cost is charged to every connection.  This module is
+    the per-child primitive only; the server loop that calls it is
+    [Danguard_farm.Farm.run]. *)
 
 type connection_result = {
   cycles : float;          (** simulated cycles spent by the child *)
@@ -30,21 +32,3 @@ val run_connection :
     (the child dies; the server lives on).  Other exceptions propagate,
     after the exit.  The machine's counters, clock and VA use stay
     readable; its memory does not. *)
-
-type server_run = {
-  connections : int;
-  total_cycles : float;
-  mean_cycles_per_connection : float;
-  max_va_bytes_per_connection : int;
-  total_stats : Vmm.Stats.snapshot;
-      (** per-child counters summed over all connections *)
-  detections : int;
-}
-
-val serve :
-  make_scheme:(unit -> Scheme.t) ->
-  handler:(int -> Scheme.t -> unit) ->
-  connections:int ->
-  server_run
-(** Run [connections] sequential forked connections, passing each
-    handler its connection index. *)

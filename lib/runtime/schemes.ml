@@ -69,13 +69,13 @@ let plain machine ~alloc ~dealloc ~destroy =
       (fun ?(site = "<unknown>") size ->
         let a = alloc size in
         Stats.count_alloc_op machine.Machine.stats;
-        Pool_scheme.trace_malloc machine site size a;
+        Shadow.Shadow_heap.trace_malloc machine site size a;
         a);
     pool_free =
       (fun ?(site = "<unknown>") a ->
         dealloc a;
         Stats.count_free_op machine.Machine.stats;
-        Pool_scheme.trace_free machine site a);
+        Shadow.Shadow_heap.trace_free machine site a);
     pool_destroy = destroy;
   }
 
@@ -326,7 +326,7 @@ let shadow_pool_static ~config machine =
             if elide site then begin
               let a = Shadow.Shadow_pool.alloc_elided pool size in
               Metrics.incr elided_allocs;
-              Pool_scheme.trace_malloc machine site size a;
+              Shadow.Shadow_heap.trace_malloc machine site size a;
               a
             end
             else begin
@@ -337,7 +337,7 @@ let shadow_pool_static ~config machine =
           (fun ?site a ->
             if Shadow.Shadow_pool.free_elided pool a then begin
               Metrics.incr elided_frees;
-              Pool_scheme.trace_free machine
+              Shadow.Shadow_heap.trace_free machine
                 (Option.value site ~default:"<unknown>")
                 a
             end
@@ -514,7 +514,7 @@ let shadow_pool_epoch ?(config = default_epoch_config) machine =
               Shadow.Detector.report (Shadow.Report.Use_after_free access)
                 addr obj
             in
-            Pool_scheme.trace_violation machine r;
+            Shadow.Shadow_heap.trace_violation machine r;
             raise (Shadow.Report.Violation r)
           | None -> ()
         end)

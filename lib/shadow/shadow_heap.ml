@@ -27,15 +27,21 @@ let create ?(shadow_placer = fun _ -> None)
     shadow_alias;
   }
 
-let trace_malloc t site size addr =
-  if Telemetry.Sink.enabled t.machine.Machine.trace then
-    Telemetry.Sink.emit t.machine.Machine.trace (fun () ->
+(* The enabled check comes before [emit] so the disabled path never
+   allocates the event thunk (closures capture site/size/addr). *)
+let trace_malloc machine site size addr =
+  if Telemetry.Sink.enabled machine.Machine.trace then
+    Telemetry.Sink.emit machine.Machine.trace (fun () ->
         Telemetry.Event.Malloc { site; size; addr })
 
-let trace_free t site addr =
-  if Telemetry.Sink.enabled t.machine.Machine.trace then
-    Telemetry.Sink.emit t.machine.Machine.trace (fun () ->
+let trace_free machine site addr =
+  if Telemetry.Sink.enabled machine.Machine.trace then
+    Telemetry.Sink.emit machine.Machine.trace (fun () ->
         Telemetry.Event.Free { site; addr })
+
+let trace_violation machine (r : Report.t) =
+  Telemetry.Sink.emit_always machine.Machine.trace (fun () ->
+      Report.to_event r)
 
 (* One whole-allocation attempt: canonical block, then the shadow alias
    through the injectable syscall boundary.  On failure everything is
@@ -75,7 +81,7 @@ let try_malloc t ?(site = "<unknown>") size =
       (Object_registry.register t.registry ~canonical ~shadow_base ~pages
          ~user_addr:user ~size ~alloc_site:site);
     Stats.count_alloc_op t.machine.Machine.stats;
-    trace_malloc t site size user;
+    trace_malloc t.machine site size user;
     Ok user
 
 let malloc t ?site size =
@@ -83,10 +89,6 @@ let malloc t ?site size =
 
 let violation kind fault_addr info =
   raise (Report.Violation { Report.kind; fault_addr; object_info = info })
-
-let trace_violation t (r : Report.t) =
-  Telemetry.Sink.emit_always t.machine.Machine.trace (fun () ->
-      Report.to_event r)
 
 (* Locate the object a free argument refers to.  Reading the bookkeeping
    word is itself the double-free check: a freed object's shadow page is
@@ -118,12 +120,12 @@ let complete_free t (obj : Object_registry.obj) ~site user =
   Object_registry.mark_freed t.registry obj ~free_site:site;
   t.allocator.dealloc obj.Object_registry.canonical;
   Stats.count_free_op t.machine.Machine.stats;
-  trace_free t site user
+  trace_free t.machine site user
 
 let with_violation_trace t thunk =
   try thunk ()
   with Report.Violation r as exn ->
-    trace_violation t r;
+    trace_violation t.machine r;
     raise exn
 
 let try_free t ?(site = "<unknown>") user =
@@ -153,7 +155,7 @@ let free_deferred t ?(site = "<unknown>") user =
       let obj = find_free_target t user in
       Object_registry.mark_freed t.registry obj ~free_site:site;
       Stats.count_free_op t.machine.Machine.stats;
-      trace_free t site user;
+      trace_free t.machine site user;
       obj)
 
 let release_canonical t (obj : Object_registry.obj) =

@@ -40,6 +40,16 @@ val create :
     alias of [src .. src+pages) — this is how {!Slab} pre-aliasing
     plugs in. *)
 
+val trace_malloc : Vmm.Machine.t -> string -> int -> Vmm.Addr.t -> unit
+val trace_free : Vmm.Machine.t -> string -> Vmm.Addr.t -> unit
+(** A malloc or free event, [site] first, on the machine's trace sink:
+    the one emitter every scheme uses.  Nothing is allocated when the
+    sink is disabled. *)
+
+val trace_violation : Vmm.Machine.t -> Report.t -> unit
+(** Emitted past sampling: losing a violation would change the story a
+    trace tells. *)
+
 val malloc : t -> ?site:string -> int -> Vmm.Addr.t
 (** Allocate [size] usable bytes; returns the shadow address.  [site] is
     a free-form call-site label kept for diagnostics.  Raises

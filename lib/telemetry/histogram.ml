@@ -114,3 +114,13 @@ let percentile t q =
       walk t.zeros buckets
     end
   end
+
+type quantiles = { q50 : float; q95 : float; q99 : float; q_mean : float }
+
+let quantiles t =
+  {
+    q50 = percentile t 0.50;
+    q95 = percentile t 0.95;
+    q99 = percentile t 0.99;
+    q_mean = mean t;
+  }

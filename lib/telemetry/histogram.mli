@@ -45,6 +45,12 @@ val percentile : t -> float -> float
     clamped to the observed extrema.  [q <= 0] gives the minimum, [q >=
     1] the maximum, and an empty histogram gives 0. *)
 
+type quantiles = { q50 : float; q95 : float; q99 : float; q_mean : float }
+
+val quantiles : t -> quantiles
+(** The p50/p95/p99 {!percentile}s and the {!mean}, e.g. of a farm's
+    merged per-connection latency histogram. *)
+
 val bucket_ratio : t -> float
 (** The ratio spanned by one bucket, [2 ** (1 / buckets_per_octave)]:
     the worst-case multiplicative error bound of {!percentile}. *)

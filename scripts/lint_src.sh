@@ -1,7 +1,8 @@
 #!/bin/sh
 # Source-hygiene gate for the core libraries: no new bare `failwith` or
-# `assert false` in lib/vmm, lib/shadow or lib/minic, and no
-# environment-variable reads in lib, bin or bench.  An occurrence is
+# `assert false` in lib/vmm, lib/shadow or lib/minic, no
+# environment-variable reads in lib, bin or bench, and no second loop
+# over forked connections outside lib/farm.  An occurrence is
 # allowed only when it names the invariant it guards within three lines
 # (the convention every existing call site follows); anything else
 # should be a typed error the caller can handle.  `dune runtest` runs it
@@ -75,6 +76,21 @@ hand_built=$(grep -rnE 'Scheme\.name *= *"' \
 if [ -n "$hand_built" ]; then
   echo "lint-src: Scheme.t record built by hand (use Pool_scheme.build):" >&2
   echo "$hand_built" >&2
+  fail=1
+fi
+
+# One server loop: Danguard_farm.Farm.run is the only code that serves
+# forked connections, so every server experiment shares its totals,
+# latency histogram and crash pipeline.  Any other caller of the
+# per-child primitive (by name, so an alias is caught too) is a second
+# loop growing its own accumulators.  Tests and examples may still call
+# it directly.
+second_loop=$(grep -rnw 'run_connection' lib bin bench \
+  --include='*.ml' --include='*.mli' \
+  | grep -vE '^lib/farm/|^lib/runtime/process\.mli?:' || true)
+if [ -n "$second_loop" ]; then
+  echo "lint-src: connections served outside Farm.run (call Farm.run):" >&2
+  echo "$second_loop" >&2
   fail=1
 fi
 

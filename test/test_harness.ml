@@ -269,7 +269,8 @@ let test_fleet_check () =
   let module Farm = Danguard_farm.Farm in
   let probe_every = 4 and probe_sites = 2 in
   let r =
-    Farm.run_server ~probe_every ~probe_sites ~recover:true ~shards:1
+    Harness.Experiment.run_server ~probe_every ~probe_sites ~recover:true
+      ~shards:1
       ~connections:8 Workload.Servers.ghttpd
   in
   let check = Farm.check_recovered ~probe_sites ~probe_every in

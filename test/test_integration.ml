@@ -115,14 +115,16 @@ let test_server_survives_buggy_connection () =
     scheme.Runtime.Scheme.free ~site:"teardown" session;
     if i = 3 then scheme.Runtime.Scheme.free ~site:"buggy-teardown" session
   in
-  let result =
-    Runtime.Process.serve
-      ~make_scheme:(fun () -> Runtime.Schemes.shadow_pool (Machine.create ()))
-      ~handler ~connections:6
+  let module Farm = Danguard_farm.Farm in
+  let r =
+    Farm.run
+      ~make_scheme:(fun ~shard:_ ~trace:_ () ->
+        Runtime.Schemes.shadow_pool (Machine.create ()))
+      ~handler ~shards:1 ~connections:6 ()
   in
   check_int "exactly the buggy child diagnosed" 1
-    result.Runtime.Process.detections;
-  check_int "service completed" 6 result.Runtime.Process.connections
+    r.Farm.totals.Farm.detections;
+  check_int "service completed" 6 r.Farm.totals.Farm.connections
 
 let test_long_lived_pool_mitigation_in_server () =
   (* §3.4 in vivo: a long-running single-process server whose global

@@ -3,6 +3,7 @@
    process model. *)
 
 open Vmm
+module Farm = Danguard_farm.Farm
 
 let check_int = Alcotest.check Alcotest.int
 let check_bool = Alcotest.check Alcotest.bool
@@ -166,28 +167,34 @@ let test_with_pool_destroys_on_exception () =
 
 (* ---- process model ---- *)
 
+(* Sequential connections on the farm's one server loop, one shard, each
+   a fresh shadow-pool machine. *)
+let serve ~handler ~connections =
+  (Farm.run
+     ~make_scheme:(fun ~shard:_ ~trace:_ () ->
+       Runtime.Schemes.shadow_pool (Machine.create ()))
+     ~handler ~shards:1 ~connections ())
+    .Farm.totals
+
 let test_process_isolation () =
   (* Each connection gets a fresh machine: VA consumed by one connection
      does not accumulate into the next. *)
-  let result =
-    Runtime.Process.serve
-      ~make_scheme:(fun () -> Runtime.Schemes.shadow_pool (Machine.create ()))
+  let totals =
+    serve
       ~handler:(fun _ scheme ->
         for _ = 1 to 20 do
           ignore (scheme.Runtime.Scheme.malloc 64)
         done)
       ~connections:5
   in
-  check_int "connections" 5 result.Runtime.Process.connections;
+  check_int "connections" 5 totals.Farm.connections;
   check_bool "va bounded per connection" true
-    (result.Runtime.Process.max_va_bytes_per_connection
-     < 200 * Addr.page_size);
-  check_int "no detections" 0 result.Runtime.Process.detections
+    (totals.Farm.max_va_bytes < 200 * Addr.page_size);
+  check_int "no detections" 0 totals.Farm.detections
 
 let test_process_detection_recorded () =
-  let result =
-    Runtime.Process.serve
-      ~make_scheme:(fun () -> Runtime.Schemes.shadow_pool (Machine.create ()))
+  let totals =
+    serve
       ~handler:(fun i scheme ->
         let a = scheme.Runtime.Scheme.malloc 32 in
         scheme.Runtime.Scheme.free a;
@@ -195,9 +202,9 @@ let test_process_detection_recorded () =
         if i = 2 then ignore (scheme.Runtime.Scheme.load a ~width:8))
       ~connections:5
   in
-  check_int "one child died diagnosed" 1 result.Runtime.Process.detections;
+  check_int "one child died diagnosed" 1 totals.Farm.detections;
   check_int "server completed all connections" 5
-    result.Runtime.Process.connections
+    totals.Farm.connections
 
 let test_process_fork_cost () =
   let r =

@@ -45,14 +45,10 @@ let test_batch_deterministic (b : Workload.Spec.batch) () =
   Alcotest.check (Alcotest.float 0.0) "same cycles twice" (cycles ()) (cycles ())
 
 let test_server_runs (srv : Workload.Spec.server) () =
-  let result =
-    Runtime.Process.serve
-      ~make_scheme:(fun () -> Runtime.Schemes.shadow_pool (Machine.create ()))
-      ~handler:srv.Workload.Spec.handler ~connections:3
-  in
+  let r = Harness.Experiment.run_server ~connections:3 ~shards:1 srv in
   check_int "no violations in correct servers" 0
-    result.Runtime.Process.detections;
-  check_bool "did work" true (result.Runtime.Process.total_cycles > 0.)
+    r.Danguard_farm.Farm.totals.Danguard_farm.Farm.detections;
+  check_bool "did work" true (Harness.Experiment.total_cycles r > 0.)
 
 let test_servers_fixed_alloc_counts () =
   (* The §4.3 claims are structural: count mremaps per connection. *)
