@@ -58,12 +58,15 @@ type run_stats = {
   protection : int;
   heap_ops : int;
   per_op : float;
+  accesses : int;
+  va_pages : int;
   cycles : float;
 }
 
-(* Run one workload on a fresh machine; [finish] drains pending epochs
-   before the snapshot so the epoch scheme is charged for every protect
-   it owes, not just the ones that happened to retire in-window. *)
+(* Run one workload on a fresh machine and return its figures with the
+   scheme, for the caller's scheme-specific counters.  An epoch scheme
+   is drained before the snapshot so it is charged for every protect it
+   owes, not just the ones that happened to retire in-window. *)
 let measure make_scheme workload ~ops =
   let machine = Vmm.Machine.create () in
   let scheme : Runtime.Scheme.t = make_scheme machine in
@@ -72,13 +75,15 @@ let measure make_scheme workload ~ops =
    | Runtime.Schemes.Shadow_pool_epoch { drain; _ } -> drain ()
    | _ -> ());
   let s = Vmm.Stats.snapshot machine.Vmm.Machine.stats in
-  let heap_ops = Vmm.Stats.heap_ops s in
-  {
-    protection = Vmm.Stats.protection_syscalls s;
-    heap_ops;
-    per_op = Option.value (Vmm.Stats.syscalls_per_op s) ~default:0.0;
-    cycles = Vmm.Machine.cycles machine;
-  }
+  ( {
+      protection = Vmm.Stats.protection_syscalls s;
+      heap_ops = Vmm.Stats.heap_ops s;
+      per_op = Option.value (Vmm.Stats.syscalls_per_op s) ~default:0.0;
+      accesses = s.Vmm.Stats.loads + s.Vmm.Stats.stores;
+      va_pages = Vmm.Machine.va_bytes_used machine / Vmm.Addr.page_size;
+      cycles = Vmm.Machine.cycles machine;
+    },
+    scheme )
 
 let epoch_stats_of scheme =
   match Runtime.Schemes.introspect scheme with
@@ -89,23 +94,25 @@ let epoch_stats_of scheme =
 
 type probe_outcome = { detected : bool; via : string }
 
-let classify_detection ~backstop_before scheme =
-  let es = epoch_stats_of scheme in
-  if es.Runtime.Schemes.backstop_hits > backstop_before then "backstop"
-  else "mmu"
+(* A probe's verdict on a fresh epoch scheme: detected or not, and by
+   which layer (any backstop hit means the software check fired). *)
+let judge scheme = function
+  | Workload.Fault_injection.Detected _ ->
+    let es = epoch_stats_of scheme in
+    {
+      detected = true;
+      via = (if es.Runtime.Schemes.backstop_hits > 0 then "backstop" else "mmu");
+    }
+  | Workload.Fault_injection.Silent _ | Workload.Fault_injection.Crashed _
+  | Workload.Fault_injection.Crashed_degraded _ ->
+    { detected = false; via = "none" }
 
 (* Use inside the open epoch: the page is still read-write, so only the
    software backstop can see it. *)
 let probe_in_window () =
-  let machine = Vmm.Machine.create () in
-  let scheme = Runtime.Schemes.shadow_pool_epoch machine in
-  let a = scheme.Runtime.Scheme.malloc ~site:"probe.c:1" 48 in
-  scheme.Runtime.Scheme.store a ~width:8 7;
-  scheme.Runtime.Scheme.free ~site:"probe.c:2" a;
-  match scheme.Runtime.Scheme.load a ~width:8 with
-  | _ -> { detected = false; via = "none" }
-  | exception Shadow.Report.Violation _ ->
-    { detected = true; via = classify_detection ~backstop_before:0 scheme }
+  let scheme = Runtime.Schemes.shadow_pool_epoch (Vmm.Machine.create ()) in
+  judge scheme
+    (snd (Workload.Fault_injection.read_after_free.inject scheme))
 
 (* Use at the exact retirement boundary: the free that fills the epoch
    triggers retirement, so by the time the probe runs the page is
@@ -124,10 +131,9 @@ let probe_at_retirement () =
   in
   List.iter (fun a -> scheme.Runtime.Scheme.free ~site:"probe.c:9" a) victims;
   let last = List.nth victims 3 in
-  match scheme.Runtime.Scheme.load last ~width:8 with
-  | _ -> { detected = false; via = "none" }
-  | exception Shadow.Report.Violation _ ->
-    { detected = true; via = classify_detection ~backstop_before:0 scheme }
+  judge scheme
+    (Workload.Fault_injection.observe (fun () ->
+         scheme.Runtime.Scheme.load last ~width:8))
 
 (* Use after an explicit drain: indistinguishable from the eager
    scheme's post-free state. *)
@@ -140,10 +146,9 @@ let probe_post_retirement () =
   (match Runtime.Schemes.introspect scheme with
    | Runtime.Schemes.Shadow_pool_epoch { drain; _ } -> drain ()
    | _ -> assert false);
-  match scheme.Runtime.Scheme.load a ~width:8 with
-  | _ -> { detected = false; via = "none" }
-  | exception Shadow.Report.Violation _ ->
-    { detected = true; via = classify_detection ~backstop_before:0 scheme }
+  judge scheme
+    (Workload.Fault_injection.observe (fun () ->
+         scheme.Runtime.Scheme.load a ~width:8))
 
 let probes =
   [
@@ -159,23 +164,13 @@ let run ~smoke () =
   let rows =
     List.map
       (fun (name, workload) ->
-        let base =
+        let base, _ =
           measure (fun m -> Runtime.Schemes.shadow_pool m) workload ~ops
         in
-        let epoch_scheme = ref None in
-        let epoch =
-          measure
-            (fun m ->
-              let s = Runtime.Schemes.shadow_pool_epoch m in
-              epoch_scheme := Some s;
-              s)
-            workload ~ops
+        let epoch, epoch_scheme =
+          measure (fun m -> Runtime.Schemes.shadow_pool_epoch m) workload ~ops
         in
-        let es =
-          match !epoch_scheme with
-          | Some s -> epoch_stats_of s
-          | None -> assert false
-        in
+        let es = epoch_stats_of epoch_scheme in
         let ratio =
           if base.per_op > 0.0 then epoch.per_op /. base.per_op else 1.0
         in
@@ -217,7 +212,7 @@ let run ~smoke () =
   let sweep =
     List.map
       (fun max_frees ->
-        let r =
+        let r, _ =
           measure
             (fun m ->
               Runtime.Schemes.shadow_pool_epoch

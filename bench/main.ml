@@ -166,7 +166,7 @@ let run_exhaustion () =
 
 let run_detection () =
   section "Detection-guarantee matrix (injected temporal errors)";
-  let cells = timed "matrix" (fun () -> Harness.Detection_matrix.run ()) in
+  let cells = timed "matrix" (fun () -> Harness.Detection_matrix.(run temporal)) in
   print_endline (Harness.Detection_matrix.render cells);
   let guaranteed =
     Harness.Detection_matrix.guaranteed_configs cells
@@ -178,7 +178,7 @@ let run_detection () =
   print_endline
     "spatial scenarios (buffer overflow) — future-work combination:";
   print_endline
-    (Harness.Detection_matrix.render (Harness.Detection_matrix.run_spatial ()))
+    Harness.Detection_matrix.(render (run spatial))
 
 (* ---- 6b: resilience campaign ---- *)
 

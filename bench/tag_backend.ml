@@ -18,28 +18,6 @@
 module J = Telemetry.Json
 module F = Danguard_farm.Farm
 
-type run_stats = {
-  per_op : float;
-  heap_ops : int;
-  accesses : int;
-  va_pages : int;
-  cycles : float;
-}
-
-let measure make_scheme workload ~ops =
-  let machine = Vmm.Machine.create () in
-  let scheme : Runtime.Scheme.t = make_scheme machine in
-  workload scheme ~ops;
-  let s = Vmm.Stats.snapshot machine.Vmm.Machine.stats in
-  ( {
-      per_op = Option.value (Vmm.Stats.syscalls_per_op s) ~default:0.0;
-      heap_ops = Vmm.Stats.heap_ops s;
-      accesses = s.Vmm.Stats.loads + s.Vmm.Stats.stores;
-      va_pages = Vmm.Machine.va_bytes_used machine / Vmm.Addr.page_size;
-      cycles = Vmm.Machine.cycles machine;
-    },
-    scheme )
-
 let tag_stats_of scheme =
   match Runtime.Schemes.introspect scheme with
   | Runtime.Schemes.Tagged { table; _ } -> Tagging.Tag_table.stats table
@@ -47,54 +25,21 @@ let tag_stats_of scheme =
 
 (* ---- seeded probes: Full-mode tagged detection must be total ---- *)
 
-type probe_outcome = { detected : bool }
-
-let with_tagged f =
-  let scheme = Runtime.Schemes.tagged (Vmm.Machine.create ()) in
-  f scheme
-
-let probe_uaf_load () =
-  with_tagged (fun s ->
-      let a = s.Runtime.Scheme.malloc ~site:"probe.c:1" 48 in
-      s.Runtime.Scheme.store a ~width:8 7;
-      s.Runtime.Scheme.free ~site:"probe.c:2" a;
-      match s.Runtime.Scheme.load a ~width:8 with
-      | _ -> { detected = false }
-      | exception Shadow.Report.Violation _ -> { detected = true })
-
-let probe_uaf_store () =
-  with_tagged (fun s ->
-      let a = s.Runtime.Scheme.malloc ~site:"probe.c:3" 48 in
-      s.Runtime.Scheme.free ~site:"probe.c:4" a;
-      match s.Runtime.Scheme.store a ~width:8 1 with
-      | _ -> { detected = false }
-      | exception Shadow.Report.Violation _ -> { detected = true })
-
-let probe_double_free () =
-  with_tagged (fun s ->
-      let a = s.Runtime.Scheme.malloc ~site:"probe.c:5" 48 in
-      s.Runtime.Scheme.free ~site:"probe.c:6" a;
-      match s.Runtime.Scheme.free ~site:"probe.c:7" a with
-      | _ -> { detected = false }
-      | exception Shadow.Report.Violation _ -> { detected = true })
-
-let probe_pool_destroy () =
-  with_tagged (fun s ->
-      let h = s.Runtime.Scheme.pool_create () in
-      let a = h.Runtime.Scheme.pool_alloc ~site:"probe.c:8" 32 in
-      s.Runtime.Scheme.store a ~width:8 3;
-      h.Runtime.Scheme.pool_destroy ();
-      match s.Runtime.Scheme.load a ~width:8 with
-      | _ -> { detected = false }
-      | exception Shadow.Report.Violation _ -> { detected = true })
-
 let probes =
-  [
-    ("uaf-load", probe_uaf_load);
-    ("uaf-store", probe_uaf_store);
-    ("double-free", probe_double_free);
-    ("use-after-pool-destroy", probe_pool_destroy);
-  ]
+  Workload.Fault_injection.
+    [
+      ("uaf-load", read_after_free);
+      ("uaf-store", write_after_free);
+      ("double-free", double_free);
+      ("use-after-pool-destroy", use_after_pool_destroy);
+    ]
+
+let detected (sc : Workload.Fault_injection.scenario) =
+  match snd (sc.inject (Runtime.Schemes.tagged (Vmm.Machine.create ()))) with
+  | Workload.Fault_injection.Detected _ -> true
+  | Workload.Fault_injection.Silent _ | Workload.Fault_injection.Crashed _
+  | Workload.Fault_injection.Crashed_degraded _ ->
+    false
 
 (* ---- the wraparound demo ---- *)
 
@@ -127,10 +72,13 @@ let run ~smoke () =
     List.map
       (fun (name, workload) ->
         let shadow, _ =
-          measure (fun m -> Runtime.Schemes.shadow_pool m) workload ~ops
+          Epoch_batching.measure
+            (fun m -> Runtime.Schemes.shadow_pool m)
+            workload ~ops
         in
         let tagged, tagged_scheme =
-          measure (fun m -> Runtime.Schemes.tagged m) workload ~ops
+          Epoch_batching.measure (fun m -> Runtime.Schemes.tagged m) workload
+            ~ops
         in
         let ts = tag_stats_of tagged_scheme in
         let checks_per_access =
@@ -210,21 +158,21 @@ let run ~smoke () =
   in
   let probe_outcomes =
     List.map
-      (fun (name, probe) ->
-        let o = probe () in
-        Printf.printf "  probe %-24s detected=%b\n" name o.detected;
-        Gate.require o.detected "tag_backend: probe %s not detected" name;
-        (name, o))
+      (fun (name, sc) ->
+        let detected = detected sc in
+        Printf.printf "  probe %-24s detected=%b\n" name detected;
+        Gate.require detected "tag_backend: probe %s not detected" name;
+        (name, detected))
       probes
   in
   let probe_rows =
     List.map
-      (fun (name, o) ->
-        J.Obj [ ("name", J.String name); ("detected", J.Bool o.detected) ])
+      (fun (name, detected) ->
+        J.Obj [ ("name", J.String name); ("detected", J.Bool detected) ])
       probe_outcomes
   in
   let missed =
-    List.length (List.filter (fun (_, o) -> not o.detected) probe_outcomes)
+    List.length (List.filter (fun (_, detected) -> not detected) probe_outcomes)
   in
   let wrap_stats, wrap_passed = wrap_demo () in
   Printf.printf

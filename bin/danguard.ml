@@ -171,7 +171,7 @@ let addr_space_cmd =
 
 let detect_cmd =
   let run () =
-    let cells = Harness.Detection_matrix.run () in
+    let cells = Harness.Detection_matrix.(run temporal) in
     print_endline (Harness.Detection_matrix.render cells);
     print_endline "";
     List.iter

@@ -43,47 +43,39 @@ let probe_site ~probe_sites ~probe_every conn =
   go 0 q
 
 (* A deterministic dangling-use probe appended to every [probe_every]-th
-   connection.  With one probe site this is the original byte-stable
-   malloc/store/free/load-after-free sequence at site "farm:probe";
-   with more sites each probed connection picks a site and the site
-   picks the bug flavour (use-after-free read / write / double free).
-   Detecting schemes raise (or, wrapped in [Schemes.recoverable],
-   report and continue); non-detecting schemes always get the silent
-   dangling read — the write and double-free flavours would corrupt a
-   real freelist rather than fault, which is the paper's point but not
-   a survivable farm experiment. *)
+   connection.  Each probed connection picks a site (always site 0 when
+   [probe_sites] is 1) and the site picks the bug flavour
+   (use-after-free read / write / double free).  Detecting schemes
+   raise (or, wrapped in [Schemes.recoverable], report and continue);
+   non-detecting schemes always get the silent dangling read — the
+   write and double-free flavours would corrupt a real freelist rather
+   than fault, which is the paper's point but not a survivable farm
+   experiment. *)
 let probed_handler ~probe_every ~probe_sites handler conn
     (scheme : Runtime.Scheme.t) =
   handler conn scheme;
-  if probe_every > 0 && conn mod probe_every = 0 then
-    if probe_sites <= 1 then begin
-      let a = scheme.Runtime.Scheme.malloc ~site:"farm:probe" 64 in
-      scheme.Runtime.Scheme.store a ~width:8 (conn + 1);
-      scheme.Runtime.Scheme.free ~site:"farm:probe" a;
-      ignore (scheme.Runtime.Scheme.load a ~width:8)
-    end
-    else begin
-      let site = probe_site ~probe_sites ~probe_every conn in
-      let alloc_site = Printf.sprintf "farm.c:1%02d" site in
-      let free_site = Printf.sprintf "farm.c:2%02d" site in
-      let a = scheme.Runtime.Scheme.malloc ~site:alloc_site 64 in
-      scheme.Runtime.Scheme.store a ~width:8 (conn + 1);
-      if scheme.Runtime.Scheme.guarantees_detection then
-        match site mod 3 with
-        | 0 ->
-          scheme.Runtime.Scheme.free ~site:free_site a;
-          ignore (scheme.Runtime.Scheme.load a ~width:8)
-        | 1 ->
-          scheme.Runtime.Scheme.free ~site:free_site a;
-          scheme.Runtime.Scheme.store a ~width:8 0xdead
-        | _ ->
-          scheme.Runtime.Scheme.free ~site:free_site a;
-          scheme.Runtime.Scheme.free ~site:free_site a
-      else begin
+  if probe_every > 0 && conn mod probe_every = 0 then begin
+    let site = probe_site ~probe_sites ~probe_every conn in
+    let alloc_site = Printf.sprintf "farm.c:1%02d" site in
+    let free_site = Printf.sprintf "farm.c:2%02d" site in
+    let a = scheme.Runtime.Scheme.malloc ~site:alloc_site 64 in
+    scheme.Runtime.Scheme.store a ~width:8 (conn + 1);
+    if scheme.Runtime.Scheme.guarantees_detection then
+      match site mod 3 with
+      | 0 ->
         scheme.Runtime.Scheme.free ~site:free_site a;
         ignore (scheme.Runtime.Scheme.load a ~width:8)
-      end
+      | 1 ->
+        scheme.Runtime.Scheme.free ~site:free_site a;
+        scheme.Runtime.Scheme.store a ~width:8 0xdead
+      | _ ->
+        scheme.Runtime.Scheme.free ~site:free_site a;
+        scheme.Runtime.Scheme.free ~site:free_site a
+    else begin
+      scheme.Runtime.Scheme.free ~site:free_site a;
+      ignore (scheme.Runtime.Scheme.load a ~width:8)
     end
+  end
 
 (* Fine latency buckets (256/octave = 0.27% ratio per bucket): the
    latency study compares percentile ratios across configs, so

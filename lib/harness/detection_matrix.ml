@@ -4,10 +4,17 @@ type cell = {
   outcome : Workload.Fault_injection.outcome;
 }
 
-let configs =
-  Runtime.Scheme_spec.[ native; ours; ours_basic; efence; valgrind; capability ]
+type matrix = Runtime.Scheme_spec.t list * Workload.Fault_injection.scenario list
 
-let run () =
+let temporal =
+  ( Runtime.Scheme_spec.[ native; ours; ours_basic; efence; valgrind; capability ],
+    Workload.Fault_injection.all )
+
+let spatial =
+  ( Runtime.Scheme_spec.[ native; ours; ours_bounds; efence; valgrind ],
+    Workload.Fault_injection.spatial )
+
+let run (configs, scenarios) =
   List.concat_map
     (fun config ->
       List.map
@@ -16,27 +23,10 @@ let run () =
           {
             config;
             scenario = scenario.Workload.Fault_injection.sc_name;
-            outcome = scenario.Workload.Fault_injection.inject scheme;
+            outcome = snd (scenario.Workload.Fault_injection.inject scheme);
           })
-        Workload.Fault_injection.all)
+        scenarios)
     configs
-
-let spatial_configs =
-  Runtime.Scheme_spec.[ native; ours; ours_bounds; efence; valgrind ]
-
-let run_spatial () =
-  List.concat_map
-    (fun config ->
-      List.map
-        (fun (scenario : Workload.Fault_injection.scenario) ->
-          let scheme = Experiment.make_scheme config () in
-          {
-            config;
-            scenario = scenario.Workload.Fault_injection.sc_name;
-            outcome = scenario.Workload.Fault_injection.inject scheme;
-          })
-        Workload.Fault_injection.spatial)
-    spatial_configs
 
 let short_outcome = function
   | Workload.Fault_injection.Detected _ -> "detected"
@@ -44,16 +34,16 @@ let short_outcome = function
   | Workload.Fault_injection.Crashed _ -> "crash"
   | Workload.Fault_injection.Crashed_degraded _ -> "crash*"
 
+(* Row set and order come from the cells (first appearance), so the
+   same renderer serves the temporal and the spatial matrices. *)
+let row_configs cells =
+  List.fold_left
+    (fun acc c -> if List.mem c.config acc then acc else acc @ [ c.config ])
+    [] cells
+
 let render cells =
   let scenarios =
     List.sort_uniq compare (List.map (fun c -> c.scenario) cells)
-  in
-  (* Row set and order come from the cells (first appearance), so the
-     same renderer serves the temporal and the spatial matrices. *)
-  let row_configs =
-    List.fold_left
-      (fun acc c -> if List.mem c.config acc then acc else acc @ [ c.config ])
-      [] cells
   in
   let headers = "Scheme" :: scenarios in
   let rows =
@@ -70,7 +60,7 @@ let render cells =
                | Some c -> short_outcome c.outcome
                | None -> "?")
              scenarios)
-      row_configs
+      (row_configs cells)
   in
   Table.render ~headers
     ~aligns:(Table.Left :: List.map (fun _ -> Table.Right) scenarios)
@@ -90,4 +80,4 @@ let guaranteed_configs cells =
           | Workload.Fault_injection.Crashed_degraded _ ->
             false)
         cells)
-    configs
+    (row_configs cells)

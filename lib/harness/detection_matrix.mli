@@ -12,17 +12,23 @@ type cell = {
   outcome : Workload.Fault_injection.outcome;
 }
 
-val configs : Runtime.Scheme_spec.t list
-(** Native, Ours, Ours_basic, Efence, Valgrind, Capability. *)
+type matrix = Runtime.Scheme_spec.t list * Workload.Fault_injection.scenario list
+(** The configurations (rows) and the scenarios (columns) of a matrix. *)
 
-val run : unit -> cell list
+val temporal : matrix
+(** Native, Ours, Ours_basic, Efence, Valgrind, Capability under
+    {!Workload.Fault_injection.all}. *)
 
-val run_spatial : unit -> cell list
+val spatial : matrix
 (** Buffer-overflow scenarios: only the combined spatial+temporal
     configuration (and, for page-crossing cases, Electric Fence's guard
     pages) catches them. *)
 
+val run : matrix -> cell list
+(** Every scenario under every configuration, each on a fresh scheme. *)
+
 val render : cell list -> string
 
 val guaranteed_configs : cell list -> Runtime.Scheme_spec.t list
-(** Configurations that detected every injected scenario. *)
+(** Configurations, in row order, that detected every scenario they
+    ran. *)

@@ -1,11 +1,3 @@
-type distribution = {
-  config : Runtime.Scheme_spec.t;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-  mean : float;
-}
-
 (* Heavy-tailed request sizes: mostly small pages, occasional large
    downloads (the classic web-server distribution). *)
 let request_blocks rng =
@@ -38,14 +30,7 @@ let measure ?(connections = 120) config =
       ~handler:(fun conn -> handler blocks.(conn))
       ~shards:1 ~connections ()
   in
-  let q = r.Danguard_farm.Farm.latency in
-  {
-    config;
-    p50 = q.Telemetry.Histogram.q50;
-    p95 = q.Telemetry.Histogram.q95;
-    p99 = q.Telemetry.Histogram.q99;
-    mean = q.Telemetry.Histogram.q_mean;
-  }
+  (config, r.Danguard_farm.Farm.latency)
 
 let study ?connections () =
   List.map
@@ -53,22 +38,21 @@ let study ?connections () =
     Runtime.Scheme_spec.[ native; llvm_base; ours ]
 
 let render dists =
+  let open Telemetry.Histogram in
   let base =
-    match
-      List.find_opt (fun d -> d.config = Runtime.Scheme_spec.llvm_base) dists
-    with
-    | Some d -> d
-    | None -> List.hd dists
+    match List.assoc_opt Runtime.Scheme_spec.llvm_base dists with
+    | Some q -> q
+    | None -> snd (List.hd dists)
   in
-  let cells d =
+  let cells (config, q) =
     [
-      Runtime.Scheme_spec.label d.config;
-      Table.fmt_cycles d.p50;
-      Table.fmt_cycles d.p95;
-      Table.fmt_cycles d.p99;
-      Table.fmt_cycles d.mean;
-      Table.fmt_ratio (d.p50 /. base.p50);
-      Table.fmt_ratio (d.p99 /. base.p99);
+      Runtime.Scheme_spec.label config;
+      Table.fmt_cycles q.q50;
+      Table.fmt_cycles q.q95;
+      Table.fmt_cycles q.q99;
+      Table.fmt_cycles q.q_mean;
+      Table.fmt_ratio (q.q50 /. base.q50);
+      Table.fmt_ratio (q.q99 /. base.q99);
     ]
   in
   Table.render

@@ -8,15 +8,12 @@
     overhead {e shrinks} toward the tail — large requests amortize it —
     which is exactly why the paper targets servers. *)
 
-type distribution = {
-  config : Runtime.Scheme_spec.t;
-  p50 : float;   (** median cycles per connection *)
-  p95 : float;
-  p99 : float;
-  mean : float;
-}
+val study :
+  ?connections:int ->
+  unit ->
+  (Runtime.Scheme_spec.t * Telemetry.Histogram.quantiles) list
+(** Native, LLVM-base and Ours, same request sequence: each config's
+    percentiles of cycles per connection, from its farm run's merged
+    latency histogram. *)
 
-val study : ?connections:int -> unit -> distribution list
-(** Native, LLVM-base and Ours, same request sequence. *)
-
-val render : distribution list -> string
+val render : (Runtime.Scheme_spec.t * Telemetry.Histogram.quantiles) list -> string

@@ -124,58 +124,12 @@ let make_governed kind plan_rules ~seed =
   | Governed_pool -> Runtime.Governed.shadow_pool machine
   | Governed_basic -> Runtime.Governed.shadow_basic machine
 
-(* A probe commits one temporal bug against the governed scheme and
-   classifies the result, keeping the victim address so a Silent outcome
-   can be checked against the governed scheme's attribution record. *)
-let observe governed thunk =
-  let degraded () =
-    Runtime.Governor.mode (Runtime.Governed.governor governed)
-    <> Runtime.Governor.Full
-  in
-  match thunk () with
-  | v -> Workload.Fault_injection.Silent v
-  | exception Shadow.Report.Violation r -> Workload.Fault_injection.Detected r
-  | exception Fault.Trap f ->
-    Workload.Fault_injection.reclassify ~degraded:(degraded ())
-      (Workload.Fault_injection.Crashed (Fault.to_string f))
-  | exception Heap.Freelist_malloc.Heap_corruption msg ->
-    Workload.Fault_injection.reclassify ~degraded:(degraded ())
-      (Workload.Fault_injection.Crashed msg)
-  | exception Fault_plan.Syscall_failure { name; error } ->
-    Workload.Fault_injection.reclassify ~degraded:(degraded ())
-      (Workload.Fault_injection.Crashed
-         (Printf.sprintf "unhandled syscall failure in %s (%s)" name
-            (Fault_plan.error_label error)))
+module Fi = Workload.Fault_injection
 
-let probes governed =
-  let scheme = Runtime.Governed.scheme governed in
-  let malloc site size = scheme.Runtime.Scheme.malloc ~site size in
-  let free site a = scheme.Runtime.Scheme.free ~site a in
-  [
-    ( "read-after-free",
-      fun () ->
-        let p = malloc "probe:raf" 48 in
-        scheme.Runtime.Scheme.store p ~width:8 1234;
-        free "probe:raf-free" p;
-        (p, observe governed (fun () -> scheme.Runtime.Scheme.load p ~width:8))
-    );
-    ( "write-after-free",
-      fun () ->
-        let p = malloc "probe:waf" 48 in
-        free "probe:waf-free" p;
-        ( p,
-          observe governed (fun () ->
-              scheme.Runtime.Scheme.store p ~width:8 99;
-              0) ) );
-    ( "double-free",
-      fun () ->
-        let p = malloc "probe:df" 48 in
-        free "probe:df-first" p;
-        ( p,
-          observe governed (fun () ->
-              free "probe:df-second" p;
-              0) ) );
-  ]
+(* The post-run probes: the temporal bugs a [Full]-mode governed scheme
+   must catch.  A Silent outcome is checked against the governed
+   scheme's attribution record for the victim address. *)
+let probe_scenarios = Fi.[ read_after_free; write_after_free; double_free ]
 
 type probe_tally = {
   mutable detected : int;
@@ -186,6 +140,11 @@ type probe_tally = {
 }
 
 let run_probes governed =
+  let scheme = Runtime.Governed.scheme governed in
+  let degraded () =
+    Runtime.Governor.mode (Runtime.Governed.governor governed)
+    <> Runtime.Governor.Full
+  in
   let tally =
     {
       detected = 0;
@@ -196,30 +155,29 @@ let run_probes governed =
     }
   in
   List.iter
-    (fun (name, probe) ->
-      match probe () with
+    (fun (sc : Fi.scenario) ->
+      let name = sc.Fi.sc_name in
+      match sc.Fi.inject scheme with
       | addr, outcome ->
-        let label = Workload.Fault_injection.outcome_label outcome in
-        tally.outcomes <- (name, label) :: tally.outcomes;
+        let outcome = Fi.reclassify ~degraded:(degraded ()) outcome in
+        tally.outcomes <- (name, Fi.outcome_label outcome) :: tally.outcomes;
         (match outcome with
-        | Workload.Fault_injection.Detected _ ->
-          tally.detected <- tally.detected + 1
-        | Workload.Fault_injection.Silent _ ->
+        | Fi.Detected _ -> tally.detected <- tally.detected + 1
+        | Fi.Silent _ ->
           if Runtime.Governed.was_unprotected governed addr then
             tally.missed_attributed <- tally.missed_attributed + 1
           else tally.missed_unattributed <- tally.missed_unattributed + 1
-        | Workload.Fault_injection.Crashed_degraded _ ->
+        | Fi.Crashed_degraded _ ->
           (* A crash while degraded is attributable but still a miss of
              the diagnosed-violation guarantee. *)
           tally.missed_attributed <- tally.missed_attributed + 1
-        | Workload.Fault_injection.Crashed msg ->
-          tally.probe_crash <- Some (name ^ ": " ^ msg))
+        | Fi.Crashed msg -> tally.probe_crash <- Some (name ^ ": " ^ msg))
       | exception exn ->
         (* The probe's own setup (malloc/free) must never die: the
            governed scheme degrades instead. *)
         tally.outcomes <- (name, "SETUP-CRASH") :: tally.outcomes;
         tally.probe_crash <- Some (name ^ ": " ^ Printexc.to_string exn))
-    (probes governed);
+    probe_scenarios;
   tally.outcomes <- List.rev tally.outcomes;
   tally
 
@@ -229,19 +187,17 @@ let run_one ?(seed = 0x5eed) (spec : plan_spec) kind
   let scheme = Runtime.Governed.scheme governed in
   let machine = scheme.Runtime.Scheme.machine in
   let crash =
-    match batch.Workload.Spec.run scheme ~scale with
-    | () -> None
-    | exception Shadow.Report.Violation r ->
+    match
+      Fi.observe (fun () ->
+          batch.Workload.Spec.run scheme ~scale;
+          0)
+    with
+    | Fi.Silent _ -> None
+    | Fi.Detected r ->
       (* The workloads are correct programs: any violation here is a
          false positive, which the campaign treats as a crash. *)
       Some ("false positive: " ^ Shadow.Report.to_string r)
-    | exception Fault.Trap f -> Some ("trap: " ^ Fault.to_string f)
-    | exception Heap.Freelist_malloc.Heap_corruption msg ->
-      Some ("heap corruption: " ^ msg)
-    | exception Fault_plan.Syscall_failure { name; error } ->
-      Some
-        (Printf.sprintf "unhandled syscall failure in %s (%s)" name
-           (Fault_plan.error_label error))
+    | Fi.Crashed msg | Fi.Crashed_degraded msg -> Some msg
   in
   let tally =
     match crash with

@@ -1,8 +1,6 @@
 type connection_result = {
   cycles : float;
   va_bytes : int;
-  peak_frames : int;
-  stats : Vmm.Stats.snapshot;
   detection : Shadow.Report.t option;
 }
 
@@ -23,7 +21,5 @@ let run_connection ~make_scheme ~handler =
       {
         cycles = Vmm.Machine.cycles machine;
         va_bytes = Vmm.Machine.va_bytes_used machine;
-        peak_frames = Vmm.Frame_table.peak_frames machine.Vmm.Machine.frames;
-        stats = Vmm.Stats.snapshot machine.Vmm.Machine.stats;
         detection;
       })

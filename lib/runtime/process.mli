@@ -12,8 +12,6 @@
 type connection_result = {
   cycles : float;          (** simulated cycles spent by the child *)
   va_bytes : int;          (** virtual address space the child consumed *)
-  peak_frames : int;       (** child's peak physical footprint, pages *)
-  stats : Vmm.Stats.snapshot;  (** the child's full event counters *)
   detection : Shadow.Report.t option;
       (** the report, if the handler tripped a violation *)
 }
@@ -25,8 +23,8 @@ val run_connection :
   make_scheme:(unit -> Scheme.t) ->
   handler:(Scheme.t -> unit) ->
   connection_result
-(** Fork: build a fresh child scheme, run the handler, reap the stats,
-    then {!Vmm.Machine.exit} the child's machine, so the next connection
+(** Fork: build a fresh child scheme, run the handler, read the
+    child's cycles and VA use, then {!Vmm.Machine.exit} the child's machine, so the next connection
     on this domain reuses its page buffers.  A
     {!Shadow.Report.Violation} from the handler is caught and recorded
     (the child dies; the server lives on).  Other exceptions propagate,

@@ -12,7 +12,16 @@ let check ~va_bytes ~page_bytes ~pages_per_second =
 
 let seconds_until_exhaustion ~va_bytes ~page_bytes ~pages_per_second =
   check ~va_bytes ~page_bytes ~pages_per_second;
-  va_bytes /. (float_of_int page_bytes *. pages_per_second)
+  (* Finite inputs can still leave the float range: a huge rate
+     overflows the byte rate (a zero duration), a tiny one the
+     quotient. *)
+  let bytes_per_second = float_of_int page_bytes *. pages_per_second in
+  if not (Float.is_finite bytes_per_second) then
+    invalid_arg "Exhaustion: byte rate is infinite";
+  let seconds = va_bytes /. bytes_per_second in
+  if not (Float.is_finite seconds) then
+    invalid_arg "Exhaustion: duration is not finite";
+  seconds
 
 let hours_until_exhaustion ~va_bytes ~page_bytes ~pages_per_second =
   seconds_until_exhaustion ~va_bytes ~page_bytes ~pages_per_second /. 3600.

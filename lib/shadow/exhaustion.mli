@@ -14,7 +14,8 @@ val seconds_until_exhaustion :
     anything; [infinity] here used to silently poison downstream
     budget arithmetic).  NaN and infinite inputs are likewise rejected:
     an infinite rate would give a zero duration, an infinite address
-    space an infinite one. *)
+    space an infinite one.  So are finite inputs whose byte rate or
+    duration leaves the float range (a rate of [1e-300] pages/s). *)
 
 val hours_until_exhaustion :
   va_bytes:float -> page_bytes:int -> pages_per_second:float -> float

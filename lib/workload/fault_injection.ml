@@ -9,7 +9,7 @@ type outcome =
 type scenario = {
   sc_name : string;
   sc_description : string;
-  inject : Runtime.Scheme.t -> outcome;
+  inject : Runtime.Scheme.t -> Vmm.Addr.t * outcome;
 }
 
 let observe thunk =
@@ -18,6 +18,10 @@ let observe thunk =
   | exception Shadow.Report.Violation r -> Detected r
   | exception Vmm.Fault.Trap fault -> Crashed (Vmm.Fault.to_string fault)
   | exception Heap.Freelist_malloc.Heap_corruption msg -> Crashed msg
+  | exception Vmm.Fault_plan.Syscall_failure { name; error } ->
+    Crashed
+      (Printf.sprintf "unhandled syscall failure in %s (%s)" name
+         (Vmm.Fault_plan.error_label error))
 
 let read_after_free =
   {
@@ -28,7 +32,7 @@ let read_after_free =
         let p = scheme.Runtime.Scheme.malloc ~site:"inject:alloc" 48 in
         store_field scheme p 0 1234;
         scheme.Runtime.Scheme.free ~site:"inject:free" p;
-        observe (fun () -> load_field scheme p 0));
+        (p, observe (fun () -> load_field scheme p 0)));
   }
 
 let write_after_free =
@@ -39,9 +43,10 @@ let write_after_free =
       (fun scheme ->
         let p = scheme.Runtime.Scheme.malloc ~site:"inject:alloc" 48 in
         scheme.Runtime.Scheme.free ~site:"inject:free" p;
-        observe (fun () ->
-            store_field scheme p 0 99;
-            0));
+        ( p,
+          observe (fun () ->
+              store_field scheme p 0 99;
+              0) ));
   }
 
 let double_free =
@@ -52,9 +57,10 @@ let double_free =
       (fun scheme ->
         let p = scheme.Runtime.Scheme.malloc ~site:"inject:alloc" 48 in
         scheme.Runtime.Scheme.free ~site:"inject:first-free" p;
-        observe (fun () ->
-            scheme.Runtime.Scheme.free ~site:"inject:second-free" p;
-            0));
+        ( p,
+          observe (fun () ->
+              scheme.Runtime.Scheme.free ~site:"inject:second-free" p;
+              0) ));
   }
 
 let invalid_free =
@@ -64,9 +70,10 @@ let invalid_free =
     inject =
       (fun scheme ->
         let p = scheme.Runtime.Scheme.malloc ~site:"inject:alloc" 64 in
-        observe (fun () ->
-            scheme.Runtime.Scheme.free ~site:"inject:bad-free" (p + 16);
-            0));
+        ( p,
+          observe (fun () ->
+              scheme.Runtime.Scheme.free ~site:"inject:bad-free" (p + 16);
+              0) ));
   }
 
 let dangling_after_many_allocations gap =
@@ -98,13 +105,27 @@ let dangling_after_many_allocations gap =
           store_field scheme q 0 (8000 + i);
           keep := q :: !keep
         done;
-        observe (fun () -> load_field scheme p 0));
+        (p, observe (fun () -> load_field scheme p 0)));
   }
 
 (* Enough churn that the victim's memory is recycled before the stale
    read: the case that defeats quarantine heuristics but not the
    paper's scheme. *)
 let read_after_free_with_reuse = dangling_after_many_allocations 1500
+
+let use_after_pool_destroy =
+  {
+    sc_name = "use-after-pool-destroy";
+    sc_description =
+      "allocate from a pool, destroy the pool, read the stale pointer";
+    inject =
+      (fun scheme ->
+        let h = scheme.Runtime.Scheme.pool_create () in
+        let p = h.Runtime.Scheme.pool_alloc ~site:"inject:pool-alloc" 32 in
+        store_field scheme p 0 3;
+        h.Runtime.Scheme.pool_destroy ();
+        (p, observe (fun () -> load_field scheme p 0)));
+  }
 
 let all =
   [
@@ -123,7 +144,7 @@ let overflow_read =
       (fun scheme ->
         let p = scheme.Runtime.Scheme.malloc ~site:"inject:victim" 48 in
         store_field scheme p 0 7;
-        observe (fun () -> scheme.Runtime.Scheme.load (p + 48) ~width:8));
+        (p, observe (fun () -> scheme.Runtime.Scheme.load (p + 48) ~width:8)));
   }
 
 let overflow_write =
@@ -133,9 +154,10 @@ let overflow_write =
     inject =
       (fun scheme ->
         let p = scheme.Runtime.Scheme.malloc ~site:"inject:victim" 48 in
-        observe (fun () ->
-            scheme.Runtime.Scheme.store (p + 48) ~width:8 1;
-            0));
+        ( p,
+          observe (fun () ->
+              scheme.Runtime.Scheme.store (p + 48) ~width:8 1;
+              0) ));
   }
 
 let spatial = [ overflow_read; overflow_write ]

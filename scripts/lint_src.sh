@@ -1,8 +1,9 @@
 #!/bin/sh
 # Source-hygiene gate for the core libraries: no new bare `failwith` or
 # `assert false` in lib/vmm, lib/shadow or lib/minic, no
-# environment-variable reads in lib, bin or bench, and no second loop
-# over forked connections outside lib/farm.  An occurrence is
+# environment-variable reads in lib, bin or bench, no second loop
+# over forked connections outside lib/farm, and no second classifier
+# of seeded-bug outcomes outside Workload.Fault_injection.  An occurrence is
 # allowed only when it names the invariant it guards within three lines
 # (the convention every existing call site follows); anything else
 # should be a typed error the caller can handle.  `dune runtest` runs it
@@ -10,6 +11,10 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# Every search is `grep -R`, not `-r`: under `dune runtest` the sources
+# are symlinks into the build sandbox, and `-r` skips the symlinks it
+# meets while recursing, which would make each rule pass unseen.
 
 fail=0
 for f in $(find lib/vmm lib/shadow lib/minic -name '*.ml' | sort); do
@@ -39,11 +44,11 @@ done
 # conditional comparisons against any CLI scheme name.
 names='native|llvm|pa-dummy|ours|ours-basic|ours-bounds|ours-inferred|ours-epoch|tagged|ladder|efence|valgrind|capability'
 scheme_match=$( {
-  grep -rnE "\| +\"($names)(\+recover)?\"" \
+  grep -RnE "\| +\"($names)(\+recover)?\"" \
     lib bin bench test examples --include='*.ml' || true
-  grep -rnE "String\.equal[^\"]*\"($names)(\+recover)?\"" \
+  grep -RnE "String\.equal[^\"]*\"($names)(\+recover)?\"" \
     lib bin bench test examples --include='*.ml' || true
-  grep -rnE "if [^;\"]*(=|<>) *\"($names)(\+recover)?\"" \
+  grep -RnE "if [^;\"]*(=|<>) *\"($names)(\+recover)?\"" \
     lib bin bench test examples --include='*.ml' || true
 } | grep -v '^lib/runtime/scheme_spec\.ml:' || true)
 if [ -n "$scheme_match" ]; then
@@ -56,7 +61,7 @@ fi
 # Steensgaard engine and its engine-agnostic query record must not come
 # back as a second implementation.
 second_engine=$( {
-  grep -rnwE 'Points_to|Pt_query' \
+  grep -RnwE 'Points_to|Pt_query' \
     lib bin bench test examples --include='*.ml' --include='*.mli' || true
   find lib bin bench test examples -name 'points_to.ml*' -o -name 'pt_query.ml*'
 } )
@@ -71,7 +76,7 @@ fi
 # hand-built record growing its own copy of the malloc/free/pool
 # plumbing.  Renaming updates (`{ base with Scheme.name = ... }`) take
 # the name from the record they copy and do not match.
-hand_built=$(grep -rnE 'Scheme\.name *= *"' \
+hand_built=$(grep -RnE 'Scheme\.name *= *"' \
   lib bin bench test examples --include='*.ml' || true)
 if [ -n "$hand_built" ]; then
   echo "lint-src: Scheme.t record built by hand (use Pool_scheme.build):" >&2
@@ -85,7 +90,7 @@ fi
 # per-child primitive (by name, so an alias is caught too) is a second
 # loop growing its own accumulators.  Tests and examples may still call
 # it directly.
-second_loop=$(grep -rnw 'run_connection' lib bin bench \
+second_loop=$(grep -Rnw 'run_connection' lib bin bench \
   --include='*.ml' --include='*.mli' \
   | grep -vE '^lib/farm/|^lib/runtime/process\.mli?:' || true)
 if [ -n "$second_loop" ]; then
@@ -94,10 +99,24 @@ if [ -n "$second_loop" ]; then
   fail=1
 fi
 
+# One classifier of seeded bugs: Workload.Fault_injection.observe is
+# the only code outside the allocator that names a corrupted heap, so
+# every judged probe (detection matrix, fault campaign, bench probes)
+# gets the same Detected/Silent/Crashed verdict.  Any other mention is
+# a second catch-list growing its own outcome type.
+second_classifier=$(grep -Rnw 'Heap_corruption' lib bin bench \
+  --include='*.ml' --include='*.mli' \
+  | grep -vE '^lib/heap/|^lib/workload/fault_injection\.mli?:' || true)
+if [ -n "$second_classifier" ]; then
+  echo "lint-src: seeded-bug outcome classified outside Fault_injection.observe:" >&2
+  echo "$second_classifier" >&2
+  fail=1
+fi
+
 # Settings arrive as typed arguments (CLI flags, optional parameters),
 # never from the environment: a variable read deep in the code is a
 # configuration no test or golden sees.
-env_reads=$(grep -rnE 'Sys\.getenv' lib bin bench --include='*.ml' || true)
+env_reads=$(grep -RnE 'Sys\.getenv' lib bin bench --include='*.ml' || true)
 if [ -n "$env_reads" ]; then
   echo "lint-src: environment variable read (pass a typed argument instead):" >&2
   echo "$env_reads" >&2

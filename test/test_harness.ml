@@ -131,16 +131,13 @@ let test_addr_space_study () =
 let test_latency_distribution () =
   let dists = Harness.Latency.study ~connections:40 () in
   check_int "three configs" 3 (List.length dists);
-  let find config =
-    List.find (fun d -> d.Harness.Latency.config = config) dists
-  in
-  let base = find Runtime.Scheme_spec.llvm_base in
-  let ours = find Runtime.Scheme_spec.ours in
+  let base = List.assoc Runtime.Scheme_spec.llvm_base dists in
+  let ours = List.assoc Runtime.Scheme_spec.ours dists in
   check_bool "percentiles ordered" true
-    (base.Harness.Latency.p50 <= base.Harness.Latency.p95
-     && base.Harness.Latency.p95 <= base.Harness.Latency.p99);
-  let p50_ratio = ours.Harness.Latency.p50 /. base.Harness.Latency.p50 in
-  let p99_ratio = ours.Harness.Latency.p99 /. base.Harness.Latency.p99 in
+    (base.Telemetry.Histogram.q50 <= base.Telemetry.Histogram.q95
+     && base.Telemetry.Histogram.q95 <= base.Telemetry.Histogram.q99);
+  let p50_ratio = ours.Telemetry.Histogram.q50 /. base.Telemetry.Histogram.q50 in
+  let p99_ratio = ours.Telemetry.Histogram.q99 /. base.Telemetry.Histogram.q99 in
   check_bool
     (Printf.sprintf "overhead small at p50 (%.2f)" p50_ratio)
     true (p50_ratio < 1.10);
@@ -158,16 +155,16 @@ let test_latency_distribution () =
 let test_latency_pinned () =
   let dists = Harness.Latency.study ~connections:40 () in
   let expect config p50 p95 p99 mean =
-    let d = List.find (fun d -> d.Harness.Latency.config = config) dists in
+    let q = List.assoc config dists in
     let label = Runtime.Scheme_spec.label config in
     let check_float what want got =
       Alcotest.(check (float 0.)) (label ^ " " ^ what) want got
     in
-    check_float "p50" p50 d.Harness.Latency.p50;
-    check_float "p95" p95 d.Harness.Latency.p95;
-    check_float "p99" p99 d.Harness.Latency.p99;
+    check_float "p50" p50 q.Telemetry.Histogram.q50;
+    check_float "p95" p95 q.Telemetry.Histogram.q95;
+    check_float "p99" p99 q.Telemetry.Histogram.q99;
     Alcotest.(check (float (1e-12 *. mean)))
-      (label ^ " mean") mean d.Harness.Latency.mean
+      (label ^ " mean") mean q.Telemetry.Histogram.q_mean
   in
   expect Runtime.Scheme_spec.native 0x1.032363d42b027p+18
     0x1.0987d61701716p+22 0x1.41d016f44d8f5p+22 0x1.5de29p+19;
@@ -179,9 +176,9 @@ let test_latency_pinned () =
 (* ---- detection matrix ---- *)
 
 let test_detection_matrix () =
-  let cells = Harness.Detection_matrix.run () in
+  let cells = Harness.Detection_matrix.(run temporal) in
   check_int "all cells present"
-    (List.length Harness.Detection_matrix.configs
+    (List.length (fst Harness.Detection_matrix.temporal)
      * List.length Workload.Fault_injection.all)
     (List.length cells);
   let guaranteed = Harness.Detection_matrix.guaranteed_configs cells in
@@ -203,7 +200,7 @@ let test_detection_matrix () =
 (* ---- table renderer ---- *)
 
 let test_spatial_matrix () =
-  let cells = Harness.Detection_matrix.run_spatial () in
+  let cells = Harness.Detection_matrix.(run spatial) in
   let outcome config scenario =
     match
       List.find_opt

@@ -483,7 +483,13 @@ let test_exhaustion_guards () =
         ~pages_per_second:Float.infinity);
   expect_invalid "infinite va" (fun () ->
       Shadow.Exhaustion.hours_until_exhaustion ~va_bytes:Float.infinity
-        ~page_bytes:4096 ~pages_per_second:1e6)
+        ~page_bytes:4096 ~pages_per_second:1e6);
+  expect_invalid "rate so small the duration overflows" (fun () ->
+      Shadow.Exhaustion.hours_until_exhaustion ~va_bytes:(2. ** 47.)
+        ~page_bytes:4096 ~pages_per_second:1e-300);
+  expect_invalid "rate so large the byte rate overflows" (fun () ->
+      Shadow.Exhaustion.hours_until_exhaustion ~va_bytes:(2. ** 47.)
+        ~page_bytes:4096 ~pages_per_second:1e306)
 
 (* ---- reuse-policy edge cases (satellite) ---- *)
 

@@ -229,17 +229,25 @@ let test_process_exit () =
         let a = scheme.Runtime.Scheme.malloc 64 in
         scheme.Runtime.Scheme.store a ~width:8 42;
         ignore (scheme.Runtime.Scheme.load a ~width:8);
-        kept := Some (scheme, a))
+        (* The "before" reading: the handler's last act, so nothing
+           but the exit runs between it and the checks below. *)
+        let m = scheme.Runtime.Scheme.machine in
+        kept :=
+          Some
+            ( scheme,
+              a,
+              Stats.snapshot m.Machine.stats,
+              Frame_table.peak_frames m.Machine.frames ))
   in
-  let scheme, a = Option.get !kept in
+  let scheme, a, stats_before, peak_before = Option.get !kept in
   let m = scheme.Runtime.Scheme.machine in
   check_bool "counters unchanged by exit" true
-    (Stats.snapshot m.Machine.stats = r.Runtime.Process.stats);
+    (Stats.snapshot m.Machine.stats = stats_before);
   check_bool "clock unchanged by exit" true
     (Machine.cycles m = r.Runtime.Process.cycles);
   check_int "va unchanged by exit" r.Runtime.Process.va_bytes
     (Machine.va_bytes_used m);
-  check_int "peak frames kept" r.Runtime.Process.peak_frames
+  check_int "peak frames kept" peak_before
     (Frame_table.peak_frames m.Machine.frames);
   check_int "no live frames" 0 (Frame_table.live_frames m.Machine.frames);
   let raises f =

@@ -100,7 +100,7 @@ let test_fault_injection_under_ours () =
   List.iter
     (fun (sc : Workload.Fault_injection.scenario) ->
       let scheme = Runtime.Schemes.shadow_pool (Machine.create ()) in
-      match sc.Workload.Fault_injection.inject scheme with
+      match snd (sc.Workload.Fault_injection.inject scheme) with
       | Workload.Fault_injection.Detected _ -> ()
       | outcome ->
         Alcotest.fail
@@ -111,8 +111,9 @@ let test_fault_injection_under_ours () =
 
 let test_fault_injection_under_native () =
   let outcome_of (sc : Workload.Fault_injection.scenario) =
-    sc.Workload.Fault_injection.inject
-      (Runtime.Schemes.native (Machine.create ()))
+    snd
+      (sc.Workload.Fault_injection.inject
+         (Runtime.Schemes.native (Machine.create ())))
   in
   (match outcome_of Workload.Fault_injection.read_after_free with
    | Workload.Fault_injection.Silent _ -> ()
@@ -128,16 +129,18 @@ let test_fault_injection_under_native () =
 let test_fault_injection_valgrind_gap () =
   let scheme () = Runtime.Valgrind_sim.scheme (Machine.create ()) in
   (match
-     Workload.Fault_injection.read_after_free.Workload.Fault_injection.inject
-       (scheme ())
+     snd
+       (Workload.Fault_injection.read_after_free.Workload.Fault_injection
+        .inject (scheme ()))
    with
    | Workload.Fault_injection.Detected _ -> ()
    | o ->
      Alcotest.fail
        ("valgrind immediate: " ^ Workload.Fault_injection.outcome_label o));
   match
-    (Workload.Fault_injection.dangling_after_many_allocations 1500)
-      .Workload.Fault_injection.inject (scheme ())
+    snd
+      ((Workload.Fault_injection.dangling_after_many_allocations 1500)
+         .Workload.Fault_injection.inject (scheme ()))
   with
   | Workload.Fault_injection.Silent _ -> ()
   | o ->
