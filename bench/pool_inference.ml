@@ -184,42 +184,29 @@ void main() {
 let probes =
   [ ("use-after-free", probe_uaf); ("double-free", probe_double_free) ]
 
-type run_stats = {
-  prints : int list option; (* None = stopped by a violation *)
-  total_syscalls : int;
-  munmap : int;
-  violations : (string * Minic.Ast.pos) list;
-  registry : Telemetry.Metrics.t; (* the machine's, with [inferred.*] *)
-}
+let registry scheme =
+  Vmm.Stats.registry scheme.Runtime.Scheme.machine.Vmm.Machine.stats
 
-let run_under program =
-  let machine = Vmm.Machine.create () in
-  let scheme = Runtime.Schemes.shadow_pool_inferred machine in
-  let violations = ref [] in
-  let hook ~fname ~pos (_ : Shadow.Report.t) =
-    violations := (fname, pos) :: !violations
-  in
-  let prints =
-    match Minic.Interp.run ~on_violation:hook program scheme with
-    | o -> Some o.Minic.Interp.prints
-    | exception Shadow.Report.Violation _ -> None
-  in
-  let s = Vmm.Stats.snapshot machine.Vmm.Machine.stats in
-  {
-    prints;
-    total_syscalls = Vmm.Stats.total_syscalls s;
-    munmap = s.Vmm.Stats.syscalls_munmap;
-    violations = List.rev !violations;
-    registry = Vmm.Stats.registry machine.Vmm.Machine.stats;
-  }
+let inferred_count scheme name =
+  Telemetry.Metrics.count (registry scheme) ("inferred." ^ name)
 
-let inferred_count r name =
-  Telemetry.Metrics.count r.registry ("inferred." ^ name)
-
-let peak_pages r =
+let peak_pages scheme =
   int_of_float
     (Telemetry.Metrics.gauge_value
-       (Telemetry.Metrics.gauge r.registry "inferred.peak_shadow_pages"))
+       (Telemetry.Metrics.gauge (registry scheme) "inferred.peak_shadow_pages"))
+
+let syscalls scheme =
+  Vmm.Stats.snapshot scheme.Runtime.Scheme.machine.Vmm.Machine.stats
+
+(* A run under a fresh inferred-pool scheme, paired with that scheme. *)
+let run_inferred program =
+  let scheme = Runtime.Schemes.shadow_pool_inferred (Vmm.Machine.create ()) in
+  (Minic.Interp.run program scheme, scheme)
+
+let detected_at program =
+  match (fst (run_inferred program)).stopped with
+  | Some { site; outcome = Detected _ } -> Some site
+  | Some _ | None -> None
 
 let canonical_map source =
   Telemetry.Json.to_string
@@ -234,9 +221,12 @@ let run () =
         let program = Minic.Parser.parse source in
         let result = Minic.Poolify.analyze program in
         let transformed, _ = Minic.Pool_transform.transform program in
-        let inferred = run_under transformed in
-        let global = run_under program in
-        let outputs_equal = inferred.prints = global.prints in
+        let inferred_run, inferred = run_inferred transformed in
+        let global_run, global = run_inferred program in
+        let outputs_equal =
+          inferred_run.prints = global_run.prints
+          && inferred_run.stopped = None && global_run.stopped = None
+        in
         (* determinism gate: two independent analyses over the same
            source must serialise to the same canonical document *)
         let deterministic = canonical_map source = canonical_map source in
@@ -254,8 +244,8 @@ let run () =
           name
           (List.length result.Minic.Poolify.pools)
           destroyable (peak_pages global) (peak_pages inferred) destroyed
-          unmapped global.total_syscalls
-          inferred.total_syscalls global.munmap inferred.munmap
+          unmapped (Vmm.Stats.total_syscalls (syscalls global))
+          (Vmm.Stats.total_syscalls (syscalls inferred)) (syscalls global).syscalls_munmap (syscalls inferred).syscalls_munmap
           (if outputs_equal then "" else "  OUTPUT MISMATCH");
         Gate.require outputs_equal
           "pool_inference: inference changed %s's output" name;
@@ -287,10 +277,10 @@ let run () =
             ("pools_created", J.Int (inferred_count inferred "pools_created"));
             ("pools_destroyed", J.Int destroyed);
             ("destroy_unmapped_pages", J.Int unmapped);
-            ("global_syscalls", J.Int global.total_syscalls);
-            ("inferred_syscalls", J.Int inferred.total_syscalls);
-            ("global_munmap", J.Int global.munmap);
-            ("inferred_munmap", J.Int inferred.munmap);
+            ("global_syscalls", J.Int (Vmm.Stats.total_syscalls (syscalls global)));
+            ("inferred_syscalls", J.Int (Vmm.Stats.total_syscalls (syscalls inferred)));
+            ("global_munmap", J.Int (syscalls global).syscalls_munmap);
+            ("inferred_munmap", J.Int (syscalls inferred).syscalls_munmap);
             ("outputs_equal", J.Bool outputs_equal);
             ("deterministic", J.Bool deterministic);
           ])
@@ -301,10 +291,9 @@ let run () =
       (fun (name, source) ->
         let program = Minic.Parser.parse source in
         let transformed, _ = Minic.Pool_transform.transform program in
-        let inferred = run_under transformed in
-        let global = run_under program in
-        let detected = inferred.violations <> [] in
-        let identical = inferred.violations = global.violations in
+        let inferred = detected_at transformed and global = detected_at program in
+        let detected = inferred <> None in
+        let identical = inferred = global in
         Printf.printf "  probe %-16s detected=%b identical-to-global=%b\n" name
           detected identical;
         Gate.require detected

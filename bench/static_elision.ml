@@ -201,60 +201,24 @@ void main() {
 
 let probes = [ ("use-after-free", probe_uaf); ("double-free", probe_double_free) ]
 
-type run_stats = {
-  prints : int list option; (* None = stopped by a violation *)
-  mremap : int;
-  mprotect : int;
-  total_syscalls : int;
-  violations : (string * Minic.Ast.pos) list;
-  machine : Vmm.Machine.t; (* its registry holds the [elide.*] counters *)
-}
-
-let run_under program scheme_of_machine =
-  let machine = Vmm.Machine.create () in
-  let scheme = scheme_of_machine machine in
-  let violations = ref [] in
-  let hook ~fname ~pos (_ : Shadow.Report.t) =
-    violations := (fname, pos) :: !violations
-  in
-  let prints =
-    match Minic.Interp.run ~on_violation:hook program scheme with
-    | o -> Some o.Minic.Interp.prints
-    | exception Shadow.Report.Violation _ -> None
-  in
-  let s = Vmm.Stats.snapshot machine.Vmm.Machine.stats in
-  {
-    prints;
-    mremap = s.Vmm.Stats.syscalls_mremap;
-    mprotect = s.Vmm.Stats.syscalls_mprotect;
-    total_syscalls = Vmm.Stats.total_syscalls s;
-    violations = List.rev !violations;
-    machine;
-  }
-
-let elide_count r name =
+let elide_count scheme name =
   Telemetry.Metrics.count
-    (Vmm.Stats.registry r.machine.Vmm.Machine.stats)
+    (Vmm.Stats.registry scheme.Runtime.Scheme.machine.Vmm.Machine.stats)
     ("elide." ^ name)
 
-let static_scheme (result : Minic.Dangling.result) machine =
+let syscalls scheme =
+  Vmm.Stats.snapshot scheme.Runtime.Scheme.machine.Vmm.Machine.stats
+
+let static_scheme (result : Minic.Dangling.result) =
   Runtime.Schemes.shadow_pool_static
     ~config:{ Runtime.Schemes.elide = Minic.Dangling.elide_policy result }
-    machine
+    (Vmm.Machine.create ())
 
 let analyze_and_transform source =
   let program = Minic.Parser.parse source in
   let result = Minic.Dangling.analyze program in
   let transformed, _ = Minic.Pool_transform.transform program in
   (result, transformed)
-
-let flagged (result : Minic.Dangling.result) (fname, pos) =
-  List.exists
-    (fun (fd : Minic.Dangling.finding) ->
-      fd.Minic.Dangling.fname = fname
-      && fd.Minic.Dangling.pos = pos
-      && fd.Minic.Dangling.verdict <> Minic.Dangling.Safe)
-    result.Minic.Dangling.findings
 
 let run () =
   print_endline
@@ -263,10 +227,13 @@ let run () =
     List.map
       (fun (name, source) ->
         let result, transformed = analyze_and_transform source in
-        let full = run_under transformed Runtime.Schemes.shadow_pool in
-        let static = run_under transformed (static_scheme result) in
-        let elided_allocs = elide_count static "allocs" in
-        let elided_frees = elide_count static "frees" in
+        let full_scheme = Runtime.Schemes.shadow_pool (Vmm.Machine.create ()) in
+        let static_scheme = static_scheme result in
+        let full_run = Minic.Interp.run transformed full_scheme in
+        let static_run = Minic.Interp.run transformed static_scheme in
+        let full = syscalls full_scheme and static = syscalls static_scheme in
+        let elided_allocs = elide_count static_scheme "allocs" in
+        let elided_frees = elide_count static_scheme "frees" in
         let sites = List.length result.Minic.Dangling.sites in
         let elidable =
           List.length
@@ -275,19 +242,25 @@ let run () =
                  s.Minic.Dangling.verdict = Minic.Dangling.Safe)
                result.Minic.Dangling.sites)
         in
-        let saved = full.total_syscalls - static.total_syscalls in
-        let outputs_equal = full.prints = static.prints in
+        let full_total = Vmm.Stats.total_syscalls full in
+        let static_total = Vmm.Stats.total_syscalls static in
+        let saved = full_total - static_total in
+        let outputs_equal =
+          full_run.prints = static_run.prints
+          && full_run.stopped = None && static_run.stopped = None
+        in
         Printf.printf
           "  %-8s sites %d/%d elidable; elided %d allocs, %d frees; \
            syscalls %d -> %d (saved %d, mremap %d -> %d, mprotect %d -> %d)%s\n"
-          name elidable sites elided_allocs elided_frees full.total_syscalls
-          static.total_syscalls saved full.mremap static.mremap full.mprotect
-          static.mprotect
+          name elidable sites elided_allocs elided_frees full_total
+          static_total saved full.Vmm.Stats.syscalls_mremap
+          static.Vmm.Stats.syscalls_mremap full.Vmm.Stats.syscalls_mprotect
+          static.Vmm.Stats.syscalls_mprotect
           (if outputs_equal then "" else "  OUTPUT MISMATCH");
         Gate.require outputs_equal
           "static_elision: elision changed %s's output" name;
         Gate.require
-          (static.total_syscalls <= full.total_syscalls)
+          (static_total <= full_total)
           "static_elision: elision increased syscalls on %s" name;
         J.Obj
           [
@@ -296,13 +269,14 @@ let run () =
             ("elidable_sites", J.Int elidable);
             ("elided_allocs", J.Int elided_allocs);
             ("elided_frees", J.Int elided_frees);
-            ("protected_allocs", J.Int (elide_count static "protected_allocs"));
-            ("full_mremap", J.Int full.mremap);
-            ("full_mprotect", J.Int full.mprotect);
-            ("full_syscalls", J.Int full.total_syscalls);
-            ("static_mremap", J.Int static.mremap);
-            ("static_mprotect", J.Int static.mprotect);
-            ("static_syscalls", J.Int static.total_syscalls);
+            ( "protected_allocs",
+              J.Int (elide_count static_scheme "protected_allocs") );
+            ("full_mremap", J.Int full.Vmm.Stats.syscalls_mremap);
+            ("full_mprotect", J.Int full.Vmm.Stats.syscalls_mprotect);
+            ("full_syscalls", J.Int full_total);
+            ("static_mremap", J.Int static.Vmm.Stats.syscalls_mremap);
+            ("static_mprotect", J.Int static.Vmm.Stats.syscalls_mprotect);
+            ("static_syscalls", J.Int static_total);
             ("saved_syscalls", J.Int saved);
             ("outputs_equal", J.Bool outputs_equal);
           ],
@@ -316,12 +290,14 @@ let run () =
     List.map
       (fun (name, source) ->
         let result, transformed = analyze_and_transform source in
-        let static = run_under transformed (static_scheme result) in
-        let detected = static.violations <> [] in
-        let at_flagged_site =
-          detected && List.for_all (flagged result) static.violations
+        let scheme = static_scheme result in
+        let detected, at_flagged_site =
+          match (Minic.Interp.run transformed scheme).Minic.Interp.stopped with
+          | Some { outcome = Workload.Fault_injection.Detected _; site } ->
+            (true, Minic.Dangling.covers result site)
+          | Some _ | None -> (false, false)
         in
-        let elided = elide_count static "allocs" in
+        let elided = elide_count scheme "allocs" in
         Printf.printf "  probe %-16s detected=%b at-flagged-site=%b (%d elided)\n"
           name detected at_flagged_site elided;
         Gate.require detected

@@ -436,20 +436,30 @@ let compile_cmd =
       else
         let scheme = Harness.Experiment.make_scheme config () in
         match Minic.Interp.run transformed scheme with
-        | outcome ->
-          List.iter (Printf.printf "print: %d\n") outcome.Minic.Interp.prints;
-          Printf.printf "steps: %d, cycles: %sM\n" outcome.Minic.Interp.steps
-            (Harness.Table.fmt_cycles
-               (Runtime.Scheme.cycles scheme));
-          `Ok ()
-        | exception Shadow.Report.Violation r ->
-          Printf.printf "TEMPORAL ERROR DETECTED: %s\n"
-            (Shadow.Report.to_string r);
-          `Ok ()
         | exception
             (Minic.Interp.Runtime_error msg
             | Minic.Interp.Null_dereference msg) ->
           `Error (false, Printf.sprintf "%s: runtime error: %s" file msg)
+        | { stopped = Some { outcome = Detected r; _ }; _ } ->
+          Printf.printf "TEMPORAL ERROR DETECTED: %s\n"
+            (Shadow.Report.to_string r);
+          `Ok ()
+        | { stopped = Some { site; outcome = Crashed m | Crashed_degraded m }; _ } ->
+          Printf.printf "UNDETECTED CRASH at %s@%s: %s\n" (fst site)
+            (Minic.Ast.pos_label (snd site)) m;
+          `Ok ()
+        | { prints; steps; stopped = None | Some { outcome = Silent _; _ } } ->
+          List.iter (Printf.printf "print: %d\n") prints;
+          Printf.printf "steps: %d, cycles: %sM\n" steps
+            (Harness.Table.fmt_cycles (Runtime.Scheme.cycles scheme));
+          let stats = scheme.Runtime.Scheme.machine.Vmm.Machine.stats in
+          let count k = Telemetry.Metrics.count (Vmm.Stats.registry stats) k in
+          let loads = count "recover.loads" and stores = count "recover.stores"
+          and frees = count "recover.frees" in
+          if loads + stores + frees > 0 then
+            Printf.printf "recovered: %d loads, %d stores, %d frees\n" loads
+              stores frees;
+          `Ok ()
   in
   cmd "compile" ~doc:"Parse, pool-transform and optionally run a MiniC program."
     Term.(ret (const run $ minic_file $ emit $ execute $ config_arg))

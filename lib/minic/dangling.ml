@@ -676,3 +676,8 @@ let count_findings result =
 
 let has_must result =
   List.exists (fun (fd : finding) -> fd.verdict = Must_uaf) result.findings
+
+let covers result (fname, pos) =
+  List.exists
+    (fun (fd : finding) -> fd.fname = fname && fd.pos = pos && fd.verdict <> Safe)
+    result.findings

@@ -71,3 +71,8 @@ val count_findings : result -> int * int * int
 (** (safe, may, must) finding counts. *)
 
 val has_must : result -> bool
+
+val covers : result -> string * Ast.pos -> bool
+(** [covers r (fname, pos)] is [true] iff some finding at that use site
+    is not {!Safe}: the soundness contract's test for a detected stop
+    of {!Interp.run}. *)

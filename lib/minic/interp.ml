@@ -1,13 +1,23 @@
 exception Null_dereference of string
 exception Runtime_error of string
 
-type outcome = { prints : int list; steps : int }
+type stop = {
+  site : string * Ast.pos;
+  outcome : Workload.Fault_injection.outcome;
+}
+
+type result = { prints : int list; steps : int; stopped : stop option }
+
+(* Deeper recursion than any committed program reaches by far; past it a
+   runaway recursion is an error in the program, not a host crash. *)
+let max_call_depth = 10_000
 
 exception Return_value of int option
 
 type frame = {
   vars : (string, int) Hashtbl.t;
   pools : (string, Runtime.Scheme.pool_handle) Hashtbl.t;
+  depth : int;  (* call nesting: 1 in main *)
 }
 
 type state = {
@@ -18,7 +28,8 @@ type state = {
   mutable steps : int;
   max_steps : int;
   mutable prints : int list;
-  on_violation : (fname:string -> pos:Ast.pos -> Shadow.Report.t -> unit) option;
+  mutable site : string * Ast.pos;
+      (* set before every scheme call, so a stopped run names its site *)
 }
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
@@ -52,19 +63,6 @@ let lookup_pool st frame name =
 let truthy v = v <> 0
 let of_bool b = if b then 1 else 0
 
-(* Run a guarded memory operation; a detected violation is reported to
-   the differential-oracle hook (with the syntactic use site) before
-   propagating, so tests can match dynamic violations against static
-   verdicts per source position. *)
-let guarded st ~fname ~pos f =
-  match st.on_violation with
-  | None -> f ()
-  | Some hook ->
-    (try f ()
-     with Shadow.Report.Violation r ->
-       hook ~fname ~pos r;
-       raise (Shadow.Report.Violation r))
-
 let rec eval st frame fname expr =
   step st;
   match expr with
@@ -76,30 +74,14 @@ let rec eval st frame fname expr =
   | Ast.Unop (Ast.Not, a) -> of_bool (not (truthy (eval st frame fname a)))
   | Ast.Field (base, f, pos) ->
     let addr, off = field_addr st frame fname base f in
-    guarded st ~fname ~pos (fun () ->
-        st.scheme.Runtime.Scheme.load (addr + off) ~width:8)
-  | Ast.Malloc (s, pos) ->
-    st.scheme.Runtime.Scheme.malloc
-      ~site:
-        (Printf.sprintf "%s:malloc(struct %s)%s" fname s (Ast.pos_suffix pos))
-      (Ast.struct_size st.program s)
+    st.site <- (fname, pos);
+    st.scheme.Runtime.Scheme.load (addr + off) ~width:8
+  | Ast.Malloc (s, pos) -> alloc st frame fname None s None pos
   | Ast.Malloc_array (s, count, pos) ->
-    let n = eval st frame fname count in
-    if n <= 0 then fail "%s: malloc(struct %s, %d): count must be positive" fname s n;
-    st.scheme.Runtime.Scheme.malloc
-      ~site:
-        (Printf.sprintf "%s:malloc(struct %s, %d)%s" fname s n
-           (Ast.pos_suffix pos))
-      (n * Ast.struct_size st.program s)
+    alloc st frame fname None s (Some count) pos
+  | Ast.Pool_malloc (pv, s, pos) -> alloc st frame fname (Some pv) s None pos
   | Ast.Pool_malloc_array (pv, s, count, pos) ->
-    let n = eval st frame fname count in
-    if n <= 0 then fail "%s: poolalloc(struct %s, %d): count must be positive" fname s n;
-    let pool = lookup_pool st frame pv in
-    pool.Runtime.Scheme.pool_alloc
-      ~site:
-        (Printf.sprintf "%s:poolalloc(%s, struct %s, %d)%s" fname pv s n
-           (Ast.pos_suffix pos))
-      (n * Ast.struct_size st.program s)
+    alloc st frame fname (Some pv) s (Some count) pos
   | Ast.Index (base, idx, _) ->
     let addr = eval st frame fname base in
     if addr = 0 then
@@ -111,17 +93,34 @@ let rec eval st frame fname expr =
       | None -> fail "%s: cannot type base of [...]" fname
     in
     addr + (i * Ast.struct_size st.program sname)
-  | Ast.Pool_malloc (pv, s, pos) ->
-    let pool = lookup_pool st frame pv in
-    pool.Runtime.Scheme.pool_alloc
-      ~site:
-        (Printf.sprintf "%s:poolalloc(%s, struct %s)%s" fname pv s
-           (Ast.pos_suffix pos))
-      (Ast.struct_size st.program s)
   | Ast.Call (g, args) ->
     (match call st fname g args frame with
      | Some v -> v
      | None -> fail "void result of %s used as a value" g)
+
+(* [malloc]/[poolalloc] of one struct [s], or of [count] of them; the
+   site string names the call as written, with its position. *)
+and alloc st frame fname pool s count pos =
+  let op = if pool = None then "malloc" else "poolalloc" in
+  let n, arg =
+    match count with
+    | None -> (1, "")
+    | Some e ->
+      let n = eval st frame fname e in
+      if n <= 0 then
+        fail "%s: %s(struct %s, %d): count must be positive" fname op s n;
+      (n, Printf.sprintf ", %d" n)
+  in
+  let size = n * Ast.struct_size st.program s in
+  let pool_arg = Option.fold ~none:"" ~some:(fun pv -> pv ^ ", ") pool in
+  let site =
+    Printf.sprintf "%s:%s(%sstruct %s%s)%s" fname op pool_arg s arg
+      (Ast.pos_suffix pos)
+  in
+  st.site <- (fname, pos);
+  match pool with
+  | None -> st.scheme.Runtime.Scheme.malloc ~site size
+  | Some pv -> (lookup_pool st frame pv).Runtime.Scheme.pool_alloc ~site size
 
 and eval_binop st frame fname op a b =
   match op with
@@ -222,7 +221,10 @@ and call st caller g args caller_frame =
       in
       split 0 args
     in
-    let frame = { vars = Hashtbl.create 16; pools = Hashtbl.create 4 } in
+    let depth = caller_frame.depth + 1 in
+    if depth > max_call_depth then
+      fail "%s: call depth exceeded %d" g max_call_depth;
+    let frame = { vars = Hashtbl.create 16; pools = Hashtbl.create 4; depth } in
     List.iter2
       (fun (typ, p) arg ->
         bind_typed st frame p typ (eval st caller_frame caller arg))
@@ -238,6 +240,18 @@ and call st caller g args caller_frame =
        exec_stmts st frame callee.Ast.name callee.Ast.body;
        None
      with Return_value v -> v)
+
+(* [free]/[poolfree] of a non-null pointer. *)
+and free st frame fname pool e pos =
+  let v = eval st frame fname e in
+  if v <> 0 then begin
+    let op = Option.fold pool ~none:"free" ~some:(Printf.sprintf "poolfree(%s)") in
+    let site = Printf.sprintf "%s:%s%s" fname op (Ast.pos_suffix pos) in
+    st.site <- (fname, pos);
+    match pool with
+    | None -> st.scheme.Runtime.Scheme.free ~site v
+    | Some pv -> (lookup_pool st frame pv).Runtime.Scheme.pool_free ~site v
+  end
 
 and exec_stmts st frame fname stmts = List.iter (exec_stmt st frame fname) stmts
 
@@ -255,25 +269,10 @@ and exec_stmt st frame fname stmt =
   | Ast.Store (base, f, e, pos) ->
     let addr, off = field_addr st frame fname base f in
     let v = eval st frame fname e in
-    guarded st ~fname ~pos (fun () ->
-        st.scheme.Runtime.Scheme.store (addr + off) ~width:8 v)
-  | Ast.Free (e, pos) ->
-    let v = eval st frame fname e in
-    if v <> 0 then
-      guarded st ~fname ~pos (fun () ->
-          st.scheme.Runtime.Scheme.free
-            ~site:(Printf.sprintf "%s:free%s" fname (Ast.pos_suffix pos))
-            v)
-  | Ast.Pool_free (pv, e, pos) ->
-    let v = eval st frame fname e in
-    if v <> 0 then begin
-      let pool = lookup_pool st frame pv in
-      guarded st ~fname ~pos (fun () ->
-          pool.Runtime.Scheme.pool_free
-            ~site:
-              (Printf.sprintf "%s:poolfree(%s)%s" fname pv (Ast.pos_suffix pos))
-            v)
-    end
+    st.site <- (fname, pos);
+    st.scheme.Runtime.Scheme.store (addr + off) ~width:8 v
+  | Ast.Free (e, pos) -> free st frame fname None e pos
+  | Ast.Pool_free (pv, e, pos) -> free st frame fname (Some pv) e pos
   | Ast.If (c, t, f) ->
     if truthy (eval st frame fname c) then exec_stmts st frame fname t
     else exec_stmts st frame fname f
@@ -296,14 +295,16 @@ and exec_stmt st frame fname stmt =
     let elem_size =
       if sname = "" then None else Some (Ast.struct_size st.program sname)
     in
+    st.site <- (fname, Ast.no_pos);
     let handle = st.scheme.Runtime.Scheme.pool_create ?elem_size () in
     if fname = "main" then Hashtbl.replace st.global_pools pv handle;
     Hashtbl.replace frame.pools pv handle
   | Ast.Pool_destroy pv ->
     let pool = lookup_pool st frame pv in
+    st.site <- (fname, Ast.no_pos);
     pool.Runtime.Scheme.pool_destroy ()
 
-let run ?(max_steps = 50_000_000) ?on_violation program scheme =
+let run ?(max_steps = 50_000_000) program scheme =
   let st =
     {
       program;
@@ -313,7 +314,7 @@ let run ?(max_steps = 50_000_000) ?on_violation program scheme =
       steps = 0;
       max_steps;
       prints = [];
-      on_violation;
+      site = ("<top>", Ast.no_pos);
     }
   in
   List.iter
@@ -325,7 +326,12 @@ let run ?(max_steps = 50_000_000) ?on_violation program scheme =
     program.Ast.globals;
   (match Ast.find_func program "main" with
    | None -> fail "no main function"
-   | Some f ->
-     if f.Ast.params <> [] then fail "main must take no parameters";
-     ignore (call st "<top>" "main" [] { vars = Hashtbl.create 1; pools = Hashtbl.create 1 }));
-  { prints = List.rev st.prints; steps = st.steps }
+   | Some f -> if f.Ast.params <> [] then fail "main must take no parameters");
+  let top = { vars = Hashtbl.create 1; pools = Hashtbl.create 1; depth = 0 } in
+  let main () = ignore (call st "<top>" "main" [] top); 0 in
+  let stopped =
+    match Workload.Fault_injection.observe main with
+    | Silent _ -> None
+    | outcome -> Some { site = st.site; outcome }
+  in
+  { prints = List.rev st.prints; steps = st.steps; stopped }

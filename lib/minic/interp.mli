@@ -5,31 +5,35 @@
     Every field load/store goes through the scheme (and hence the
     simulated MMU); [malloc]/[free] use the scheme's heap;
     [Pool_init]/[Pool_destroy] drive the scheme's pool interface.
-    Detected temporal errors surface as {!Shadow.Report.Violation}. *)
+    {!run} is the one judged run of a MiniC program: where the scheme
+    stops it, {!Workload.Fault_injection.observe} classifies the stop
+    and the result names the source site. *)
 
 exception Null_dereference of string
 (** [e->f] on a null pointer, with context. *)
 
 exception Runtime_error of string
-(** Division by zero, missing function, unbound variable, etc. *)
+(** Division by zero, unbound variable, runaway recursion, etc. *)
 
-type outcome = {
-  prints : int list;   (** values printed by [print(e)], in order *)
-  steps : int;         (** AST evaluation steps executed *)
+type stop = {
+  site : string * Ast.pos;
+      (** function and position of the load, store, free or allocation
+          where the run ended ([Ast.no_pos] at a pool create/destroy) *)
+  outcome : Workload.Fault_injection.outcome;
+      (** [Detected report] or [Crashed msg], never [Silent] *)
 }
 
-val run :
-  ?max_steps:int ->
-  ?on_violation:(fname:string -> pos:Ast.pos -> Shadow.Report.t -> unit) ->
-  Ast.program ->
-  Runtime.Scheme.t ->
-  outcome
-(** Execute [main] with no arguments.  Raises
-    {!Runtime_error} if [max_steps] (default 50 million) is exceeded —
-    the brake for accidentally non-terminating test programs.
+type result = {
+  prints : int list;   (** values printed by [print(e)], in order *)
+  steps : int;         (** AST evaluation steps executed *)
+  stopped : stop option;  (** [None] when [main] returned *)
+}
 
-    [on_violation] is called (then the violation re-raised) whenever a
-    guarded load/store/free traps, with the enclosing function and the
-    source position of the dereference or free — the bridge that lets
-    the differential soundness oracle match each dynamic violation
-    against the static verdict for that site. *)
+val run : ?max_steps:int -> Ast.program -> Runtime.Scheme.t -> result
+(** Execute [main] with no arguments, inside
+    {!Workload.Fault_injection.observe}: a {!Shadow.Report.Violation},
+    a {!Vmm.Fault.Trap} or a corrupted allocator ends the run with
+    [stopped] set, and never escapes.  Errors in the program itself
+    raise: {!Null_dereference}, and {!Runtime_error} — also when
+    [max_steps] (default 50 million) is exceeded or calls nest deeper
+    than 10,000, the brakes for runaway test programs. *)

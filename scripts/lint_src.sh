@@ -2,8 +2,9 @@
 # Source-hygiene gate for the core libraries: no new bare `failwith` or
 # `assert false` in lib/vmm, lib/shadow or lib/minic, no
 # environment-variable reads in lib, bin or bench, no second loop
-# over forked connections outside lib/farm, and no second classifier
-# of seeded-bug outcomes outside Workload.Fault_injection.  An occurrence is
+# over forked connections outside lib/farm, no second classifier
+# of seeded-bug outcomes outside Workload.Fault_injection, and no second
+# coverage predicate outside Minic.Dangling.  An occurrence is
 # allowed only when it names the invariant it guards within three lines
 # (the convention every existing call site follows); anything else
 # should be a typed error the caller can handle.  `dune runtest` runs it
@@ -110,6 +111,19 @@ second_classifier=$(grep -Rnw 'Heap_corruption' lib bin bench \
 if [ -n "$second_classifier" ]; then
   echo "lint-src: seeded-bug outcome classified outside Fault_injection.observe:" >&2
   echo "$second_classifier" >&2
+  fail=1
+fi
+
+# One coverage predicate: Minic.Dangling.covers is the only test of
+# "did the analysis flag this use".  A second `verdict <> Safe` filter
+# outside lib/minic is a copy of the soundness check that can drift
+# from it.
+second_cover=$(grep -RnE 'verdict *<> *([A-Z][A-Za-z_]*\.)*Safe\b' \
+  lib bin bench test examples --include='*.ml' \
+  | grep -v '^lib/minic/' || true)
+if [ -n "$second_cover" ]; then
+  echo "lint-src: flagged-site test outside Minic.Dangling (use covers):" >&2
+  echo "$second_cover" >&2
   fail=1
 fi
 

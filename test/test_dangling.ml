@@ -2,8 +2,8 @@
    construction, verdict unit tests, the pretty-printer round trip, the
    pinned JSON goldens behind `danguard lint --json`, and the
    differential soundness oracle — generated MiniC programs with seeded
-   temporal bugs, run under the shadow schemes with the violation hook,
-   checking that every dynamic violation lands on a May/Must site and
+   temporal bugs, each judged by [Minic.Interp.run] under the shadow
+   schemes, checking that every dynamic violation lands on a May/Must site and
    that protection elision never loses a detection. *)
 
 let check_int = Alcotest.check Alcotest.int
@@ -11,10 +11,14 @@ let check_bool = Alcotest.check Alcotest.bool
 let check_string = Alcotest.check Alcotest.string
 let parse = Minic.Parser.parse
 
+let sample_dir dir =
+  let up = Filename.concat "../../.." dir in
+  if Sys.file_exists up then up else dir
+
 let sample_file dir name =
-  let path = Filename.concat (Filename.concat "../../.." dir) name in
-  let path = if Sys.file_exists path then path else Filename.concat dir name in
-  In_channel.with_open_text path In_channel.input_all
+  In_channel.with_open_text
+    (Filename.concat (sample_dir dir) name)
+    In_channel.input_all
 
 let find_func (p : Minic.Ast.program) fname =
   List.find (fun (f : Minic.Ast.func) -> f.Minic.Ast.name = fname)
@@ -663,57 +667,54 @@ let gen_tree_program ~depth ~seed ~bug =
   add "}";
   Buffer.contents b
 
-let run_with_hook program scheme =
-  let violations = ref [] in
-  let hook ~fname ~pos (_ : Shadow.Report.t) =
-    violations := (fname, pos) :: !violations
-  in
-  let outcome =
-    match Minic.Interp.run ~on_violation:hook program scheme with
-    | o -> Some o
-    | exception Shadow.Report.Violation _ -> None
-  in
-  (outcome, List.rev !violations)
+(* The site of a run's detected stop, as a list: empty, or the one use
+   where a diagnosed violation ended the run. *)
+let detections (run : Minic.Interp.result) =
+  match run.stopped with
+  | Some { site; outcome = Detected _ } -> [ site ]
+  | Some _ | None -> []
 
 (* The soundness contract: a dynamic temporal violation may only happen
    at a use the analysis marked May or Must.  A violation at a
-   Safe-marked use is a hole in the lattice and fails the suite. *)
-let check_violations_covered ~ctx (r : Minic.Dangling.result) violations =
-  List.iter
-    (fun (fname, pos) ->
-      let covered =
-        List.exists
-          (fun (fd : Minic.Dangling.finding) ->
-            fd.Minic.Dangling.fname = fname
-            && fd.Minic.Dangling.pos = pos
-            && fd.Minic.Dangling.verdict <> Minic.Dangling.Safe)
-          r.Minic.Dangling.findings
-      in
-      if not covered then
-        Alcotest.failf
-          "%s: dynamic violation at %s:%s hit a site the analysis marked Safe"
-          ctx fname (Minic.Ast.pos_label pos))
-    violations
+   Safe-marked use is a hole in the lattice and fails the suite, and so
+   does a crash the scheme did not diagnose. *)
+let check_violations_covered ~ctx (r : Minic.Dangling.result)
+    (run : Minic.Interp.result) =
+  match run.stopped with
+  | None -> ()
+  | Some { site = (fname, pos) as site; outcome = Detected _ } ->
+    if not (Minic.Dangling.covers r site) then
+      Alcotest.failf
+        "%s: dynamic violation at %s:%s hit a site the analysis marked Safe"
+        ctx fname (Minic.Ast.pos_label pos)
+  | Some { outcome; _ } ->
+    Alcotest.failf "%s: undetected stop: %s" ctx
+      (Workload.Fault_injection.outcome_label outcome)
 
 let oracle_one ~ctx ~expect_elision source bug =
   let program = parse source in
   let r = Minic.Dangling.analyze program in
   let transformed, _ = Minic.Pool_transform.transform program in
+  let judged label scheme =
+    let run = Minic.Interp.run transformed scheme in
+    check_violations_covered ~ctx:(ctx ^ "/" ^ label) r run;
+    run
+  in
   (* full scheme: every violation must be at a flagged use *)
   let full_machine = Vmm.Machine.create () in
-  let _, viol_full =
-    run_with_hook transformed (Runtime.Schemes.shadow_pool full_machine)
+  let viol_full =
+    detections (judged "full" (Runtime.Schemes.shadow_pool full_machine))
   in
-  check_violations_covered ~ctx:(ctx ^ "/full") r viol_full;
   (* static elision with the empty policy elides nothing, so it is the
      full scheme plus counters: the same machine counters, cycles and
      violations, which is why it needs no catalogue entry of its own *)
   let empty_machine = Vmm.Machine.create () in
-  let _, viol_empty =
-    run_with_hook transformed
-      (Runtime.Schemes.shadow_pool_static
-         ~config:{ Runtime.Schemes.elide = (fun _ -> false) }
-         empty_machine)
+  let viol_empty =
+    detections
+      (judged "empty"
+         (Runtime.Schemes.shadow_pool_static
+            ~config:{ Runtime.Schemes.elide = (fun _ -> false) }
+            empty_machine))
   in
   check_bool (ctx ^ ": empty-policy static violations = full") true
     (viol_empty = viol_full);
@@ -723,40 +724,39 @@ let oracle_one ~ctx ~expect_elision source bug =
   check_bool (ctx ^ ": empty-policy static cycles = full") true
     (Vmm.Machine.cycles empty_machine = Vmm.Machine.cycles full_machine);
   (* epoch-batched scheme: deferred protection must not change what is
-     detected or where — the violation list (site and order) must be
-     exactly the eager scheme's, whether the use trapped in the MMU
-     after retirement or hit the in-window software backstop *)
-  let out_epoch, viol_epoch =
-    run_with_hook transformed
-      (Runtime.Schemes.shadow_pool_epoch (Vmm.Machine.create ()))
+     detected or where — the detected site must be exactly the eager
+     scheme's, whether the use trapped in the MMU after retirement or
+     hit the in-window software backstop *)
+  let out_epoch =
+    judged "epoch" (Runtime.Schemes.shadow_pool_epoch (Vmm.Machine.create ()))
   in
   check_bool (ctx ^ ": epoch detections identical to eager scheme") true
-    (viol_epoch = viol_full);
+    (detections out_epoch = viol_full);
   (* static-elision scheme: same contract, plus detection must survive *)
   let static_scheme =
     Runtime.Schemes.shadow_pool_static
       ~config:{ Runtime.Schemes.elide = Minic.Dangling.elide_policy r }
       (Vmm.Machine.create ())
   in
-  let out_static, viol_static = run_with_hook transformed static_scheme in
-  check_violations_covered ~ctx:(ctx ^ "/static") r viol_static;
+  let out_static = judged "static" static_scheme in
+  let viol_static = detections out_static in
   (* inferred-pool scheme over the same transform: each inferred
      pool is a separate shadow pool whose destroy bulk-unmaps its VA, so
      a violation in a correct program here would mean an access after an
      inferred pool_destroy — the pool-lifetime soundness contract *)
-  let out_inferred, viol_inferred =
-    run_with_hook transformed
+  let out_inferred =
+    judged "inferred"
       (Runtime.Schemes.shadow_pool_inferred (Vmm.Machine.create ()))
   in
-  check_violations_covered ~ctx:(ctx ^ "/inferred") r viol_inferred;
+  let viol_inferred = detections out_inferred in
   (* tagged backend: the pure-software generation check must detect
-     exactly what the MMU-trap scheme detects, at the same sites in the
-     same order.  The only permitted asymmetry is a tag-width
-     wraparound, which the wide generation attributes exactly — any
-     divergence must be covered by the recorded wrap passes. *)
+     exactly what the MMU-trap scheme detects, at the same site.  The
+     only permitted asymmetry is a tag-width wraparound, which the wide
+     generation attributes exactly — any divergence must be covered by
+     the recorded wrap passes. *)
   let tagged_scheme = Runtime.Schemes.tagged (Vmm.Machine.create ()) in
-  let out_tagged, viol_tagged = run_with_hook transformed tagged_scheme in
-  check_violations_covered ~ctx:(ctx ^ "/tagged") r viol_tagged;
+  let out_tagged = judged "tagged" tagged_scheme in
+  let viol_tagged = detections out_tagged in
   (if viol_tagged <> viol_full then
      let ts =
        match Runtime.Schemes.introspect tagged_scheme with
@@ -783,37 +783,26 @@ let oracle_one ~ctx ~expect_elision source bug =
          "%s: correct program violated under inferred pools (access after \
           inferred pool destroy)"
          ctx;
-     (match out_inferred with
-      | Some _ -> ()
-      | None -> Alcotest.failf "%s: correct program failed under inferred pools" ctx);
-     let out_native, _ =
-       run_with_hook transformed
-         (Runtime.Schemes.native (Vmm.Machine.create ()))
-     in
-     (match (out_native, out_static) with
-      | Some a, Some b ->
-        check_bool (ctx ^ ": native/static outputs equal") true
-          (a.Minic.Interp.prints = b.Minic.Interp.prints)
-      | _ -> Alcotest.failf "%s: correct program failed to run" ctx);
-     (match (out_native, out_epoch) with
-      | Some a, Some b ->
-        check_bool (ctx ^ ": native/epoch outputs equal") true
-          (a.Minic.Interp.prints = b.Minic.Interp.prints)
-      | _ -> Alcotest.failf "%s: correct program failed under epoch" ctx);
-     (match (out_native, out_inferred) with
-      | Some a, Some b ->
-        check_bool (ctx ^ ": native/inferred outputs equal") true
-          (a.Minic.Interp.prints = b.Minic.Interp.prints)
-      | _ ->
-        Alcotest.failf "%s: correct program failed under inferred pools" ctx);
      if viol_tagged <> [] then
        Alcotest.failf "%s: correct program violated under tagged backend" ctx;
-     (match (out_native, out_tagged) with
-      | Some a, Some b ->
-        check_bool (ctx ^ ": native/tagged outputs equal") true
-          (a.Minic.Interp.prints = b.Minic.Interp.prints)
-      | _ ->
-        Alcotest.failf "%s: correct program failed under tagged backend" ctx)
+     let out_native =
+       Minic.Interp.run transformed
+         (Runtime.Schemes.native (Vmm.Machine.create ()))
+     in
+     if out_native.stopped <> None || out_epoch.stopped <> None then
+       Alcotest.failf "%s: correct program failed to run" ctx;
+     List.iter
+       (fun (label, (run : Minic.Interp.result)) ->
+         check_bool
+           (Printf.sprintf "%s: native/%s outputs equal" ctx label)
+           true
+           (out_native.prints = run.prints))
+       [
+         ("static", out_static);
+         ("epoch", out_epoch);
+         ("inferred", out_inferred);
+         ("tagged", out_tagged);
+       ]
    | Use_after_release | Must_uaf_bug | Double_free_bug ->
      if viol_full = [] then
        Alcotest.failf "%s: seeded bug not detected under full scheme" ctx;
@@ -834,8 +823,7 @@ let oracle_one ~ctx ~expect_elision source bug =
          (Vmm.Stats.registry
             static_scheme.Runtime.Scheme.machine.Vmm.Machine.stats)
          "elide.allocs"
-      > 0);
-  ignore out_static
+      > 0)
 
 let test_oracle () =
   let cases = ref 0 in
@@ -1017,6 +1005,54 @@ let test_poolify_escape_owner () =
         (List.length p.struct_names))
     r.pools
 
+(* ---- the judged run under every scheme spec ---- *)
+
+(* Every committed MiniC program, pool-transformed, under every spec:
+   only an error in the program escapes [Interp.run], every detected
+   stop is at a use the analysis flagged, the recovering scheme never
+   stops, and a scheme without a detector never reports a detection. *)
+let test_run_contract_every_spec () =
+  let programs =
+    List.concat_map
+      (fun dir ->
+        Sys.readdir (sample_dir dir)
+        |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".mc")
+        |> List.sort compare
+        |> List.map (fun f -> (f, parse (sample_file dir f))))
+      [ "examples/lint"; "examples/programs" ]
+  in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun (file, program) ->
+          let ctx =
+            Printf.sprintf "%s under %s" file
+              (Runtime.Scheme_spec.to_string spec)
+          in
+          let r = Minic.Dangling.analyze program in
+          let transformed, _ = Minic.Pool_transform.transform program in
+          let scheme = Harness.Experiment.make_scheme spec () in
+          match Minic.Interp.run transformed scheme with
+          | exception Minic.Interp.Runtime_error _
+            when file = "negative_count.mc" ->
+            ()
+          | { stopped = None; _ } -> ()
+          | { stopped = Some { site = fname, pos; outcome }; _ } -> (
+            match (spec, outcome) with
+            | Runtime.Scheme_spec.Recover _, _ ->
+              Alcotest.failf "%s: the recovering scheme stopped at %s@%s" ctx
+                fname (Minic.Ast.pos_label pos)
+            | (Native | Llvm_base | Pa _), Detected _ ->
+              Alcotest.failf "%s: a scheme with no detector reported one" ctx
+            | _, Detected _ ->
+              if not (Minic.Dangling.covers r (fname, pos)) then
+                Alcotest.failf "%s: detected at %s@%s, a use marked Safe" ctx
+                  fname (Minic.Ast.pos_label pos)
+            | _, (Crashed _ | Crashed_degraded _ | Silent _) -> ()))
+        programs)
+    Runtime.Scheme_spec.all
+
 let () =
   Alcotest.run "dangling"
     [
@@ -1068,5 +1104,9 @@ let () =
             test_poolify_escape_owner;
         ] );
       ( "oracle",
-        [ Alcotest.test_case "differential soundness" `Quick test_oracle ] );
+        [
+          Alcotest.test_case "differential soundness" `Quick test_oracle;
+          Alcotest.test_case "judged run under every spec" `Quick
+            test_run_contract_every_spec;
+        ] );
     ]

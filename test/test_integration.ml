@@ -170,8 +170,8 @@ let test_detection_diagnostics_cross_stack () =
      Minic.Interp.run transformed
        (Runtime.Schemes.shadow_pool (Machine.create ()))
    with
-   | _ -> Alcotest.fail "bug not detected"
-   | exception Shadow.Report.Violation r ->
+   | { stopped = Some { outcome = Workload.Fault_injection.Detected r; _ }; _ }
+     ->
      (match r.Shadow.Report.object_info with
       | Some info ->
         check_bool "alloc site names main's poolalloc" true
@@ -179,7 +179,8 @@ let test_detection_diagnostics_cross_stack () =
            && String.sub info.Shadow.Report.alloc_site 0 4 = "main");
         check_bool "free site recorded" true
           (info.Shadow.Report.free_site <> None)
-      | None -> Alcotest.fail "no object info"))
+      | None -> Alcotest.fail "no object info")
+   | _ -> Alcotest.fail "bug not detected")
 
 let test_efence_vs_ours_memory_on_same_workload () =
   let b =
@@ -246,8 +247,9 @@ let test_sample_figure1 () =
   match
     Minic.Interp.run transformed (Runtime.Schemes.shadow_pool (Machine.create ()))
   with
+  | { stopped = Some { outcome = Workload.Fault_injection.Detected _; _ }; _ } ->
+    ()
   | _ -> Alcotest.fail "figure1's bug must be detected"
-  | exception Shadow.Report.Violation _ -> ()
 
 let test_stats_monotonic_across_stack () =
   let m = Machine.create () in

@@ -370,6 +370,27 @@ let test_interp_step_limit () =
    | _ -> Alcotest.fail "expected step-limit error"
    | exception Minic.Interp.Runtime_error _ -> ())
 
+(* Unbounded recursion is an error in the program, caught at a fixed
+   call depth long before the host runs out of stack or heap; a deep but
+   bounded recursion below that depth still runs. *)
+let test_interp_call_depth_limit () =
+  let native () = Runtime.Schemes.native (Vmm.Machine.create ()) in
+  let runaway =
+    Minic.Parser.parse "void f(int n) { f(n + 1); } void main() { f(0); }"
+  in
+  (match Minic.Interp.run runaway (native ()) with
+   | _ -> Alcotest.fail "expected call-depth error"
+   | exception Minic.Interp.Runtime_error msg ->
+     check_bool "names the depth" true
+       (msg = "f: call depth exceeded 10000"));
+  let bounded =
+    Minic.Parser.parse
+      "int f(int n) { if (n == 0) { return 0; } return 1 + f(n - 1); }\n\
+       void main() { print(f(5000)); }"
+  in
+  check_bool "5000-deep recursion runs" true
+    ((Minic.Interp.run bounded (native ())).Minic.Interp.prints = [ 5000 ])
+
 let test_transform_recursion () =
   (* A recursive builder: the class escapes every level through the
      return value, so the pool lands in main; the program must still run
@@ -513,13 +534,14 @@ let test_array_uaf_detected () =
      Minic.Interp.run transformed
        (Runtime.Schemes.shadow_pool (Vmm.Machine.create ()))
    with
-   | _ -> Alcotest.fail "stale array access not detected"
-   | exception Shadow.Report.Violation r ->
+   | { stopped = Some { outcome = Workload.Fault_injection.Detected r; _ }; _ }
+     ->
      (match r.Shadow.Report.kind, r.Shadow.Report.object_info with
       | Shadow.Report.Use_after_free _, Some info ->
         check_int "interior offset diagnosed" (250 * 16)
           info.Shadow.Report.offset
-      | _ -> Alcotest.fail "wrong diagnosis"))
+      | _ -> Alcotest.fail "wrong diagnosis")
+   | _ -> Alcotest.fail "stale array access not detected")
 
 let test_array_count_errors () =
   let p =
@@ -654,12 +676,13 @@ let test_figure1_bug_detected_under_shadow () =
   in
   let m = Vmm.Machine.create () in
   (match Minic.Interp.run transformed (Runtime.Schemes.shadow_pool m) with
-   | _ -> Alcotest.fail "dangling deref not detected"
-   | exception Shadow.Report.Violation r ->
+   | { stopped = Some { outcome = Workload.Fault_injection.Detected r; _ }; _ }
+     ->
      check_bool "use-after-free" true
        (match r.Shadow.Report.kind with
         | Shadow.Report.Use_after_free _ -> true
-        | _ -> false))
+        | _ -> false)
+   | _ -> Alcotest.fail "dangling deref not detected")
 
 let test_figure1_bug_silent_under_native () =
   let p = Minic.Parser.parse buggy_example in
@@ -671,8 +694,10 @@ let test_figure1_bug_detected_without_pools () =
   let p = Minic.Parser.parse buggy_example in
   let m = Vmm.Machine.create () in
   (match Minic.Interp.run p (Runtime.Schemes.shadow_basic m) with
-   | _ -> Alcotest.fail "dangling deref not detected"
-   | exception Shadow.Report.Violation _ -> ())
+   | { stopped = Some { outcome = Workload.Fault_injection.Detected _; _ }; _ }
+     ->
+     ()
+   | _ -> Alcotest.fail "dangling deref not detected")
 
 let () =
   Alcotest.run "minic"
@@ -736,6 +761,8 @@ let () =
           Alcotest.test_case "division by zero" `Quick
             test_interp_division_by_zero;
           Alcotest.test_case "step limit" `Quick test_interp_step_limit;
+          Alcotest.test_case "call depth limit" `Quick
+            test_interp_call_depth_limit;
         ] );
       ( "arrays",
         [
