@@ -227,6 +227,9 @@ let run () =
           inferred_run.prints = global_run.prints
           && inferred_run.stopped = None && global_run.stopped = None
         in
+        let global_sys = syscalls global and inferred_sys = syscalls inferred in
+        let global_total = Vmm.Stats.total_syscalls global_sys in
+        let inferred_total = Vmm.Stats.total_syscalls inferred_sys in
         (* determinism gate: two independent analyses over the same
            source must serialise to the same canonical document *)
         let deterministic = canonical_map source = canonical_map source in
@@ -244,8 +247,8 @@ let run () =
           name
           (List.length result.Minic.Poolify.pools)
           destroyable (peak_pages global) (peak_pages inferred) destroyed
-          unmapped (Vmm.Stats.total_syscalls (syscalls global))
-          (Vmm.Stats.total_syscalls (syscalls inferred)) (syscalls global).syscalls_munmap (syscalls inferred).syscalls_munmap
+          unmapped global_total inferred_total global_sys.syscalls_munmap
+          inferred_sys.syscalls_munmap
           (if outputs_equal then "" else "  OUTPUT MISMATCH");
         Gate.require outputs_equal
           "pool_inference: inference changed %s's output" name;
@@ -277,10 +280,10 @@ let run () =
             ("pools_created", J.Int (inferred_count inferred "pools_created"));
             ("pools_destroyed", J.Int destroyed);
             ("destroy_unmapped_pages", J.Int unmapped);
-            ("global_syscalls", J.Int (Vmm.Stats.total_syscalls (syscalls global)));
-            ("inferred_syscalls", J.Int (Vmm.Stats.total_syscalls (syscalls inferred)));
-            ("global_munmap", J.Int (syscalls global).syscalls_munmap);
-            ("inferred_munmap", J.Int (syscalls inferred).syscalls_munmap);
+            ("global_syscalls", J.Int global_total);
+            ("inferred_syscalls", J.Int inferred_total);
+            ("global_munmap", J.Int global_sys.syscalls_munmap);
+            ("inferred_munmap", J.Int inferred_sys.syscalls_munmap);
             ("outputs_equal", J.Bool outputs_equal);
             ("deterministic", J.Bool deterministic);
           ])

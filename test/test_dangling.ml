@@ -3,8 +3,8 @@
    pinned JSON goldens behind `danguard lint --json`, and the
    differential soundness oracle — generated MiniC programs with seeded
    temporal bugs, each judged by [Minic.Interp.run] under the shadow
-   schemes, checking that every dynamic violation lands on a May/Must site and
-   that protection elision never loses a detection. *)
+   schemes, checking that every dynamic violation lands on a May/Must
+   site and that protection elision never loses a detection. *)
 
 let check_int = Alcotest.check Alcotest.int
 let check_bool = Alcotest.check Alcotest.bool
@@ -789,8 +789,8 @@ let oracle_one ~ctx ~expect_elision source bug =
        Minic.Interp.run transformed
          (Runtime.Schemes.native (Vmm.Machine.create ()))
      in
-     if out_native.stopped <> None || out_epoch.stopped <> None then
-       Alcotest.failf "%s: correct program failed to run" ctx;
+     if out_native.stopped <> None then
+       Alcotest.failf "%s: correct program stopped under native" ctx;
      List.iter
        (fun (label, (run : Minic.Interp.result)) ->
          check_bool
