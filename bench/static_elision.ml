@@ -293,7 +293,7 @@ let run () =
         let scheme = static_scheme result in
         let detected, at_flagged_site =
           match (Minic.Interp.run transformed scheme).Minic.Interp.stopped with
-          | Some { outcome = Workload.Fault_injection.Detected _; site } ->
+          | Some { outcome = Minic.Interp.Detected _; site } ->
             (true, Minic.Dangling.covers result site)
           | Some _ | None -> (false, false)
         in

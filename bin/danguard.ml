@@ -440,15 +440,10 @@ let compile_cmd =
             (Minic.Interp.Runtime_error msg
             | Minic.Interp.Null_dereference msg) ->
           `Error (false, Printf.sprintf "%s: runtime error: %s" file msg)
-        | { stopped = Some { outcome = Detected r; _ }; _ } ->
-          Printf.printf "TEMPORAL ERROR DETECTED: %s\n"
-            (Shadow.Report.to_string r);
+        | { stopped = Some stop; _ } ->
+          print_endline (Minic.Interp.stop_label stop);
           `Ok ()
-        | { stopped = Some { site; outcome = Crashed m | Crashed_degraded m }; _ } ->
-          Printf.printf "UNDETECTED CRASH at %s@%s: %s\n" (fst site)
-            (Minic.Ast.pos_label (snd site)) m;
-          `Ok ()
-        | { prints; steps; stopped = None | Some { outcome = Silent _; _ } } ->
+        | { prints; steps; stopped = None } ->
           List.iter (Printf.printf "print: %d\n") prints;
           Printf.printf "steps: %d, cycles: %sM\n" steps
             (Harness.Table.fmt_cycles (Runtime.Scheme.cycles scheme));

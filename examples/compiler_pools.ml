@@ -83,7 +83,7 @@ let () =
   let machine = Vmm.Machine.create () in
   let scheme = Runtime.Schemes.shadow_pool machine in
   (match Minic.Interp.run transformed scheme with
-   | { stopped = Some { outcome = Workload.Fault_injection.Detected report; _ }; _ }
+   | { stopped = Some { outcome = Minic.Interp.Detected report; _ }; _ }
      ->
      Printf.printf "DETECTED: %s\n" (Shadow.Report.to_string report)
    | outcome ->
@@ -109,7 +109,7 @@ let () =
   let s = Runtime.Schemes.shadow_pool m in
   let va_after n =
     for _ = 1 to n do
-      ignore (Minic.Interp.run correct s)
+      assert ((Minic.Interp.run correct s).Minic.Interp.stopped = None)
     done;
     Vmm.Machine.va_bytes_used m
   in

@@ -1,12 +1,17 @@
 exception Null_dereference of string
 exception Runtime_error of string
 
-type stop = {
-  site : string * Ast.pos;
-  outcome : Workload.Fault_injection.outcome;
-}
+type outcome = Detected of Shadow.Report.t | Crashed of string
+
+type stop = { site : string * Ast.pos; outcome : outcome }
 
 type result = { prints : int list; steps : int; stopped : stop option }
+
+let stop_label { site = fname, pos; outcome } =
+  match outcome with
+  | Detected r -> "TEMPORAL ERROR DETECTED: " ^ Shadow.Report.to_string r
+  | Crashed m ->
+    Printf.sprintf "UNDETECTED CRASH at %s@%s: %s" fname (Ast.pos_label pos) m
 
 (* Deeper recursion than any committed program reaches by far; past it a
    runaway recursion is an error in the program, not a host crash. *)
@@ -39,26 +44,24 @@ let step st =
   st.scheme.Runtime.Scheme.compute 1;
   if st.steps > st.max_steps then fail "exceeded %d interpreter steps" st.max_steps
 
-let lookup_var st frame name =
-  match Hashtbl.find_opt frame.vars name with
+(* A name's binding in the frame, else in the globals. *)
+let scoped local global name =
+  match Hashtbl.find_opt local name with
+  | None -> Hashtbl.find_opt global name
+  | found -> found
+
+let lookup what local global name =
+  match scoped local global name with
   | Some v -> v
-  | None ->
-    (match Hashtbl.find_opt st.globals name with
-     | Some v -> v
-     | None -> fail "unbound variable %s" name)
+  | None -> fail "unbound %s %s" what name
+
+let lookup_var st frame = lookup "variable" frame.vars st.globals
+let lookup_pool st frame = lookup "pool descriptor" frame.pools st.global_pools
 
 let set_var st frame name v =
   if Hashtbl.mem frame.vars name then Hashtbl.replace frame.vars name v
   else if Hashtbl.mem st.globals name then Hashtbl.replace st.globals name v
   else fail "assignment to unbound variable %s" name
-
-let lookup_pool st frame name =
-  match Hashtbl.find_opt frame.pools name with
-  | Some p -> p
-  | None ->
-    (match Hashtbl.find_opt st.global_pools name with
-     | Some p -> p
-     | None -> fail "unbound pool descriptor %s" name)
 
 let truthy v = v <> 0
 let of_bool b = if b then 1 else 0
@@ -167,12 +170,9 @@ and field_addr st frame fname base f =
    types recorded at Decl/param-bind time make this a cheap lookup. *)
 and struct_of_expr st fname frame = function
   | Ast.Var x ->
-    (match Hashtbl.find_opt frame.vars ("%type:" ^ x) with
-     | Some id -> Some (List.nth (List.map fst st.program.Ast.structs) id)
-     | None ->
-       (match Hashtbl.find_opt st.globals ("%type:" ^ x) with
-        | Some id -> Some (List.nth (List.map fst st.program.Ast.structs) id)
-        | None -> None))
+    Option.map
+      (fun id -> fst (List.nth st.program.Ast.structs id))
+      (scoped frame.vars st.globals ("%type:" ^ x))
   | Ast.Field (base, f, _) ->
     Option.bind (struct_of_expr st fname frame base) (fun sname ->
         match
@@ -212,15 +212,8 @@ and call st caller g args caller_frame =
   | None -> fail "%s: call to undefined function %s" caller g
   | Some callee ->
     let n_params = List.length callee.Ast.params in
-    let value_args, pool_args =
-      let rec split i = function
-        | [] -> ([], [])
-        | arg :: rest ->
-          let vs, ps = split (i + 1) rest in
-          if i < n_params then (arg :: vs, ps) else (vs, arg :: ps)
-      in
-      split 0 args
-    in
+    let value_args = List.filteri (fun i _ -> i < n_params) args in
+    let pool_args = List.filteri (fun i _ -> i >= n_params) args in
     let depth = caller_frame.depth + 1 in
     if depth > max_call_depth then
       fail "%s: call depth exceeded %d" g max_call_depth;
@@ -332,6 +325,8 @@ let run ?(max_steps = 50_000_000) program scheme =
   let stopped =
     match Workload.Fault_injection.observe main with
     | Silent _ -> None
-    | outcome -> Some { site = st.site; outcome }
+    | Detected r -> Some { site = st.site; outcome = Detected r }
+    | Crashed m | Crashed_degraded m ->
+      Some { site = st.site; outcome = Crashed m }
   in
   { prints = List.rev st.prints; steps = st.steps; stopped }

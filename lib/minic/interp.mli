@@ -15,12 +15,15 @@ exception Null_dereference of string
 exception Runtime_error of string
 (** Division by zero, unbound variable, runaway recursion, etc. *)
 
+type outcome = Detected of Shadow.Report.t | Crashed of string
+(** How a stopped run ended: {!Workload.Fault_injection.observe}'s
+    classification less [Silent], which is a run that returned. *)
+
 type stop = {
   site : string * Ast.pos;
       (** function and position of the load, store, free or allocation
           where the run ended ([Ast.no_pos] at a pool create/destroy) *)
-  outcome : Workload.Fault_injection.outcome;
-      (** [Detected report] or [Crashed msg], never [Silent] *)
+  outcome : outcome;
 }
 
 type result = {
@@ -28,6 +31,10 @@ type result = {
   steps : int;         (** AST evaluation steps executed *)
   stopped : stop option;  (** [None] when [main] returned *)
 }
+
+val stop_label : stop -> string
+(** The line [compile --run] prints for a stop: [TEMPORAL ERROR
+    DETECTED: report], or [UNDETECTED CRASH at f@line:col: msg]. *)
 
 val run : ?max_steps:int -> Ast.program -> Runtime.Scheme.t -> result
 (** Execute [main] with no arguments, inside

@@ -687,9 +687,8 @@ let check_violations_covered ~ctx (r : Minic.Dangling.result)
       Alcotest.failf
         "%s: dynamic violation at %s:%s hit a site the analysis marked Safe"
         ctx fname (Minic.Ast.pos_label pos)
-  | Some { outcome; _ } ->
-    Alcotest.failf "%s: undetected stop: %s" ctx
-      (Workload.Fault_injection.outcome_label outcome)
+  | Some ({ outcome = Crashed _; _ } as stop) ->
+    Alcotest.failf "%s: %s" ctx (Minic.Interp.stop_label stop)
 
 let oracle_one ~ctx ~expect_elision source bug =
   let program = parse source in
@@ -1010,7 +1009,8 @@ let test_poolify_escape_owner () =
 (* Every committed MiniC program, pool-transformed, under every spec:
    only an error in the program escapes [Interp.run], every detected
    stop is at a use the analysis flagged, the recovering scheme never
-   stops, and a scheme without a detector never reports a detection. *)
+   stops, a scheme without a detector never reports a detection, and
+   only such a scheme may crash. *)
 let test_run_contract_every_spec () =
   let programs =
     List.concat_map
@@ -1038,18 +1038,21 @@ let test_run_contract_every_spec () =
             when file = "negative_count.mc" ->
             ()
           | { stopped = None; _ } -> ()
-          | { stopped = Some { site = fname, pos; outcome }; _ } -> (
+          | { stopped = Some ({ site; outcome } as stop); _ } -> (
             match (spec, outcome) with
             | Runtime.Scheme_spec.Recover _, _ ->
-              Alcotest.failf "%s: the recovering scheme stopped at %s@%s" ctx
-                fname (Minic.Ast.pos_label pos)
+              Alcotest.failf "%s: the recovering scheme stopped: %s" ctx
+                (Minic.Interp.stop_label stop)
+            | (Native | Llvm_base | Pa _), Crashed _ -> ()
             | (Native | Llvm_base | Pa _), Detected _ ->
               Alcotest.failf "%s: a scheme with no detector reported one" ctx
+            | _, Crashed _ ->
+              Alcotest.failf "%s: a detecting scheme missed it: %s" ctx
+                (Minic.Interp.stop_label stop)
             | _, Detected _ ->
-              if not (Minic.Dangling.covers r (fname, pos)) then
+              if not (Minic.Dangling.covers r site) then
                 Alcotest.failf "%s: detected at %s@%s, a use marked Safe" ctx
-                  fname (Minic.Ast.pos_label pos)
-            | _, (Crashed _ | Crashed_degraded _ | Silent _) -> ()))
+                  (fst site) (Minic.Ast.pos_label (snd site))))
         programs)
     Runtime.Scheme_spec.all
 

@@ -8,6 +8,15 @@ open Vmm
 let check_int = Alcotest.check Alcotest.int
 let check_bool = Alcotest.check Alcotest.bool
 
+(* A run that must end by [main] returning: a stop fails the test. *)
+let clean_run program scheme =
+  let run = Minic.Interp.run program scheme in
+  Option.iter
+    (fun stop ->
+      Alcotest.failf "unexpected stop: %s" (Minic.Interp.stop_label stop))
+    run.Minic.Interp.stopped;
+  run
+
 (* A MiniC workload with pools, data-structure churn, and output. *)
 let list_workload =
   {|
@@ -76,7 +85,7 @@ let test_minic_under_every_scheme () =
   List.iter
     (fun (name, make) ->
       let run p =
-        (Minic.Interp.run p (make (Machine.create ()))).Minic.Interp.prints
+        (clean_run p (make (Machine.create ()))).Minic.Interp.prints
       in
       check_bool (name ^ ": plain program output") true
         (run program = expected_prints);
@@ -95,7 +104,7 @@ let test_transformed_program_bounded_va () =
     let m = Machine.create () in
     let scheme = Runtime.Schemes.shadow_pool m in
     for _ = 1 to rounds do
-      ignore (Minic.Interp.run transformed scheme)
+      ignore (clean_run transformed scheme)
     done;
     Machine.va_bytes_used m
   in
@@ -170,7 +179,7 @@ let test_detection_diagnostics_cross_stack () =
      Minic.Interp.run transformed
        (Runtime.Schemes.shadow_pool (Machine.create ()))
    with
-   | { stopped = Some { outcome = Workload.Fault_injection.Detected r; _ }; _ }
+   | { stopped = Some { outcome = Minic.Interp.Detected r; _ }; _ }
      ->
      (match r.Shadow.Report.object_info with
       | Some info ->
@@ -217,8 +226,7 @@ let test_sample_matrix () =
     Minic.Pool_transform.transform (Minic.Parser.parse (sample_program "matrix.mc"))
   in
   let out =
-    (Minic.Interp.run transformed
-       (Runtime.Schemes.shadow_pool (Machine.create ())))
+    (clean_run transformed (Runtime.Schemes.shadow_pool (Machine.create ())))
       .Minic.Interp.prints
   in
   check_bool "matrix output" true (out = [ 2124 ])
@@ -233,8 +241,7 @@ let test_sample_server_session () =
        (fun d -> d.Minic.Pool_transform.owner = "main")
        summary.Minic.Pool_transform.pools);
   let out =
-    (Minic.Interp.run transformed
-       (Runtime.Schemes.shadow_pool (Machine.create ())))
+    (clean_run transformed (Runtime.Schemes.shadow_pool (Machine.create ())))
       .Minic.Interp.prints
   in
   check_bool "session output" true (out = [ 100; 101; 102; 44 ])
@@ -247,7 +254,7 @@ let test_sample_figure1 () =
   match
     Minic.Interp.run transformed (Runtime.Schemes.shadow_pool (Machine.create ()))
   with
-  | { stopped = Some { outcome = Workload.Fault_injection.Detected _; _ }; _ } ->
+  | { stopped = Some { outcome = Minic.Interp.Detected _; _ }; _ } ->
     ()
   | _ -> Alcotest.fail "figure1's bug must be detected"
 

@@ -276,6 +276,15 @@ let test_transform_requires_main () =
    | _ -> Alcotest.fail "expected Transform_error"
    | exception Minic.Pool_transform.Transform_error _ -> ())
 
+(* A run that must end by [main] returning: a stop fails the test. *)
+let clean_run program scheme =
+  let run = Minic.Interp.run program scheme in
+  Option.iter
+    (fun stop ->
+      Alcotest.failf "unexpected stop: %s" (Minic.Interp.stop_label stop))
+    run.Minic.Interp.stopped;
+  run
+
 let test_transform_early_returns () =
   let src =
     "struct s { int v; }\n\
@@ -291,10 +300,9 @@ let test_transform_early_returns () =
   (* Run it: the pool must be destroyed exactly once on the early-return
      path (a double destroy would raise Invalid_argument). *)
   let m = Vmm.Machine.create () in
-  ignore (Minic.Interp.run transformed (Runtime.Schemes.shadow_pool m))
+  ignore (clean_run transformed (Runtime.Schemes.shadow_pool m))
 
-let prints program scheme =
-  (Minic.Interp.run program scheme).Minic.Interp.prints
+let prints program scheme = (clean_run program scheme).Minic.Interp.prints
 
 let test_transform_preserves_semantics () =
   let p = Minic.Parser.parse running_example in
@@ -389,7 +397,7 @@ let test_interp_call_depth_limit () =
        void main() { print(f(5000)); }"
   in
   check_bool "5000-deep recursion runs" true
-    ((Minic.Interp.run bounded (native ())).Minic.Interp.prints = [ 5000 ])
+    (prints bounded (native ()) = [ 5000 ])
 
 let test_transform_recursion () =
   (* A recursive builder: the class escapes every level through the
@@ -534,7 +542,7 @@ let test_array_uaf_detected () =
      Minic.Interp.run transformed
        (Runtime.Schemes.shadow_pool (Vmm.Machine.create ()))
    with
-   | { stopped = Some { outcome = Workload.Fault_injection.Detected r; _ }; _ }
+   | { stopped = Some { outcome = Minic.Interp.Detected r; _ }; _ }
      ->
      (match r.Shadow.Report.kind, r.Shadow.Report.object_info with
       | Shadow.Report.Use_after_free _, Some info ->
@@ -676,7 +684,7 @@ let test_figure1_bug_detected_under_shadow () =
   in
   let m = Vmm.Machine.create () in
   (match Minic.Interp.run transformed (Runtime.Schemes.shadow_pool m) with
-   | { stopped = Some { outcome = Workload.Fault_injection.Detected r; _ }; _ }
+   | { stopped = Some { outcome = Minic.Interp.Detected r; _ }; _ }
      ->
      check_bool "use-after-free" true
        (match r.Shadow.Report.kind with
@@ -694,7 +702,7 @@ let test_figure1_bug_detected_without_pools () =
   let p = Minic.Parser.parse buggy_example in
   let m = Vmm.Machine.create () in
   (match Minic.Interp.run p (Runtime.Schemes.shadow_basic m) with
-   | { stopped = Some { outcome = Workload.Fault_injection.Detected _; _ }; _ }
+   | { stopped = Some { outcome = Minic.Interp.Detected _; _ }; _ }
      ->
      ()
    | _ -> Alcotest.fail "dangling deref not detected")
