@@ -8,7 +8,7 @@ module J = Telemetry.Json
 
 let structural () =
   let m = Machine.create () in
-  let a = Kernel.mmap m ~pages:1 in
+  let a = Syscalls.ok_or_raise ~name:"fastpath" (Syscalls.mmap m ~pages:1) in
   ignore (Mmu.load m a ~width:8);
   (* warm *)
   let walks0 = Page_table.walk_count m.Machine.page_table in

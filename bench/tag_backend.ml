@@ -48,7 +48,10 @@ let wrap_demo () =
      generation attributes the resulting masked pass exactly. *)
   let machine = Vmm.Machine.create () in
   let table = Tagging.Tag_table.create ~tag_bits:2 machine in
-  let base = Vmm.Kernel.mmap machine ~pages:1 in
+  let base =
+    Vmm.Syscalls.ok_or_raise ~name:"wrap_demo"
+      (Vmm.Syscalls.mmap machine ~pages:1)
+  in
   let p0 = Tagging.Tag_table.register table ~base ~size:16 ~site:"wrap.c:1" in
   ignore (Tagging.Tag_table.free table p0 ~site:"wrap.c:2");
   for _ = 2 to 4 do

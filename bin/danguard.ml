@@ -440,7 +440,9 @@ let compile_cmd =
             (Minic.Interp.Runtime_error msg
             | Minic.Interp.Null_dereference msg) ->
           `Error (false, Printf.sprintf "%s: runtime error: %s" file msg)
-        | { stopped = Some stop; _ } ->
+        | { prints; stopped = Some stop; _ } ->
+          (* What ran before the stop is printed before it. *)
+          List.iter (Printf.printf "print: %d\n") prints;
           print_endline (Minic.Interp.stop_label stop);
           `Ok ()
         | { prints; steps; stopped = None } ->

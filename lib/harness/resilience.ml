@@ -89,6 +89,19 @@ let plans =
           };
         ];
     };
+    {
+      p_name = "recycle-fail";
+      p_description = "every mmap_fixed re-backing of a recycled range \
+                       fails with ENOMEM: pools must take fresh pages";
+      rules =
+        [
+          {
+            Fault_plan.calls = [ Fault_plan.Mmap_fixed ];
+            trigger = Fault_plan.Rate 1.;
+            error = Fault_plan.Fatal Fault_plan.Enomem;
+          };
+        ];
+    };
   ]
 
 type scheme_kind =

@@ -2,7 +2,8 @@
 
     Sweeps fault plans (deterministic {!Vmm.Fault_plan}s: none, transient
     rates on the two guarantee-critical syscalls, a failure burst, a
-    one-shot fatal, and modeled address-space exhaustion) against the
+    one-shot fatal, modeled address-space exhaustion, and refused
+    re-backing of recycled pool ranges) against the
     Olden workloads under {!Runtime.Governed} schemes, then asserts the
     robustness invariants of the degradation design:
 

@@ -35,7 +35,10 @@ let alloc t size =
   let need = align16 (prefix + size) in
   if t.cursor = 0 || t.cursor + need > t.limit then begin
     let pages = max t.region_pages (Addr.pages_spanning 0 need) in
-    let base = Kernel.mmap t.machine ~pages in
+    let base =
+      Syscalls.ok_or_raise ~name:"Bump_alloc"
+        (Syscalls.mmap t.machine ~pages)
+    in
     t.regions <- (base, pages) :: t.regions;
     t.cursor <- base;
     t.limit <- base + (pages * Addr.page_size)

@@ -33,7 +33,10 @@ let create ?(arena_pages = 64) ?page_source machine =
   let page_source =
     match page_source with
     | Some f -> f
-    | None -> fun pages -> Kernel.mmap machine ~pages
+    | None ->
+      fun pages ->
+        Syscalls.ok_or_raise ~name:"Freelist_malloc"
+          (Syscalls.mmap machine ~pages)
   in
   {
     machine;

@@ -22,7 +22,8 @@ val create :
   ?arena_pages:int -> ?page_source:(int -> Vmm.Addr.t) -> Vmm.Machine.t -> t
 (** [arena_pages] is the size of each mmap'd small-object arena (default
     64 pages).  [page_source] supplies mapped read-write pages when the
-    allocator needs more memory (default: [Kernel.mmap]); the pool
+    allocator needs more memory (default: [Syscalls.mmap], raising
+    [Fault_plan.Syscall_failure] on an error); the pool
     run-time passes a source that draws on recycled virtual ranges. *)
 
 val alloc : t -> int -> Vmm.Addr.t

@@ -39,6 +39,11 @@ let take t ~pages =
   in
   go [] t.ranges
 
+let untake t ~base ~pages =
+  put t ~base ~pages;
+  t.recycled <- t.recycled - pages;
+  t.reused <- t.reused - pages
+
 let available_pages t = t.available
 let total_recycled_pages t = t.recycled
 let total_reused_pages t = t.reused

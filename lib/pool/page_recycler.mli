@@ -24,6 +24,11 @@ val take : t -> pages:int -> Vmm.Addr.t option
     larger stored range if needed; [None] if nothing large enough is
     stored. *)
 
+val untake : t -> base:Vmm.Addr.t -> pages:int -> unit
+(** Give back a range that {!take} just returned and that could not be
+    reused (its re-backing failed): it returns to the free list, and
+    neither cumulative counter keeps the round trip. *)
+
 val available_pages : t -> int
 (** Pages currently on the free list. *)
 

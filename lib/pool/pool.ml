@@ -17,17 +17,25 @@ type t = {
   mutable destroyed : bool;
 }
 
+let fresh_pages machine pages =
+  Syscalls.ok_or_raise ~name:"Pool.alloc" (Syscalls.mmap machine ~pages)
+
 let take_pages machine reclaim owned pages =
   let base =
     match reclaim with
     | Recycle recycler ->
       (match Page_recycler.take recycler ~pages with
        | Some base ->
-         (* Fresh backing severs stale aliases and clears protections. *)
-         Kernel.mmap_fixed machine ~addr:base ~pages;
-         base
-       | None -> Kernel.mmap machine ~pages)
-    | Unmap | Leak -> Kernel.mmap machine ~pages
+         (* Fresh backing severs stale aliases and clears protections.
+            If the kernel refuses it, the range goes back untouched (its
+            stale protections still trap) and this pool maps new pages. *)
+         (match Syscalls.mmap_fixed machine ~addr:base ~pages with
+          | Ok () -> base
+          | Error _ ->
+            Page_recycler.untake recycler ~base ~pages;
+            fresh_pages machine pages)
+       | None -> fresh_pages machine pages)
+    | Unmap | Leak -> fresh_pages machine pages
   in
   owned := { base; pages } :: !owned;
   base
@@ -66,7 +74,9 @@ let destroy t =
   let reclaim_range { base; pages } =
     match t.reclaim with
     | Recycle recycler -> Page_recycler.put recycler ~base ~pages
-    | Unmap -> Kernel.munmap t.machine ~addr:base ~pages
+    | Unmap ->
+      Syscalls.ok_or_raise ~name:"Pool.destroy"
+        (Syscalls.munmap t.machine ~addr:base ~pages)
     | Leak -> ()
   in
   List.iter reclaim_range !(t.owned);

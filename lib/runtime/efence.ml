@@ -7,9 +7,13 @@ let malloc st machine ?(site = "<unknown>") size =
   let data_pages = Addr.pages_spanning 0 size in
   (* Unlike the shadow scheme there is no canonical/shadow split: the one
      mapping owns its frames outright — that is exactly the flaw. *)
-  let base = Kernel.mmap machine ~pages:(data_pages + 1) in
+  let base =
+    Syscalls.ok_or_raise ~name:"Efence.malloc"
+      (Syscalls.mmap machine ~pages:(data_pages + 1))
+  in
   let guard = base + (data_pages * Addr.page_size) in
-  Kernel.mprotect machine ~addr:guard ~pages:1 Perm.No_access;
+  Syscalls.ok_or_raise ~name:"Efence.malloc"
+    (Syscalls.mprotect machine ~addr:guard ~pages:1 Perm.No_access);
   (* Real Electric Fence places the object flush against the end of its
      page(s), so even a one-byte overrun lands on the guard page (at the
      price of leaving underruns uncaught). *)
@@ -25,8 +29,9 @@ let free st machine ?(site = "<unknown>") addr =
   | Some obj
     when obj.Shadow.Object_registry.user_addr = addr
          && obj.Shadow.Object_registry.state = Shadow.Object_registry.Live ->
-    Kernel.mprotect machine ~addr:obj.Shadow.Object_registry.shadow_base
-      ~pages:obj.Shadow.Object_registry.pages Perm.No_access;
+    Syscalls.ok_or_raise ~name:"Efence.free"
+      (Syscalls.mprotect machine ~addr:obj.Shadow.Object_registry.shadow_base
+         ~pages:obj.Shadow.Object_registry.pages Perm.No_access);
     Shadow.Object_registry.mark_freed st.registry obj ~free_site:site
   | Some obj ->
     let kind =

@@ -110,7 +110,13 @@ let shadow_basic machine =
   let governor = Governor.create machine in
   let ever_unprotected = Hashtbl.create 64 in
   let unprotected_allocs = ref 0 in
-  let malloc_heap = Heap.Freelist_malloc.create machine in
+  (* Arena pages get the same bounded retry as the protection calls; an
+     arena the kernel still refuses has no fallback and raises. *)
+  let page_source pages =
+    Syscalls.ok_or_raise ~name:"Governed.shadow_basic"
+      (Retry.attempt machine (fun () -> Syscalls.mmap machine ~pages))
+  in
+  let malloc_heap = Heap.Freelist_malloc.create ~page_source machine in
   let heap =
     Shadow.Shadow_heap.create ~registry
       ~allocator:(Heap.Freelist_malloc.as_allocator malloc_heap)

@@ -250,14 +250,19 @@ let recoverable ?(on_report = fun (_ : Shadow.Report.t) -> ())
   let recovered_stores = counter machine "recover.stores" in
   let recovered_frees = counter machine "recover.frees" in
   let pages_unprotected = counter machine "recover.pages_unprotected" in
-  (* True when a retry of the faulting access can now succeed. *)
+  (* True when a retry of the faulting access can now succeed.  A page
+     the kernel refuses to unprotect is handled like a wild access. *)
   let unprotect_fault fault_addr =
     match Kernel.page_perm machine fault_addr with
-    | Some Perm.No_access ->
-      Kernel.mprotect machine ~addr:(Addr.page_base fault_addr) ~pages:1
-        Perm.Read_write;
-      Metrics.incr pages_unprotected;
-      true
+    | Some Perm.No_access -> (
+      match
+        Syscalls.mprotect machine ~addr:(Addr.page_base fault_addr) ~pages:1
+          Perm.Read_write
+      with
+      | Ok () ->
+        Metrics.incr pages_unprotected;
+        true
+      | Error _ -> false)
     | Some _ -> true (* software check fired; page was never protected *)
     | None -> false (* wild access: nothing is mapped there *)
   in

@@ -235,7 +235,9 @@ let destroy t =
   t.destroyed <- true;
   (* Flush before the pool recycles canonical VA: recycled pages get
      fresh physical backing, which would invalidate cached aliases. *)
-  (match t.slab with Some s -> ignore (Slab.flush s) | None -> ());
+  (match t.slab with
+   | Some s -> ignore (Slab.flush s ~unmap:t.unmap)
+   | None -> ());
   (* Batched teardown, same shape as [reclaim_ranges]: fuse every
      shadow range and pay one recycler insertion or one [unmap] per
      merged run instead of one syscall per object range.  Destruction

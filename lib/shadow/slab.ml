@@ -40,24 +40,25 @@ let take t ~src ~pages =
        Hashtbl.replace t.cache key (ref spare);
        Ok base)
 
-let flush t =
+let flush t ~unmap =
   (* Cached aliases were never handed out, so unmapping them is pure
      bookkeeping; contiguous spares from one slab coalesce into a single
-     munmap.  Raw [Kernel.munmap] is deliberate — these are our own
-     mappings and a failure here would be a bookkeeping bug, not an
-     injectable fault. *)
+     munmap.  A run whose unmap fails stays mapped and is never handed
+     out: it leaks address space, not detection. *)
   let ranges =
     Hashtbl.fold
       (fun (_, pages) cell acc ->
         List.fold_left (fun acc base -> (base, pages) :: acc) acc !cell)
       t.cache []
   in
-  let runs = Syscalls.coalesce_ranges ranges in
-  List.iter
-    (fun (base, pages) -> Kernel.munmap t.machine ~addr:base ~pages)
-    runs;
   Hashtbl.reset t.cache;
-  List.fold_left (fun acc (_, pages) -> acc + pages) 0 runs
+  List.fold_left
+    (fun acc (base, pages) ->
+      match unmap ~addr:base ~pages with
+      | Ok () -> acc + pages
+      | Error _ -> acc)
+    0
+    (Syscalls.coalesce_ranges ranges)
 
 let cached_aliases t =
   Hashtbl.fold (fun _ cell acc -> acc + List.length !cell) t.cache 0

@@ -2,7 +2,7 @@
 
     The paper's per-allocation [mremap] is the alloc-side syscall tax.
     This cache pays it once per {e slab}: a single vectored
-    {!Vmm.Kernel.mremap_alias_slab} call creates [copies] contiguous
+    {!Vmm.Syscalls.mremap_alias_slab} call creates [copies] contiguous
     aliases of a canonical page run, one is returned immediately and the
     rest are kept for later allocations on the same run.  Because a
     freelist allocator recycles canonical pages heavily, churn-shaped
@@ -27,9 +27,14 @@ val take :
     one is left (no syscall), otherwise via one vectored slab call that
     also restocks the cache.  [src] must be a mapped page base. *)
 
-val flush : t -> int
-(** Unmap every cached (never handed out) alias, coalescing contiguous
-    spares into single [munmap] calls; returns the pages released.
+val flush :
+  t ->
+  unmap:(addr:Vmm.Addr.t -> pages:int -> (unit, Vmm.Fault_plan.error) result) ->
+  int
+(** Unmap every cached (never handed out) alias with [unmap] (the owning
+    {!Shadow_pool}'s release call), coalescing contiguous spares into
+    single calls; returns the pages released.  A run whose [unmap] fails
+    stays mapped but leaves the cache, so it is never handed out.
     Mandatory at pool destroy: recycled canonical VA gets fresh physical
     backing, which would silently invalidate cached aliases. *)
 

@@ -13,6 +13,7 @@ exception Syscall_failure of { name : string; error : error }
 
 type call =
   | Mmap
+  | Mmap_fixed
   | Mremap
   | Mprotect
   | Munmap
@@ -29,13 +30,14 @@ type rule = {
   error : error;
 }
 
-let call_count = 4
+let call_count = 5
 
 let call_index = function
   | Mmap -> 0
-  | Mremap -> 1
-  | Mprotect -> 2
-  | Munmap -> 3
+  | Mmap_fixed -> 1
+  | Mremap -> 2
+  | Mprotect -> 3
+  | Munmap -> 4
 
 let errno_label = function
   | Enomem -> "ENOMEM"

@@ -1,7 +1,7 @@
 (** Deterministic, seeded syscall fault injection.
 
-    A plan is a list of rules consulted by {!Syscalls} on every
-    paper-facing kernel call; the first rule whose trigger fires decides
+    A plan is a list of rules consulted by {!Syscalls} on every mapping
+    call the library makes; the first rule whose trigger fires decides
     the injected error.  All randomness comes from the plan's own
     splitmix64 stream, so a (seed, rules, workload) triple always
     reproduces the same fault timeline — a failed campaign run can be
@@ -28,12 +28,13 @@ exception Syscall_failure of { name : string; error : error }
     when the typed path underneath them fails and no caller is prepared
     to degrade gracefully. *)
 
-(** The injectable call kinds.  Re-backing a recycled range
-    ([Kernel.mmap_fixed], issued by [Apa.Pool] when it takes pages from
-    its recycler) does not go through {!Syscalls}, so it is outside the
-    fault model. *)
+(** The injectable call kinds, one per {!Syscalls} entry family.
+    [Mmap_fixed] is the re-backing of a recycled range with fresh
+    frames, which [Apa.Pool] issues when it takes pages back from its
+    recycler; [Mremap] covers all three aliasing calls. *)
 type call =
   | Mmap
+  | Mmap_fixed
   | Mremap
   | Mprotect
   | Munmap

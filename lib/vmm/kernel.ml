@@ -61,11 +61,15 @@ let frame_of_mapped (m : Machine.t) page =
     invalid_arg
       (Printf.sprintf "Kernel.mremap: source page %d not mapped" page)
 
-let alias_range (m : Machine.t) ~src ~dst ~pages =
-  (* Collect source frames first: if the ranges overlap, remapping the
-     destination must not disturb a source page read later. *)
+(* Every aliasing call reads its source frames before it counts, traces
+   or maps anything, so an unmapped source page rejects the request with
+   the machine unchanged.  Reading them first also keeps an overlapping
+   destination from disturbing a source page read later. *)
+let source_frames (m : Machine.t) ~src ~pages =
   let src_page = Addr.page_index src in
-  let frames = Array.init pages (fun i -> frame_of_mapped m (src_page + i)) in
+  Array.init pages (fun i -> frame_of_mapped m (src_page + i))
+
+let map_frames (m : Machine.t) ~dst frames =
   Array.iteri
     (fun i frame -> map_page m (Addr.page_index dst + i) frame Perm.Read_write)
     frames
@@ -73,10 +77,11 @@ let alias_range (m : Machine.t) ~src ~dst ~pages =
 let mremap_alias (m : Machine.t) ~src ~pages =
   check_aligned "mremap_alias" src;
   check_pages "mremap_alias" pages;
+  let frames = source_frames m ~src ~pages in
   Stats.count_syscall m.stats Stats.Sys_mremap;
   trace_syscall m "mremap" pages;
   let dst = Machine.fresh_pages m pages in
-  alias_range m ~src ~dst ~pages;
+  map_frames m ~dst frames;
   dst
 
 (* Vectored aliasing: one kernel crossing creates [copies] back-to-back
@@ -84,22 +89,17 @@ let mremap_alias (m : Machine.t) ~src ~pages =
    [src .. src+pages).  The copies are contiguous in fresh VA, so a
    later coalesced mprotect over consecutively-freed slab objects
    merges into a single range.  This is the "alias a slab at a time"
-   OS enhancement the paper sketches as future work; validation happens
-   before any mapping is touched so a rejected call leaves the machine
-   unchanged. *)
+   OS enhancement the paper sketches as future work. *)
 let mremap_alias_slab (m : Machine.t) ~src ~pages ~copies =
   check_aligned "mremap_alias_slab" src;
   check_pages "mremap_alias_slab" pages;
   if copies <= 0 then invalid_arg "Kernel.mremap_alias_slab: copies <= 0";
-  let src_page = Addr.page_index src in
-  for i = 0 to pages - 1 do
-    ignore (frame_of_mapped m (src_page + i))
-  done;
+  let frames = source_frames m ~src ~pages in
   Stats.count_syscall m.stats Stats.Sys_mremap;
   trace_syscall m "mremap_slab" (pages * copies);
   let base = Machine.fresh_pages m (pages * copies) in
   for c = 0 to copies - 1 do
-    alias_range m ~src ~dst:(base + (c * pages * Addr.page_size)) ~pages
+    map_frames m ~dst:(base + (c * pages * Addr.page_size)) frames
   done;
   base
 
@@ -107,31 +107,36 @@ let mremap_alias_at (m : Machine.t) ~src ~dst ~pages =
   check_aligned "mremap_alias_at" src;
   check_aligned "mremap_alias_at" dst;
   check_pages "mremap_alias_at" pages;
+  let frames = source_frames m ~src ~pages in
   Stats.count_syscall m.stats Stats.Sys_mremap;
   trace_syscall m "mremap" pages;
-  alias_range m ~src ~dst ~pages
+  map_frames m ~dst frames
 
 let mprotect (m : Machine.t) ~addr ~pages perm =
   check_aligned "mprotect" addr;
   check_pages "mprotect" pages;
+  let page = Addr.page_index addr in
+  (* [set_perm_range] rejects a range with an unmapped page before it
+     changes any entry, so a rejected call is neither counted nor
+     traced. *)
+  Page_table.set_perm_range m.page_table ~page ~pages perm;
   Stats.count_syscall m.stats Stats.Sys_mprotect;
   trace_syscall m "mprotect" pages;
-  let page = Addr.page_index addr in
-  Page_table.set_perm_range m.page_table ~page ~pages perm;
   shootdown_range m ~page ~pages
 
 let munmap (m : Machine.t) ~addr ~pages =
   check_aligned "munmap" addr;
   check_pages "munmap" pages;
-  Stats.count_syscall m.stats Stats.Sys_munmap;
-  trace_syscall m "munmap" pages;
   let page = Addr.page_index addr in
   (* Validate the whole range up front: a failed call must not leave a
-     prefix unmapped with its TLB entries still live. *)
+     prefix unmapped with its TLB entries still live, nor count as a
+     syscall. *)
   for p = page to page + pages - 1 do
     if not (Page_table.is_mapped m.page_table ~page:p) then
       invalid_arg (Printf.sprintf "Page_table.unmap: page %d not mapped" p)
   done;
+  Stats.count_syscall m.stats Stats.Sys_munmap;
+  trace_syscall m "munmap" pages;
   for p = page to page + pages - 1 do
     let entry = Page_table.unmap m.page_table ~page:p in
     Frame_table.decr_ref m.frames entry.frame

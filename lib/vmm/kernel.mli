@@ -4,7 +4,15 @@
     (the paper's "PA + dummy syscalls" column).
 
     Every call counts one syscall of the appropriate kind in
-    {!Stats}; the {!Cost_model} charges each a fixed cost. *)
+    {!Stats}; the {!Cost_model} charges each a fixed cost.  A malformed
+    request (unaligned address, non-positive count, an unmapped page
+    where mapped ones are required) raises [Invalid_argument] before the
+    call counts, traces or maps anything, so a rejection leaves the
+    machine unchanged.
+
+    This is the raw layer.  Code outside [lib/vmm] issues its mapping
+    calls through {!Syscalls}, which adds fault injection and typed
+    errors on top; [scripts/lint_src.sh] enforces that. *)
 
 val mmap : Machine.t -> pages:int -> Addr.t
 (** Map [pages] fresh zeroed pages read-write at a fresh virtual address;
@@ -32,8 +40,7 @@ val mremap_alias_slab :
     back-to-back at a fresh base (copy [i] starts at
     [base + i*pages*page_size]).  Models the slab-granularity aliasing
     call the paper proposes as an OS enhancement; amortizes alias cost
-    to ~1 syscall per slab.  Validates [src] fully before mapping, so a
-    rejection leaves the machine unchanged. *)
+    to ~1 syscall per slab. *)
 
 val mremap_alias_at : Machine.t -> src:Addr.t -> dst:Addr.t -> pages:int -> unit
 (** Like {!mremap_alias} but the new mapping is placed at [dst]

@@ -1,7 +1,7 @@
 type 'a outcome = ('a, Fault_plan.error) result
 
 let kind_of_call = function
-  | Fault_plan.Mmap -> Stats.Sys_mmap
+  | Fault_plan.Mmap | Fault_plan.Mmap_fixed -> Stats.Sys_mmap
   | Fault_plan.Mremap -> Stats.Sys_mremap
   | Fault_plan.Mprotect -> Stats.Sys_mprotect
   | Fault_plan.Munmap -> Stats.Sys_munmap
@@ -45,42 +45,42 @@ let einval (m : Machine.t) name : 'a outcome =
   trace_fault m name error;
   Error error
 
-let guard m name thunk =
-  match thunk () with
-  | v -> Ok v
-  | exception Invalid_argument _ -> einval m name
+(* Every entry point: consult the plan, then run the raw call with its
+   [Invalid_argument] rejections typed.  This is the one place that
+   decides which calls are injectable, counted as failures and traced. *)
+let issue m call name thunk =
+  match inject m call name with
+  | Some e -> Error e
+  | None -> (
+    match thunk () with
+    | v -> Ok v
+    | exception Invalid_argument _ -> einval m name)
 
 let mmap m ~pages =
-  match inject m Fault_plan.Mmap "mmap" with
-  | Some e -> Error e
-  | None -> guard m "mmap" (fun () -> Kernel.mmap m ~pages)
+  issue m Fault_plan.Mmap "mmap" (fun () -> Kernel.mmap m ~pages)
+
+let mmap_fixed m ~addr ~pages =
+  issue m Fault_plan.Mmap_fixed "mmap_fixed" (fun () ->
+      Kernel.mmap_fixed m ~addr ~pages)
 
 let mremap_alias m ~src ~pages =
-  match inject m Fault_plan.Mremap "mremap" with
-  | Some e -> Error e
-  | None -> guard m "mremap" (fun () -> Kernel.mremap_alias m ~src ~pages)
+  issue m Fault_plan.Mremap "mremap" (fun () ->
+      Kernel.mremap_alias m ~src ~pages)
 
 let mremap_alias_slab m ~src ~pages ~copies =
-  match inject m Fault_plan.Mremap "mremap_slab" with
-  | Some e -> Error e
-  | None ->
-    guard m "mremap_slab" (fun () -> Kernel.mremap_alias_slab m ~src ~pages ~copies)
+  issue m Fault_plan.Mremap "mremap_slab" (fun () ->
+      Kernel.mremap_alias_slab m ~src ~pages ~copies)
 
 let mremap_alias_at m ~src ~dst ~pages =
-  match inject m Fault_plan.Mremap "mremap" with
-  | Some e -> Error e
-  | None ->
-    guard m "mremap" (fun () -> Kernel.mremap_alias_at m ~src ~dst ~pages)
+  issue m Fault_plan.Mremap "mremap" (fun () ->
+      Kernel.mremap_alias_at m ~src ~dst ~pages)
 
 let mprotect m ~addr ~pages perm =
-  match inject m Fault_plan.Mprotect "mprotect" with
-  | Some e -> Error e
-  | None -> guard m "mprotect" (fun () -> Kernel.mprotect m ~addr ~pages perm)
+  issue m Fault_plan.Mprotect "mprotect" (fun () ->
+      Kernel.mprotect m ~addr ~pages perm)
 
 let munmap m ~addr ~pages =
-  match inject m Fault_plan.Munmap "munmap" with
-  | Some e -> Error e
-  | None -> guard m "munmap" (fun () -> Kernel.munmap m ~addr ~pages)
+  issue m Fault_plan.Munmap "munmap" (fun () -> Kernel.munmap m ~addr ~pages)
 
 let ok_or_raise ~name = function
   | Ok v -> v

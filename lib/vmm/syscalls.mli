@@ -1,4 +1,5 @@
-(** The typed, injectable syscall boundary.
+(** The typed, injectable syscall boundary: the one way code outside
+    [lib/vmm] issues a mapping call.
 
     Same operations as {!Kernel}, but every call (1) consults the
     machine's {!Fault_plan} and may fail without touching the machine,
@@ -8,13 +9,22 @@
     (the per-kind syscall counter) and are counted in
     [Stats.syscalls_failed] and traced as [Syscall_fault] events.
 
-    Resilient code (the governed schemes, via [Runtime.Retry]) lives on
-    this interface; {!Kernel} remains the raw layer whose misuse is a
-    programming error. *)
+    Callers with a degradation path handle the error (the governed
+    schemes, via [Runtime.Retry]; pool re-backing; recovery); the others
+    unwrap with {!ok_or_raise}.  {!Kernel} remains the raw layer under
+    this module, used directly only inside [lib/vmm] and by tests and
+    host-clock measurements of the bare calls; [scripts/lint_src.sh]
+    rejects a raw mapping call anywhere else in lib, bin, bench and
+    examples. *)
 
 type 'a outcome = ('a, Fault_plan.error) result
 
 val mmap : Machine.t -> pages:int -> Addr.t outcome
+
+val mmap_fixed : Machine.t -> addr:Addr.t -> pages:int -> unit outcome
+(** Injectable {!Kernel.mmap_fixed} (fault class [Mmap_fixed], counted
+    as an [mmap]). *)
+
 val mremap_alias : Machine.t -> src:Addr.t -> pages:int -> Addr.t outcome
 
 val mremap_alias_slab :

@@ -3,8 +3,10 @@
 # `assert false` in lib/vmm, lib/shadow or lib/minic, no
 # environment-variable reads in lib, bin or bench, no second loop
 # over forked connections outside lib/farm, no second classifier
-# of seeded-bug outcomes outside Workload.Fault_injection, and no second
-# coverage predicate outside Minic.Dangling.  An occurrence is
+# of seeded-bug outcomes outside Workload.Fault_injection, no second
+# coverage predicate outside Minic.Dangling, and no raw Vmm.Kernel
+# mapping call (mmap, mmap_fixed, mremap_alias*, mprotect, munmap) in
+# lib, bin, bench or examples outside lib/vmm.  An occurrence is
 # allowed only when it names the invariant it guards within three lines
 # (the convention every existing call site follows); anything else
 # should be a typed error the caller can handle.  `dune runtest` runs it
@@ -124,6 +126,21 @@ second_cover=$(grep -RnE 'verdict *<> *([A-Z][A-Za-z_]*\.)*Safe\b' \
 if [ -n "$second_cover" ]; then
   echo "lint-src: flagged-site test outside Minic.Dangling (use covers):" >&2
   echo "$second_cover" >&2
+  fail=1
+fi
+
+# One syscall boundary: outside lib/vmm every mapping call goes through
+# Vmm.Syscalls, so the fault plan can fail it, its failures are counted
+# and traced, and its caller handles a typed error.  Kernel is the raw
+# layer under Syscalls; tests and benchmark/'s timings of the bare calls
+# may still use it.
+raw_syscall=$(grep -RnE \
+  'Kernel\.(mmap|mmap_fixed|mremap_alias[a-z_]*|mprotect|munmap)\b' \
+  lib bin bench examples --include='*.ml' --include='*.mli' \
+  | grep -v '^lib/vmm/' || true)
+if [ -n "$raw_syscall" ]; then
+  echo "lint-src: raw Kernel mapping call outside lib/vmm (use Vmm.Syscalls):" >&2
+  echo "$raw_syscall" >&2
   fail=1
 fi
 

@@ -75,6 +75,38 @@ let test_pool_va_reuse_across_pools () =
   (* Reuse must come with fresh contents (new physical backing). *)
   check_int "fresh backing" 0 (Mmu.load m (a2 + 8) ~width:8)
 
+(* Fail the next re-backing of a recycled range. *)
+let refuse_rebacking m =
+  m.Machine.fault_plan <-
+    Fault_plan.create
+      [
+        {
+          Fault_plan.calls = [ Fault_plan.Mmap_fixed ];
+          trigger = Fault_plan.Nth_call 1;
+          error = Fault_plan.Fatal Fault_plan.Enomem;
+        };
+      ]
+
+let test_pool_rebacking_refused () =
+  let m = Machine.create () in
+  let r = Apa.Page_recycler.create () in
+  let make () = Apa.Pool.create ~arena_pages:4 ~reclaim:(Apa.Pool.Recycle r) m in
+  let p1 = make () in
+  let a1 = Apa.Pool.alloc p1 64 in
+  Apa.Pool.destroy p1;
+  refuse_rebacking m;
+  let p2 = make () in
+  let a2 = Apa.Pool.alloc p2 64 in
+  check_int "the refusal was injected" 1 (Fault_plan.injected m.Machine.fault_plan);
+  check_bool "second pool maps fresh pages" true (a2 <> a1);
+  check_int "fresh backing" 0 (Mmu.load m (a2 + 8) ~width:8);
+  check_int "refused range back on the free list" 4
+    (Apa.Page_recycler.available_pages r);
+  check_int "refused round trip not counted as reuse" 0
+    (Apa.Page_recycler.total_reused_pages r);
+  let p3 = make () in
+  check_int "a later pool reuses the range" a1 (Apa.Pool.alloc p3 64)
+
 let test_pool_unmap_policy () =
   let m = Machine.create () in
   let pool = Apa.Pool.create ~arena_pages:2 ~reclaim:Apa.Pool.Unmap m in
@@ -152,6 +184,8 @@ let () =
             test_pool_destroy_recycles;
           Alcotest.test_case "VA reuse across pools" `Quick
             test_pool_va_reuse_across_pools;
+          Alcotest.test_case "refused re-backing takes fresh pages" `Quick
+            test_pool_rebacking_refused;
           Alcotest.test_case "unmap policy" `Quick test_pool_unmap_policy;
           Alcotest.test_case "frames steady" `Quick
             test_pool_frames_released_on_reuse;

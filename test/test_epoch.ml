@@ -77,7 +77,10 @@ let test_slab_cache () =
   Mmu.store m src ~width:8 77;
   check_int "alias 0 sees canonical bytes" 77 (Mmu.load m a0 ~width:8);
   check_int "alias 1 sees canonical bytes" 77 (Mmu.load m a1 ~width:8);
-  let released = Shadow.Slab.flush slab in
+  let released =
+    Shadow.Slab.flush slab ~unmap:(fun ~addr ~pages ->
+        Syscalls.munmap m ~addr ~pages)
+  in
   check_int "flush releases the two remaining spares" 2 released;
   check_int "cache empty after flush" 0 (Shadow.Slab.cached_aliases slab)
 

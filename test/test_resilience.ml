@@ -104,14 +104,111 @@ let test_syscalls_inject_and_count () =
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "uncovered call must succeed")
 
+(* What a failed call must leave alone: address space handed out, the
+   page table, and the perm of the page the test mapped. *)
+let machine_view m page =
+  ( Machine.va_bytes_used m,
+    Page_table.mapped_pages m.Machine.page_table,
+    Kernel.page_perm m page )
+
+(* Every entry point, with the fault kind it belongs to, called on the
+   mapped page [src] (and the mapped page [dst] where it needs two). *)
+let entry_points =
+  let unit_of r = Result.map ignore r in
+  [
+    ( "mmap", Fault_plan.Mmap,
+      fun m ~src:_ ~dst:_ -> unit_of (Syscalls.mmap m ~pages:1) );
+    ( "mmap_fixed", Fault_plan.Mmap_fixed,
+      fun m ~src ~dst:_ -> Syscalls.mmap_fixed m ~addr:src ~pages:1 );
+    ( "mremap_alias", Fault_plan.Mremap,
+      fun m ~src ~dst:_ -> unit_of (Syscalls.mremap_alias m ~src ~pages:1) );
+    ( "mremap_alias_slab", Fault_plan.Mremap,
+      fun m ~src ~dst:_ ->
+        unit_of (Syscalls.mremap_alias_slab m ~src ~pages:1 ~copies:4) );
+    ( "mremap_alias_at", Fault_plan.Mremap,
+      fun m ~src ~dst -> Syscalls.mremap_alias_at m ~src ~dst ~pages:1 );
+    ( "mprotect", Fault_plan.Mprotect,
+      fun m ~src ~dst:_ -> Syscalls.mprotect m ~addr:src ~pages:1 Perm.No_access );
+    ( "munmap", Fault_plan.Munmap,
+      fun m ~src ~dst:_ -> Syscalls.munmap m ~addr:src ~pages:1 );
+  ]
+
+(* Each raw-layer rejection is typed as EINVAL and changes nothing but
+   the failure count: no syscall of its kind, no fresh address space,
+   no mapping.  The four calls that need a mapped source are given an
+   unmapped one. *)
 let test_syscalls_einval_typed () =
   let m = Machine.create () in
-  let before = Machine.va_bytes_used m in
-  (match Syscalls.mmap m ~pages:0 with
-  | Error (Fault_plan.Fatal Fault_plan.Einval) -> ()
-  | Ok _ | Error _ -> Alcotest.fail "expected Fatal Einval for pages=0");
-  check_int "machine unchanged by rejected call" before
-    (Machine.va_bytes_used m)
+  let src = Kernel.mmap m ~pages:1 in
+  let unmapped = m.Machine.next_va in
+  let unit_of r = Result.map ignore r in
+  List.iter
+    (fun (name, call) ->
+      let view = machine_view m src in
+      let before = Stats.snapshot m.Machine.stats in
+      (match call () with
+      | Error (Fault_plan.Fatal Fault_plan.Einval) -> ()
+      | Ok _ | Error _ -> Alcotest.fail (name ^ ": expected Fatal Einval"));
+      check_bool (name ^ ": machine unchanged") true (machine_view m src = view);
+      check_bool (name ^ ": only the failure counted") true
+        (Stats.snapshot m.Machine.stats
+        = { before with Stats.syscalls_failed = before.Stats.syscalls_failed + 1 }))
+    [
+      ("mmap of 0 pages", fun () -> unit_of (Syscalls.mmap m ~pages:0));
+      ( "unaligned mmap_fixed",
+        fun () -> Syscalls.mmap_fixed m ~addr:(src + 8) ~pages:1 );
+      ( "mremap_alias",
+        fun () -> unit_of (Syscalls.mremap_alias m ~src:unmapped ~pages:1) );
+      ( "mremap_alias_slab",
+        fun () ->
+          unit_of
+            (Syscalls.mremap_alias_slab m ~src:unmapped ~pages:1 ~copies:4) );
+      ( "mremap_alias_at",
+        fun () -> Syscalls.mremap_alias_at m ~src:unmapped ~dst:src ~pages:1 );
+      ( "mprotect",
+        fun () -> Syscalls.mprotect m ~addr:unmapped ~pages:1 Perm.No_access );
+      ("munmap", fun () -> Syscalls.munmap m ~addr:unmapped ~pages:1);
+    ]
+
+let count_kind (s : Stats.snapshot) = function
+  | Fault_plan.Mmap | Fault_plan.Mmap_fixed ->
+    { s with Stats.syscalls_mmap = s.Stats.syscalls_mmap + 1 }
+  | Fault_plan.Mremap ->
+    { s with Stats.syscalls_mremap = s.Stats.syscalls_mremap + 1 }
+  | Fault_plan.Mprotect ->
+    { s with Stats.syscalls_mprotect = s.Stats.syscalls_mprotect + 1 }
+  | Fault_plan.Munmap ->
+    { s with Stats.syscalls_munmap = s.Stats.syscalls_munmap + 1 }
+
+(* For every call kind, an [Nth_call 1] rule fails the first call of
+   that kind: the machine is untouched, and the attempt costs one
+   syscall of its kind plus one counted failure. *)
+let test_syscalls_first_call_injected () =
+  List.iter
+    (fun (name, kind, call) ->
+      let fault_plan =
+        Fault_plan.create
+          [ rule ~calls:[ kind ] (Fault_plan.Nth_call 1) enomem_fatal ]
+      in
+      let m = Machine.create ~fault_plan () in
+      let src = Kernel.mmap m ~pages:1 in
+      let dst = Kernel.mmap m ~pages:1 in
+      Mmu.store m src ~width:8 42;
+      let view = machine_view m src in
+      let before = Stats.snapshot m.Machine.stats in
+      (match call m ~src ~dst with
+      | Error e when e = enomem_fatal -> ()
+      | Ok _ | Error _ -> Alcotest.fail (name ^ ": expected the injected ENOMEM"));
+      check_bool (name ^ ": machine unchanged") true (machine_view m src = view);
+      check_bool (name ^ ": one syscall of its kind and one failure") true
+        (Stats.snapshot m.Machine.stats
+        = count_kind
+            { before with Stats.syscalls_failed = before.Stats.syscalls_failed + 1 }
+            kind);
+      check_int (name ^ ": backing kept") 42 (Mmu.load m src ~width:8);
+      check_int (name ^ ": one fault injected") 1
+        (Fault_plan.injected m.Machine.fault_plan))
+    entry_points
 
 let test_ok_or_raise () =
   Alcotest.check_raises "raises Syscall_failure"
@@ -570,6 +667,8 @@ let () =
           Alcotest.test_case "inject + count" `Quick
             test_syscalls_inject_and_count;
           Alcotest.test_case "EINVAL typed" `Quick test_syscalls_einval_typed;
+          Alcotest.test_case "first call of each kind injected" `Quick
+            test_syscalls_first_call_injected;
           Alcotest.test_case "ok_or_raise" `Quick test_ok_or_raise;
         ] );
       ( "retry",

@@ -266,6 +266,46 @@ let test_pool_destroy_recycles_shadow_and_canonical () =
   check_bool "destroy recycled shadow + canonical pages" true
     (Apa.Page_recycler.available_pages recycler > shadow_pages)
 
+(* A pool whose recycled canonical range cannot be re-backed serves from
+   fresh pages, and a stale pointer into the destroyed pool still traps. *)
+let test_pool_rebacking_refused () =
+  let m, registry, recycler, pool = make_pool () in
+  let p = Shadow.Shadow_pool.alloc pool ~site:"old" 32 in
+  Shadow.Shadow_pool.free pool ~site:"old-free" p;
+  Shadow.Shadow_pool.destroy pool;
+  let available = Apa.Page_recycler.available_pages recycler in
+  let fresh_from = m.Machine.next_va in
+  m.Machine.fault_plan <-
+    Fault_plan.create
+      [
+        {
+          Fault_plan.calls = [ Fault_plan.Mmap_fixed ];
+          trigger = Fault_plan.Nth_call 1;
+          error = Fault_plan.Fatal Fault_plan.Enomem;
+        };
+      ];
+  let pool = Shadow.Shadow_pool.create ~recycler ~registry m in
+  let q = Shadow.Shadow_pool.alloc pool ~site:"new" 32 in
+  check_int "the refusal was injected" 1
+    (Fault_plan.injected m.Machine.fault_plan);
+  (match Shadow.Object_registry.find_by_addr registry q with
+   | Some obj ->
+     check_bool "canonical block on fresh pages" true
+       (obj.Shadow.Object_registry.canonical >= fresh_from)
+   | None -> Alcotest.fail "new object not registered");
+  (* Only the new object's one shadow page left the free list; the
+     refused canonical range went back on it. *)
+  check_int "refused range still reusable" (available - 1)
+    (Apa.Page_recycler.available_pages recycler);
+  store m registry q 5;
+  check_int "new object usable" 5 (load m registry q);
+  (* Destroy dropped the old object's record, so the trap on its still
+     protected shadow page reads as a wild access. *)
+  ignore
+    (expect_violation "stale pointer into the destroyed pool"
+       (function Shadow.Report.Wild_access _ -> true | _ -> false)
+       (fun () -> load m registry p))
+
 let test_pool_va_bounded_across_generations () =
   let m = Machine.create () in
   let registry = Shadow.Object_registry.create () in
@@ -877,6 +917,8 @@ let () =
           Alcotest.test_case "detection" `Quick test_pool_detection;
           Alcotest.test_case "destroy recycles" `Quick
             test_pool_destroy_recycles_shadow_and_canonical;
+          Alcotest.test_case "refused re-backing takes fresh pages" `Quick
+            test_pool_rebacking_refused;
           Alcotest.test_case "VA bounded" `Quick
             test_pool_va_bounded_across_generations;
           Alcotest.test_case "no shadow reuse grows VA" `Quick
